@@ -1,34 +1,27 @@
-"""Tiny exact linear algebra helpers: GF(2) rank and rational elimination."""
+"""Tiny exact linear algebra helpers: rational elimination, rank and solve."""
 
 from __future__ import annotations
 
 from fractions import Fraction
 from typing import Sequence
 
-__all__ = ["gf2_rank", "rational_rank", "solve_rational"]
+__all__ = ["rational_rank", "solve_rational"]
 
 
-def gf2_rank(rows: Sequence[int], n_cols: int) -> int:
-    """Rank over GF(2) of rows given as integer bitmasks."""
-    pivots: list[int] = []
-    for row in rows:
-        for p in pivots:
-            row = min(row, row ^ p)
-        if row:
-            pivots.append(row)
-            if len(pivots) == n_cols:
-                break
-    return len(pivots)
+def _eliminate(
+    matrix: Sequence[Sequence[Fraction]], ncols: int
+) -> tuple[list[list[Fraction]], list[int]]:
+    """Gauss-Jordan elimination of the first ``ncols`` columns.
 
-
-def rational_rank(matrix: Sequence[Sequence[Fraction]]) -> int:
-    """Exact rank of a matrix of Fractions by Gaussian elimination."""
+    Returns the reduced rows and the pivot column of each leading row; it
+    stops once every row holds a pivot.
+    """
     rows = [list(r) for r in matrix]
-    if not rows:
-        return 0
-    ncols = len(rows[0])
-    rank = 0
+    pivots: list[int] = []
     for col in range(ncols):
+        rank = len(pivots)
+        if rank == len(rows):
+            break
         pivot = next((r for r in range(rank, len(rows)) if rows[r][col] != 0), None)
         if pivot is None:
             continue
@@ -39,10 +32,14 @@ def rational_rank(matrix: Sequence[Sequence[Fraction]]) -> int:
             if r != rank and rows[r][col] != 0:
                 f = rows[r][col]
                 rows[r] = [a - f * b for a, b in zip(rows[r], rows[rank])]
-        rank += 1
-        if rank == len(rows):
-            break
-    return rank
+        pivots.append(col)
+    return rows, pivots
+
+
+def rational_rank(matrix: Sequence[Sequence[Fraction]]) -> int:
+    """Exact rank of a matrix of Fractions by Gaussian elimination."""
+    ncols = len(matrix[0]) if matrix else 0
+    return len(_eliminate(matrix, ncols)[1])
 
 
 def solve_rational(
@@ -54,29 +51,13 @@ def solve_rational(
     ``"unique"``, ``"underdetermined"`` (solution is one particular point
     with free columns set to zero) or ``"inconsistent"`` (solution None).
     """
-    rows = [list(r) + [b] for r, b in zip(matrix, rhs)]
     ncols = len(matrix[0]) if matrix else 0
-    pivot_cols: list[int] = []
-    rank = 0
-    for col in range(ncols):
-        pivot = next((r for r in range(rank, len(rows)) if rows[r][col] != 0), None)
-        if pivot is None:
-            continue
-        rows[rank], rows[pivot] = rows[pivot], rows[rank]
-        pv = rows[rank][col]
-        rows[rank] = [x / pv for x in rows[rank]]
-        for r in range(len(rows)):
-            if r != rank and rows[r][col] != 0:
-                f = rows[r][col]
-                rows[r] = [a - f * b for a, b in zip(rows[r], rows[rank])]
-        pivot_cols.append(col)
-        rank += 1
-    for r in range(rank, len(rows)):
-        if rows[r][ncols] != 0:
-            return "inconsistent", None, []
-    free = [c for c in range(ncols) if c not in pivot_cols]
+    rows, pivots = _eliminate([list(r) + [b] for r, b in zip(matrix, rhs)], ncols)
+    if any(row[ncols] != 0 for row in rows[len(pivots):]):
+        return "inconsistent", None, []
+    free = [c for c in range(ncols) if c not in pivots]
     solution = [Fraction(0)] * ncols
-    for r, col in enumerate(pivot_cols):
-        solution[col] = rows[r][ncols]
+    for row, col in zip(rows, pivots):
+        solution[col] = row[ncols]
     status = "unique" if not free else "underdetermined"
     return status, solution, free

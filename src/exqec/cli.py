@@ -10,7 +10,6 @@ produce byte-identical output; all randomness is seeded.
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 from dataclasses import dataclass
 from pathlib import Path
@@ -27,7 +26,6 @@ class RunConfig:
     tolerance: float | None = None  # None: 0 in exact mode, 1e-9 in float
     output: str = "human"  # human | structured
     seed: int = 0
-    threads: int = 1
 
 
 class _UsageError(Exception):
@@ -298,17 +296,6 @@ _COMMANDS = {
 }
 
 
-def _read_threads() -> int:
-    raw = os.environ.get("QEC_THREADS", "1")
-    try:
-        threads = int(raw)
-    except ValueError:
-        raise _UsageError(f"QEC_THREADS must be an integer, got {raw!r}")
-    if threads < 1:
-        raise _UsageError(f"QEC_THREADS must be positive, got {threads}")
-    return threads
-
-
 def run(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
@@ -318,7 +305,6 @@ def run(argv: list[str] | None = None) -> int:
             tolerance=args.tol,
             output=args.output,
             seed=args.seed,
-            threads=_read_threads(),
         )
         if config.tolerance is not None and config.tolerance < 0:
             raise _UsageError("tolerance must be nonnegative")

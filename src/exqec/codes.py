@@ -22,9 +22,9 @@ cover exact rationals and surds: ``1``, ``-3/4``, ``i``, ``sqrt(2)``,
 from __future__ import annotations
 
 import re as _re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
-from typing import Mapping, Sequence
+from typing import Mapping
 
 from .errors import CodeParseError, DimensionMismatch, InvalidCodeError
 from .qstate import (

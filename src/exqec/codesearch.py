@@ -182,12 +182,6 @@ class _Constraint:
     def is_diagonal(self) -> bool:
         return all(i == j for i, j, _ in self.terms)
 
-    def is_sign_definite(self) -> bool:
-        if not self.is_diagonal():
-            return False
-        signs = {c > 0 for _, _, c in self.terms}
-        return len(signs) == 1
-
     def render(self, names: Sequence[str]) -> str:
         bits = []
         for i, j, c in self.terms:
@@ -708,6 +702,10 @@ def survey_patterns(
     each unordered {K, mirror} pair is visited once.  Results come back
     in sorted pattern order.
     """
+    if n < 1:
+        raise ValueError(f"n must be at least 1, got {n}")
+    if max_weights < 1:
+        raise ValueError(f"max_weights must be at least 1, got {max_weights}")
     if max_weights > MAX_WEIGHTS_PER_WORD:
         raise CapabilityError(
             f"patterns are limited to {MAX_WEIGHTS_PER_WORD} weights per word"

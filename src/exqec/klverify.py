@@ -19,15 +19,15 @@ runs exactly when given exact-mode codes.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from fractions import Fraction
+from dataclasses import dataclass
+from itertools import combinations, product
 from typing import Sequence
 
 import numpy as np
 import scipy.linalg
 
 from .codes import Code, shor_code
-from .errorops import ErrorOperator, ErrorSet, ExchangeOp, PauliString, apply
+from .errorops import ErrorSet, ExchangeOp, PauliString, apply
 from .qstate import InnerProductValue, StateVector, inner_product
 from ._linalg import rational_rank
 
@@ -56,54 +56,41 @@ DEFAULT_FLOAT_TOL = 1e-9
 
 @dataclass(frozen=True)
 class GramTensor:
-    """All inner products ``<e_p C_i | e_q C_j>``; Hermitian by construction."""
+    """All inner products ``<e_p C_i | e_q C_j>``; Hermitian by construction.
+
+    ``entries`` is flat over the index ``x = p * num_words + i`` (word index
+    fastest): ``entry(p, i, q, j)`` is ``entries[x * size + y]`` with
+    ``y = q * num_words + j`` and ``size = len(errors) * num_words``.
+    """
 
     errors: ErrorSet
     num_words: int
-    entries: tuple  # entries[p][i][q][j] -> InnerProductValue
+    entries: tuple[InnerProductValue, ...]
 
     def entry(self, p: int, i: int, q: int, j: int) -> InnerProductValue:
-        return self.entries[p][i][q][j]
+        w = self.num_words
+        return self.entries[(p * w + i) * len(self.errors) * w + q * w + j]
 
-    def word_block(self, i: int) -> tuple[tuple[InnerProductValue, ...], ...]:
-        N = len(self.errors)
-        return tuple(
-            tuple(self.entries[p][i][q][i] for q in range(N)) for p in range(N)
-        )
 
-    def to_float(self) -> np.ndarray:
-        """Dense matrix over the flattened (p, i) index, i varying fastest."""
-        N, w = len(self.errors), self.num_words
-        out = np.empty((N * w, N * w), dtype=np.complex128)
-        for p in range(N):
-            for i in range(w):
-                for q in range(N):
-                    for j in range(w):
-                        out[p * w + i, q * w + j] = self.entries[p][i][q][j].float_view
-        return out
+def _gram(words: Sequence[StateVector], errors: ErrorSet) -> GramTensor:
+    """Apply every error to every word once; for each flat pair ``x <= y``
+    the entry is ``inner_product(image_x, image_y)``, and ``(y, x)`` holds
+    its conjugate."""
+    images = [apply(op, word) for op in errors.ops for word in words]
+    size = len(images)
+    entries: list = [None] * (size * size)
+    for x in range(size):
+        for y in range(x, size):
+            v = inner_product(images[x], images[y])
+            entries[x * size + y] = v
+            entries[y * size + x] = v.conjugate()
+    return GramTensor(errors, len(words), tuple(entries))
 
 
 def gram_tensor(code: Code, errors: ErrorSet) -> GramTensor:
     if code.n != errors.n:
         raise ValueError(f"code on {code.n} qubits, errors on {errors.n}")
-    words = code.words
-    N, w = len(errors), len(words)
-    images = [[apply(op, word) for word in words] for op in errors.ops]
-    flat = [(p, i) for p in range(N) for i in range(w)]
-    table: dict[tuple[int, int, int, int], InnerProductValue] = {}
-    for a, (p, i) in enumerate(flat):
-        for q, j in flat[a:]:
-            v = inner_product(images[p][i], images[q][j])
-            table[(p, i, q, j)] = v
-            table[(q, j, p, i)] = v.conjugate()
-    entries = tuple(
-        tuple(
-            tuple(tuple(table[(p, i, q, j)] for j in range(w)) for q in range(N))
-            for i in range(w)
-        )
-        for p in range(N)
-    )
-    return GramTensor(errors, w, entries)
+    return _gram(code.words, errors)
 
 
 @dataclass(frozen=True)
@@ -205,11 +192,52 @@ def _resolve_tol(code: Code, tol: float | None) -> float:
     return 0.0 if code.mode == "exact" else DEFAULT_FLOAT_TOL
 
 
-def _differs(v: InnerProductValue, ref: InnerProductValue | None, tol: float) -> bool:
+def _excess(
+    v: InnerProductValue, ref: InnerProductValue | None, tol: float
+) -> InnerProductValue | None:
+    """``v - ref`` (``v`` when ``ref`` is None) if it exceeds ``tol``, else None."""
     d = v if ref is None else v.sub(ref)
     if tol == 0.0 and d.is_exact:
-        return not d.is_exact_zero()
-    return d.magnitude() > tol
+        return None if d.is_exact_zero() else d
+    return d if d.magnitude() > tol else None
+
+
+def _violations(G: GramTensor, keys: Sequence, tol: float) -> list[Violation]:
+    """``cross_word`` then ``block_mismatch`` violations; ``keys[a]`` names word a."""
+    checks = [("cross_word", a, b) for a, b in combinations(range(len(keys)), 2)]
+    checks += [("block_mismatch", a, a) for a in range(1, len(keys))]
+    out: list[Violation] = []
+    for kind, a, b in checks:
+        for p, q in product(range(len(G.errors)), repeat=2):
+            v = G.entry(p, a, q, b)
+            ref = G.entry(p, 0, q, 0) if kind == "block_mismatch" else None
+            d = _excess(v, ref, tol)
+            if d is not None:
+                out.append(Violation(kind, keys[a], keys[b], p, q, d.magnitude(), v, ref))
+    return out
+
+
+def _report(
+    G: GramTensor, violations: list[Violation], tol: float, strict: bool, n: int
+) -> KLReport:
+    """The report; when correctable, word 0's block is the D matrix."""
+    d_matrix = rank = None
+    if not violations:
+        N = len(G.errors)
+        block = tuple(tuple(G.entry(p, 0, q, 0) for q in range(N)) for p in range(N))
+        d_matrix = DMatrix(block, G.errors.labels, G.errors.families)
+        rank = d_matrix.rank()
+    return KLReport(
+        correctable=not violations,
+        d_matrix=d_matrix,
+        violations=violations,
+        tolerance=tol,
+        strict=strict,
+        rank=rank,
+        dimension_used=None if rank is None else G.num_words * rank,
+        dimension_total=1 << n,
+        labels=G.errors.labels,
+    )
 
 
 def verify_kl(
@@ -223,62 +251,15 @@ def verify_kl(
     """
     tol = _resolve_tol(code, tol)
     G = gram_tensor(code, errors)
-    N, w = len(errors), len(code.words)
-    violations: list[Violation] = []
-    for i in range(w):
-        for j in range(i + 1, w):
-            for p in range(N):
-                for q in range(N):
-                    v = G.entry(p, i, q, j)
-                    if _differs(v, None, tol):
-                        violations.append(
-                            Violation("cross_word", i, j, p, q, v.magnitude(), v)
-                        )
-    base = G.word_block(0)
-    for i in range(1, w):
-        blk = G.word_block(i)
-        for p in range(N):
-            for q in range(N):
-                if _differs(blk[p][q], base[p][q], tol):
-                    violations.append(
-                        Violation(
-                            "block_mismatch",
-                            i,
-                            i,
-                            p,
-                            q,
-                            blk[p][q].sub(base[p][q]).magnitude(),
-                            blk[p][q],
-                            base[p][q],
-                        )
-                    )
+    violations = _violations(G, range(len(code.words)), tol)
     if strict:
-        d00 = base[0][0]
-        for p in range(N):
-            for q in range(N):
-                ref = d00 if p == q else None
-                if _differs(base[p][q], ref, tol):
-                    violations.append(
-                        Violation(
-                            "strict", 0, 0, p, q,
-                            base[p][q].sub(ref).magnitude() if ref else base[p][q].magnitude(),
-                            base[p][q], ref,
-                        )
-                    )
-    correctable = not violations
-    d_matrix = DMatrix(base, errors.labels, errors.families) if correctable else None
-    rank = d_matrix.rank() if d_matrix is not None else None
-    return KLReport(
-        correctable=correctable,
-        d_matrix=d_matrix,
-        violations=violations,
-        tolerance=tol,
-        strict=strict,
-        rank=rank,
-        dimension_used=None if rank is None else len(code.words) * rank,
-        dimension_total=1 << code.n,
-        labels=errors.labels,
-    )
+        for p, q in product(range(len(errors)), repeat=2):
+            v = G.entry(p, 0, q, 0)
+            ref = G.entry(0, 0, 0, 0) if p == q else None
+            d = _excess(v, ref, tol)
+            if d is not None:
+                violations.append(Violation("strict", 0, 0, p, q, d.magnitude(), v, ref))
+    return _report(G, violations, tol, strict, code.n)
 
 
 def verify_kl_extended(
@@ -302,63 +283,9 @@ def verify_kl_extended(
     tol = _resolve_tol(family[0], tol)
     if errors.n != n:
         raise ValueError(f"codes on {n} qubits, errors on {errors.n}")
-
-    index = [(i, m) for m in range(len(family)) for i in range(w)]
-    words = [family[m].words[i] for (i, m) in index]
-    N = len(errors)
-    images = [[apply(op, word) for word in words] for op in errors.ops]
-
-    violations: list[Violation] = []
-    blocks: list[list[list[InnerProductValue]]] = []
-    for a, (i, m) in enumerate(index):
-        blocks.append(
-            [
-                [inner_product(images[p][a], images[q][a]) for q in range(N)]
-                for p in range(N)
-            ]
-        )
-    for a in range(len(index)):
-        for b in range(a + 1, len(index)):
-            for p in range(N):
-                for q in range(N):
-                    v = inner_product(images[p][a], images[q][b])
-                    if _differs(v, None, tol):
-                        violations.append(
-                            Violation(
-                                "cross_word", index[a], index[b], p, q,
-                                v.magnitude(), v,
-                            )
-                        )
-    base = blocks[0]
-    for a in range(1, len(index)):
-        for p in range(N):
-            for q in range(N):
-                if _differs(blocks[a][p][q], base[p][q], tol):
-                    violations.append(
-                        Violation(
-                            "block_mismatch", index[a], index[a], p, q,
-                            blocks[a][p][q].sub(base[p][q]).magnitude(),
-                            blocks[a][p][q], base[p][q],
-                        )
-                    )
-    correctable = not violations
-    d_matrix = (
-        DMatrix(tuple(tuple(row) for row in base), errors.labels, errors.families)
-        if correctable
-        else None
-    )
-    rank = d_matrix.rank() if d_matrix is not None else None
-    return KLReport(
-        correctable=correctable,
-        d_matrix=d_matrix,
-        violations=violations,
-        tolerance=tol,
-        strict=False,
-        rank=rank,
-        dimension_used=None if rank is None else len(index) * rank,
-        dimension_total=1 << n,
-        labels=errors.labels,
-    )
+    keys = [(i, m) for m in range(len(family)) for i in range(w)]
+    G = _gram([family[m].words[i] for i, m in keys], errors)
+    return _report(G, _violations(G, keys, tol), tol, False, n)
 
 
 @dataclass(frozen=True)
@@ -572,10 +499,12 @@ def dimension_bound(scenario: str, n: int | None = None) -> BoundReport:
     The reported ``min_n`` is the least n from which the inequality holds
     onward (polynomial left sides are eventually dominated; trivial
     satisfaction at tiny n, as in the irrep scenario at n=1, is skipped).
-    The optional ``n`` argument only extends the trace to include it.
+    The optional ``n`` argument, 1..64, only extends the trace to include it.
     """
     if scenario not in _SCENARIOS:
         raise ValueError(f"unknown scenario {scenario!r}; pick from {sorted(_SCENARIOS)}")
+    if n is not None and not 1 <= n <= _BOUND_HORIZON:
+        raise ValueError(f"n must lie in 1..{_BOUND_HORIZON}, got {n}")
     text, lhs = _SCENARIOS[scenario]
     ok = [lhs(m) <= (1 << m) for m in range(1, _BOUND_HORIZON + 1)]
     min_n = None

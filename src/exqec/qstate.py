@@ -24,7 +24,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Iterable, Mapping
+from typing import Mapping
 
 import numpy as np
 
@@ -296,9 +296,6 @@ class InnerProductValue:
             else:
                 out += " + " + token
         return out
-
-
-IPV_ZERO = InnerProductValue.exact({})
 
 
 @dataclass(frozen=True)

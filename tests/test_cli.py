@@ -181,6 +181,9 @@ def test_bounds(capsys):
     assert "min_n: 5" in out
     rc, out, _ = invoke(capsys, "bounds", "--scenario", "irrep_proposal")
     assert "min_n: 9" in out
+    rc, out, _ = invoke(capsys, "bounds", "--scenario", "single_bit", "--n", "64")
+    assert rc == 0
+    assert out.splitlines()[-2].startswith("  n=64: ")
 
 
 # -------------------------------------------------------------- output modes
@@ -255,17 +258,19 @@ def test_scan_too_large_is_usage_error(tmp_path, capsys):
     assert "scan" in err.lower()
 
 
-def test_threads_env_validation(monkeypatch, capsys):
-    monkeypatch.setenv("QEC_THREADS", "zero")
-    rc, _, err = invoke(capsys, "bounds", "--scenario", "single_bit")
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (("bounds", "--scenario", "single_bit", "--n", "65"), "1..64, got 65"),
+        (("survey", "--n", "-1"), "n must be at least 1, got -1"),
+        (("survey", "--n", "7", "--max-weights", "0"), "max_weights must be at least 1"),
+    ],
+)
+def test_out_of_range_sizes_are_usage_errors(capsys, argv, message):
+    rc, out, err = invoke(capsys, *argv)
     assert rc == 2
-    assert "QEC_THREADS" in err
-    monkeypatch.setenv("QEC_THREADS", "0")
-    rc, _, err = invoke(capsys, "bounds", "--scenario", "single_bit")
-    assert rc == 2
-    monkeypatch.setenv("QEC_THREADS", "2")
-    rc, _, _ = invoke(capsys, "bounds", "--scenario", "single_bit")
-    assert rc == 0
+    assert out == ""
+    assert message in err
 
 
 def test_unknown_command_exits_via_argparse(capsys):

@@ -1,10 +1,12 @@
 from __future__ import annotations
 
+import dataclasses
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
+from exqec import klverify
 from exqec.codes import Code
 from exqec.errorops import (
     ErrorSet,
@@ -195,6 +197,35 @@ def test_extended_single_family_matches_plain(ruskai9, full_error_set_9, ruskai9
     assert rep.dimension_used == ruskai9_report.dimension_used
 
 
+def test_extended_single_member_violations_match_plain(rep3):
+    errors = basic_error_set(3)
+    plain = verify_kl(rep3, errors).violations
+    extended = verify_kl_extended([rep3], errors).violations
+    assert len(plain) == 12
+    assert extended == [
+        dataclasses.replace(v, i=(v.i, 0), j=(v.j, 0)) for v in plain
+    ]
+
+
+@pytest.mark.parametrize("check", ["plain", "extended"])
+def test_each_hermitian_gram_pair_is_computed_once(rep3, monkeypatch, check):
+    errors = basic_error_set(3)
+    calls = []
+    real = klverify.inner_product
+
+    def counted(left, right):
+        calls.append(None)
+        return real(left, right)
+
+    monkeypatch.setattr(klverify, "inner_product", counted)
+    if check == "plain":
+        verify_kl(rep3, errors)
+    else:
+        verify_kl_extended([rep3], errors)
+    size = len(errors) * len(rep3.words)
+    assert len(calls) == size * (size + 1) // 2
+
+
 def test_extended_family_with_disjoint_members():
     fam = [
         Code(2, (StateVector.basis(2, 0b00), StateVector.basis(2, 0b01))),
@@ -288,6 +319,10 @@ def test_dimension_bounds():
     assert flags[0] is True and not any(flags[1:8]) and flags[8] is True
     with pytest.raises(ValueError):
         dimension_bound("bogus")
+    assert dimension_bound("single_bit", n=64).trace[-1][0] == 64
+    for n in (0, 65):
+        with pytest.raises(ValueError, match=r"1\.\.64"):
+            dimension_bound("single_bit", n=n)
 
 
 def test_dimension_bound_trace_extension():

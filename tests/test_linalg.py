@@ -1,0 +1,54 @@
+from __future__ import annotations
+
+from fractions import Fraction
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from exqec._linalg import rational_rank, solve_rational
+
+
+@st.composite
+def _system(draw):
+    """A small integer system ``A x = b``; numpy's float rank is exact here."""
+    rows, cols = draw(st.integers(1, 5)), draw(st.integers(1, 5))
+    entry = st.integers(-3, 3)
+    matrix = draw(
+        st.lists(st.lists(entry, min_size=cols, max_size=cols), min_size=rows, max_size=rows)
+    )
+    rhs = draw(st.lists(entry, min_size=rows, max_size=rows))
+    return matrix, rhs
+
+
+def _fractions(matrix):
+    return [[Fraction(x) for x in row] for row in matrix]
+
+
+@settings(max_examples=200, deadline=None)
+@given(_system())
+def test_rational_rank_matches_numpy(system):
+    matrix, _ = system
+    assert rational_rank(_fractions(matrix)) == np.linalg.matrix_rank(np.array(matrix))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_system())
+def test_solve_rational_is_exact(system):
+    matrix, rhs = system
+    status, solution, free = solve_rational(_fractions(matrix), [Fraction(b) for b in rhs])
+    rank = np.linalg.matrix_rank(np.array(matrix))
+    augmented = np.linalg.matrix_rank(np.column_stack([matrix, rhs]))
+    assert (status == "inconsistent") == (augmented > rank)
+    if status == "inconsistent":
+        assert solution is None
+        return
+    for row, b in zip(matrix, rhs):
+        assert sum(a * x for a, x in zip(row, solution)) == b
+    assert len(free) == len(matrix[0]) - rank
+    assert status == ("unique" if not free else "underdetermined")
+    assert all(solution[c] == 0 for c in free)
+
+
+def test_rational_rank_of_empty_matrix_is_zero():
+    assert rational_rank([]) == 0
