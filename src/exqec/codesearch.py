@@ -102,6 +102,8 @@ class SupportPattern:
     word1: frozenset[int]
 
     def __post_init__(self):
+        if self.n < 1:
+            raise ValueError(f"n must be at least 1, got {self.n}")
         object.__setattr__(self, "word0", frozenset(self.word0))
         object.__setattr__(self, "word1", frozenset(self.word1))
         if not self.word0 or not self.word1:

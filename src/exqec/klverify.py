@@ -28,7 +28,7 @@ import scipy.linalg
 
 from .codes import Code, shor_code
 from .errorops import ErrorSet, ExchangeOp, PauliString, apply
-from .qstate import InnerProductValue, StateVector, inner_product
+from .qstate import InnerProductValue, StateVector, _exact_gram, inner_product
 from ._linalg import rational_rank
 
 __all__ = [
@@ -73,10 +73,13 @@ class GramTensor:
 
 
 def _gram(words: Sequence[StateVector], errors: ErrorSet) -> GramTensor:
-    """Apply every error to every word once; for each flat pair ``x <= y``
-    the entry is ``inner_product(image_x, image_y)``, and ``(y, x)`` holds
-    its conjugate."""
+    """Apply every error to every word once.  Exact images go to the
+    integer-matrix engine; float images take ``inner_product(image_x,
+    image_y)`` for each flat pair ``x <= y``, and ``(y, x)`` holds its
+    conjugate."""
     images = [apply(op, word) for op in errors.ops for word in words]
+    if images[0].mode == "exact":
+        return GramTensor(errors, len(words), _exact_gram(images))
     size = len(images)
     entries: list = [None] * (size * size)
     for x in range(size):

@@ -24,9 +24,10 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Mapping
+from typing import Mapping, Sequence
 
 import numpy as np
+import scipy.sparse
 
 from .errors import DimensionMismatch, ExactArithmeticError
 
@@ -599,6 +600,84 @@ def inner_product(left: StateVector, right: StateVector) -> InnerProductValue:
             slot[0] += re
             slot[1] += im
     return InnerProductValue.exact({r: (v[0], v[1]) for r, v in acc.items()})
+
+
+def _int64_safe(rows: int, max_abs: int) -> bool:
+    """Whether ``conj(A)ᵀ B`` is exact in int64 when ``A`` and ``B`` have
+    ``rows`` rows and integer parts of size at most ``max_abs``: each real or
+    imaginary entry is a sum of ``2 * rows`` products of size at most
+    ``max_abs**2``.  int64 matrix products wrap silently, so this is a
+    correctness gate."""
+    return 2 * rows * max_abs * max_abs < 2**63
+
+
+def _exact_gram(images: Sequence[StateVector]) -> tuple[InnerProductValue, ...]:
+    """All ``<images[x] | images[y]>`` of exact states, flat with ``y`` fastest.
+
+    Identical images are merged.  Each radicand's part of the distinct
+    images is scaled to Gaussian integers over one common denominator, and
+    each radicand pair contributes sparse int64 products ``conj(A_r)ᵀ A_s``
+    once :func:`_int64_safe` holds; otherwise every distinct pair takes
+    :func:`inner_product`.  Each distinct ordered pair's value is built once
+    and shared; ``(v, u)`` holds the conjugate of ``(u, v)``.
+    """
+    index: dict[frozenset, int] = {}
+    which = [index.setdefault(frozenset(img.terms.items()), len(index)) for img in images]
+    distinct = list(dict(zip(which, images)).values())  # keyed in first-seen order
+    rows: dict[int, int] = {}
+    # radicand -> (row, column, re, im) of each term at that radicand
+    parts: dict[int, tuple[list, list, list, list]] = {}
+    for col, img in enumerate(distinct):
+        for idx, amp in img.terms.items():
+            part = parts.setdefault(amp.radicand, ([], [], [], []))
+            part[0].append(rows.setdefault(idx, len(rows)))
+            part[1].append(col)
+            part[2].append(amp.re)
+            part[3].append(amp.im)
+    scale = {r: math.lcm(*(q.denominator for q in p[2] + p[3])) for r, p in parts.items()}
+    ints = {
+        r: [[q.numerator * (scale[r] // q.denominator) for q in qs] for qs in p[2:]]
+        for r, p in parts.items()
+    }
+    biggest = max((abs(v) for re, im in ints.values() for v in re + im), default=0)
+    size = len(distinct)
+    if _int64_safe(len(rows), biggest):
+        mats = {
+            r: [
+                scipy.sparse.csc_matrix(
+                    (np.array(v, dtype=np.int64), parts[r][:2]),
+                    shape=(len(rows), size),
+                )
+                for v in ints[r]
+            ]
+            for r in parts
+        }
+        acc: dict[tuple[int, int], dict[int, list[Fraction]]] = {}
+        for r, s in itertools.product(mats, repeat=2):
+            (ar, ai), (br, bi) = mats[r], mats[s]
+            f, key = (r, 1) if r == s else squarefree_split(r * s)
+            den = scale[r] * scale[s]
+            for k, block in enumerate((ar.T @ br + ai.T @ bi, ar.T @ bi - ai.T @ br)):
+                coo = scipy.sparse.triu(block, format="coo")
+                for u, v, p in zip(coo.row.tolist(), coo.col.tolist(), coo.data.tolist()):
+                    if p:
+                        slot = acc.setdefault((u, v), {}).setdefault(key, [_ZERO, _ZERO])
+                        slot[k] += Fraction(p * f, den)
+
+        def value(u: int, v: int) -> InnerProductValue:
+            return InnerProductValue.exact(acc.get((u, v), {}))
+
+    else:
+
+        def value(u: int, v: int) -> InnerProductValue:
+            return inner_product(distinct[u], distinct[v])
+
+    table: dict[tuple[int, int], InnerProductValue] = {}
+    for u in range(size):
+        for v in range(u, size):
+            table[u, v] = value(u, v)
+            table[v, u] = table[u, v] if u == v else table[u, v].conjugate()
+    return tuple(table[a, b] for a in which for b in which)
 
 
 def apply_permutation(state: StateVector, perm: QubitPermutation) -> StateVector:

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import hashlib
 import shutil
 import subprocess
 import sys
@@ -206,6 +207,44 @@ def test_output_is_deterministic(capsys):
     assert (rc1, out1) == (rc2, out2)
 
 
+@pytest.mark.parametrize(
+    "argv, rc, digest",
+    [
+        (
+            "dmatrix --code ruskai9 --errors pauli+exchange",
+            0,
+            "7f72190ba0eebbbb6ae0c8d6a54f09fbb4a21d24adce909e7c6a878d7ed95e2c",
+        ),
+        (
+            "verify --code shor9 --errors pauli+exchange",
+            1,
+            "974afb4a9628e761d3cca8380a04615863f0cb4a16a6b3a33e10a1b15e9e8e72",
+        ),
+        (
+            "gram --code rep3 --errors pauli",
+            0,
+            "b3320812dc97fd2943ea170662c4c96049d5e6f194b1b1a04be305beea1d9695",
+        ),
+        (
+            "verify --code ruskai9 --errors pauli --strict",
+            1,
+            "7a12566825acf791f34e6f9d9dbe7001a7aca98fd159549cf7e1f10484fd7e68",
+        ),
+        (
+            "dmatrix --code five-qubit --errors pauli",
+            0,
+            "2fb5cc84b10f4cac4aabaf735650e8a8f9ce001a2bc41249b5e6e0c07a22d972",
+        ),
+    ],
+)
+def test_output_matches_golden_digest(capsys, argv, rc, digest):
+    """stdout bytes and exit code pinned to a reference run of the same
+    command, so a change in any printed exact value shows up here."""
+    got_rc, out, _ = invoke(capsys, *argv.split())
+    assert got_rc == rc
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
 # --------------------------------------------------------------- exit code 2
 
 
@@ -264,6 +303,10 @@ def test_scan_too_large_is_usage_error(tmp_path, capsys):
         (("bounds", "--scenario", "single_bit", "--n", "65"), "1..64, got 65"),
         (("survey", "--n", "-1"), "n must be at least 1, got -1"),
         (("survey", "--n", "7", "--max-weights", "0"), "max_weights must be at least 1"),
+        (
+            ("search", "--n", "-2", "--support0", "0", "--support1", "1"),
+            "n must be at least 1, got -2",
+        ),
     ],
 )
 def test_out_of_range_sizes_are_usage_errors(capsys, argv, message):

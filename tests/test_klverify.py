@@ -5,8 +5,10 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from exqec import klverify
+from exqec import klverify, qstate
 from exqec.codes import Code
 from exqec.errorops import (
     ErrorSet,
@@ -26,7 +28,7 @@ from exqec.klverify import (
     verify_kl,
     verify_kl_extended,
 )
-from exqec.qstate import InnerProductValue, StateVector, inner_product
+from exqec.qstate import Amplitude, InnerProductValue, StateVector, inner_product
 
 
 # ---------------------------------------------------------------- gram tensor
@@ -56,6 +58,71 @@ def test_gram_tensor_is_hermitian(rep3):
                     lhs = g.entry(p, i, q, j)
                     rhs = g.entry(q, j, p, i).conjugate()
                     assert lhs.parts == rhs.parts
+
+
+_PAIR_ERRORS = ("single_pauli", "exchange")
+_PARTS = st.fractions(min_value=-5, max_value=5, max_denominator=30)
+
+
+@st.composite
+def _small_codes(draw):
+    """Up to three words on n <= 4 qubits with complex rational parts over
+    the radicands 1, 2, 3, 6, 7 and 12 (which normalizes to 2*sqrt(3))."""
+    n = draw(st.integers(min_value=1, max_value=4))
+    amp = st.builds(Amplitude.make, _PARTS, _PARTS, st.sampled_from((1, 2, 3, 6, 7, 12)))
+    word = st.dictionaries(st.integers(0, (1 << n) - 1), amp, min_size=1, max_size=6)
+    words = draw(st.lists(word, min_size=1, max_size=3))
+    return Code(n, tuple(StateVector.from_terms(n, w) for w in words))
+
+
+def _images(code, errors):
+    return [apply(op, w) for op in errors.ops for w in code.words]
+
+
+def _assert_matches_inner_products(code, errors):
+    entries = gram_tensor(code, errors).entries
+    images = _images(code, errors)
+    assert list(entries) == [inner_product(u, v) for u in images for v in images]
+    return entries, images
+
+
+@settings(max_examples=100, deadline=None)
+@given(_small_codes())
+def test_gram_engine_matches_inner_products_and_dense_float(code):
+    errors = basic_error_set(code.n, families=_PAIR_ERRORS)
+    entries, images = _assert_matches_inner_products(code, errors)
+    m = np.array([img.to_float().dense for img in images]).T
+    dense = m.conj().T @ m
+    got = np.array([v.float_view for v in entries]).reshape(dense.shape)
+    np.testing.assert_allclose(got, dense, rtol=0, atol=1e-9)
+
+
+def test_int64_bound_is_tight():
+    """``2 * rows * max_abs**2`` must stay below 2**63, the first value
+    int64 cannot hold."""
+    assert qstate._int64_safe(1, 2**31 - 1)
+    assert not qstate._int64_safe(1, 2**31)
+    assert qstate._int64_safe(2, 2**30)
+    assert not qstate._int64_safe(4, 2**30)
+
+
+def test_gram_engine_falls_back_when_int64_could_overflow(monkeypatch):
+    big = Fraction(2**40 + 1, 3)
+    word0 = {0: Amplitude.make(big, 5, 2), 3: Amplitude.make(Fraction(1, 7), big)}
+    word1 = {1: Amplitude.make(big, -big, 6), 2: Amplitude.make(1, 0, 3)}
+    code = Code(2, (StateVector.from_terms(2, word0), StateVector.from_terms(2, word1)))
+    verdicts = []
+    real = qstate._int64_safe
+
+    def recorded(rows, max_abs):
+        verdicts.append(real(rows, max_abs))
+        return verdicts[-1]
+
+    monkeypatch.setattr(qstate, "_int64_safe", recorded)
+    errors = basic_error_set(2, families=_PAIR_ERRORS)
+    entries, _ = _assert_matches_inner_products(code, errors)
+    assert verdicts == [False]
+    assert max(abs(re.numerator) for v in entries for _, re, _ in v.parts) >= 2**63
 
 
 # -------------------------------------------------- dual-orbit code passes KL
@@ -208,22 +275,45 @@ def test_extended_single_member_violations_match_plain(rep3):
 
 
 @pytest.mark.parametrize("check", ["plain", "extended"])
-def test_each_hermitian_gram_pair_is_computed_once(rep3, monkeypatch, check):
-    errors = basic_error_set(3)
+def test_each_hermitian_gram_pair_is_computed_once(rep3, five_qubit, monkeypatch, check):
+    """Exact mode builds each distinct pair's value once, with no per-pair
+    ``inner_product`` call, and equal image pairs share that one object;
+    float mode takes one ``inner_product`` per Hermitian pair."""
     calls = []
-    real = klverify.inner_product
+    real = qstate.inner_product
 
     def counted(left, right):
         calls.append(None)
         return real(left, right)
 
     monkeypatch.setattr(klverify, "inner_product", counted)
-    if check == "plain":
-        verify_kl(rep3, errors)
-    else:
-        verify_kl_extended([rep3], errors)
-    size = len(errors) * len(rep3.words)
-    assert len(calls) == size * (size + 1) // 2
+    monkeypatch.setattr(qstate, "inner_product", counted)
+
+    def check_code(code, errors):
+        if check == "plain":
+            verify_kl(code, errors)
+        else:
+            verify_kl_extended([code], errors)
+
+    for code in (rep3, five_qubit):
+        errors = basic_error_set(code.n, families=_PAIR_ERRORS)
+        calls.clear()
+        check_code(code, errors)
+        assert calls == []
+
+        images = _images(code, errors)
+        keys = [frozenset(img.terms.items()) for img in images]
+        entries = gram_tensor(code, errors).entries
+        first = {}
+        for x, kx in enumerate(keys):
+            for y, ky in enumerate(keys):
+                a = first.setdefault((kx, ky), x * len(keys) + y)
+                assert entries[a] is entries[x * len(keys) + y]
+        assert len(first) < len(keys) ** 2  # some images do repeat
+
+        check_code(code.to_float(), errors)
+        size = len(images)
+        assert len(calls) == size * (size + 1) // 2
 
 
 def test_extended_family_with_disjoint_members():
