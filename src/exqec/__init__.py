@@ -3,8 +3,9 @@
 The package revolves around three layers:
 
 - ``qstate`` / ``errorops``: sparse exact (surd-valued) or dense float
-  state vectors, Pauli strings in bitmask form, qubit exchanges and
-  permutations.
+  state vectors, and error operators in one canonical form
+  ``i**p * X(x) * Z(z) * P(perm)`` that covers Pauli strings, qubit
+  exchanges, permutations and their products, compared by value.
 - ``codes`` / ``klverify`` / ``stabcheck``: code constructors and the
   file format, the correctability (Knill-Laflamme) checker with D-matrix
   analysis and recovery construction, and exhaustive additivity scans.
@@ -24,6 +25,7 @@ from .qstate import (
 )
 from .errorops import (
     Composition,
+    ErrorOperator,
     ErrorSet,
     ExchangeOp,
     IdentityOp,
@@ -99,6 +101,7 @@ __all__ = [
     "orbit_sum",
     "parse_ket",
     "Composition",
+    "ErrorOperator",
     "ErrorSet",
     "ExchangeOp",
     "IdentityOp",

@@ -1,25 +1,30 @@
-"""Error operators: Pauli strings, exchange swaps, permutations, products.
+"""Error operators: one canonical form for Paulis, exchanges and products.
 
-A Pauli string is stored symplectically as ``i**phase * X(xmask) * Z(zmask)``
-with the Z factor acting first.  On basis state ``|v>`` it gives::
+Every error is the monomial operator ``i**phase * X(x_mask) * Z(z_mask) * P(perm)``
+on n qubits: the qubit permutation P acts first, then Z, then X.  On basis
+state ``|v>`` it gives::
 
-    i**phase * (-1)**parity(zmask & v) |v xor xmask>
+    i**phase * (-1)**parity(z_mask & w) |w xor x_mask>,   w = perm(v)
 
-With this operator order the single-qubit ``Y_k`` is ``i * X_k * Z_k``
-(phase exponent 1).  Masks follow the qstate bit convention: qubit 1 is the
-most significant bit, so qubit k corresponds to mask ``1 << (n - k)``.
+where ``perm(v)`` moves bit j of v to position ``perm[j-1]``.  With this
+operator order the single-qubit ``Y_k`` is ``i * X_k * Z_k`` (phase
+exponent 1).  Masks follow the qstate bit convention: qubit 1 is the most
+significant bit, so qubit k corresponds to mask ``1 << (n - k)``.
 
-The exchange operator ``E(j,k)`` swaps the two bits when they differ and
-fixes the basis state otherwise, which is exactly the transposition of
-qubits j and k; its expansion as half the sum of II, ZZ, XX, YY on the pair
-is left to the test suite as a cross-check rather than used here.
+The exchange ``E(j,k)`` is the transposition of qubits j and k, so Pauli
+strings, exchanges, general permutations, the identity and all their
+products share this one form.  Products and inverses are computed in
+closed form (a permutation carries Pauli masks to permuted masks), and two
+operators are the same error exactly when their forms are equal; the
+display label takes no part in that comparison.
 """
 
 from __future__ import annotations
 
 import re as _re
-from dataclasses import dataclass, field
-from typing import Iterable, Sequence, Union
+from dataclasses import dataclass, field, replace
+from functools import reduce
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -38,7 +43,6 @@ __all__ = [
     "basic_error_set",
     "qubit_mask",
     "parse_error_ops",
-    "action_signature",
 ]
 
 
@@ -56,39 +60,58 @@ def _parity_u64(values: np.ndarray) -> np.ndarray:
     return out.astype(np.int64)
 
 
+def _perm_label(image: Sequence[int]) -> str:
+    return "P(" + " ".join(str(d) for d in image) + ")"
+
+
 @dataclass(frozen=True)
-class PauliString:
-    """``i**phase * X(x_mask) * Z(z_mask)`` on n qubits (Z acts first)."""
+class ErrorOperator:
+    """``i**phase * X(x_mask) * Z(z_mask) * P(perm)`` on n qubits (P acts first).
+
+    ``perm`` is a ``QubitPermutation`` image, ``()`` for the identity.
+    ``text`` is the display label; when empty, ``label()`` derives one
+    from the form.
+    """
 
     n: int
     x_mask: int
     z_mask: int
     phase: int = 0
+    perm: tuple[int, ...] = ()
+    text: str = field(default="", compare=False)
 
     def __post_init__(self):
         top = 1 << self.n
         if not (0 <= self.x_mask < top and 0 <= self.z_mask < top):
             raise DimensionMismatch("Pauli mask out of range for n qubits")
         object.__setattr__(self, "phase", self.phase & 3)
+        if self.perm:
+            image = QubitPermutation(tuple(self.perm)).image
+            if len(image) != self.n:
+                raise DimensionMismatch(
+                    f"permutation on {len(image)} qubits for a {self.n}-qubit operator"
+                )
+            identity = image == tuple(range(1, self.n + 1))
+            object.__setattr__(self, "perm", () if identity else image)
 
     @staticmethod
-    def identity(n: int) -> "PauliString":
-        return PauliString(n, 0, 0, 0)
+    def identity(n: int) -> "ErrorOperator":
+        return ErrorOperator(n, 0, 0, 0)
 
     @staticmethod
-    def single(n: int, kind: str, k: int) -> "PauliString":
+    def single(n: int, kind: str, k: int) -> "ErrorOperator":
         """One-qubit X/Y/Z on qubit k."""
         m = qubit_mask(n, [k])
         if kind == "X":
-            return PauliString(n, m, 0, 0)
+            return ErrorOperator(n, m, 0, 0)
         if kind == "Z":
-            return PauliString(n, 0, m, 0)
+            return ErrorOperator(n, 0, m, 0)
         if kind == "Y":
-            return PauliString(n, m, m, 1)
+            return ErrorOperator(n, m, m, 1)
         raise ValueError(f"unknown Pauli kind {kind!r}")
 
     @staticmethod
-    def from_letters(letters: str, phase: int = 0) -> "PauliString":
+    def from_letters(letters: str, phase: int = 0) -> "ErrorOperator":
         """Build from a letter string like ``"XZZXI"`` (qubit 1 first)."""
         n = len(letters)
         x = z = 0
@@ -105,31 +128,48 @@ class PauliString:
                 extra += 1
             elif ch != "I":
                 raise ValueError(f"bad Pauli letter {ch!r}")
-        return PauliString(n, x, z, phase + extra)
+        return ErrorOperator(n, x, z, phase + extra)
 
     @property
     def weight(self) -> int:
+        """Number of qubits the Pauli factor acts on."""
         return (self.x_mask | self.z_mask).bit_count()
 
-    def compose(self, other: "PauliString") -> "PauliString":
+    def compose(self, other: "ErrorOperator") -> "ErrorOperator":
         """Operator product ``self * other`` (``other`` acts first)."""
         if self.n != other.n:
-            raise DimensionMismatch("Pauli strings act on different sizes")
-        swap = (self.z_mask & other.x_mask).bit_count() & 1
-        return PauliString(
+            raise DimensionMismatch("operators act on different sizes")
+        x, z, perm = other.x_mask, other.z_mask, other.perm
+        if self.perm:
+            # P X(a) Z(b) = X(P a) Z(P b) P
+            mine = QubitPermutation(self.perm)
+            x, z = mine.apply_index(x), mine.apply_index(z)
+            perm = mine.compose(QubitPermutation(perm)).image if perm else self.perm
+        swap = (self.z_mask & x).bit_count() & 1
+        return ErrorOperator(
             self.n,
-            self.x_mask ^ other.x_mask,
-            self.z_mask ^ other.z_mask,
+            self.x_mask ^ x,
+            self.z_mask ^ z,
             self.phase + other.phase + 2 * swap,
+            perm,
         )
 
-    def inverse(self) -> "PauliString":
+    def inverse(self) -> "ErrorOperator":
         overlap = (self.x_mask & self.z_mask).bit_count() & 1
-        return PauliString(self.n, self.x_mask, self.z_mask, -self.phase + 2 * overlap)
+        x, z, perm = self.x_mask, self.z_mask, self.perm
+        if perm:
+            # (Q P)^-1 = P^-1 Q^-1 = (P^-1 Q^-1 P) P^-1
+            inv = QubitPermutation(perm).inverse()
+            x, z, perm = inv.apply_index(x), inv.apply_index(z), inv.image
+        return ErrorOperator(self.n, x, z, -self.phase + 2 * overlap, perm)
 
     def apply(self, state: StateVector) -> StateVector:
         if self.n != state.n:
             raise DimensionMismatch("operator and state sizes differ")
+        if self.perm:
+            state = apply_permutation(state, QubitPermutation(self.perm))
+        if not (self.x_mask or self.z_mask or self.phase):
+            return state
         if state.mode == "exact":
             out = {}
             for idx, amp in state.terms.items():
@@ -143,7 +183,7 @@ class PauliString:
         return StateVector.from_dense(self.n, out)
 
     def to_letters(self) -> str:
-        """Display form, e.g. ``"-iXYZII"``."""
+        """Display form of the Pauli factor, e.g. ``"-iXYZII"``."""
         letters = []
         ys = 0
         for k in range(1, self.n + 1):
@@ -162,6 +202,15 @@ class PauliString:
         return prefix + "".join(letters)
 
     def label(self) -> str:
+        if self.text:
+            return self.text
+        pauli = self._pauli_label()
+        if not self.perm:
+            return pauli
+        perm = _perm_label(self.perm)
+        return perm if pauli == "I" else f"{pauli} {perm}"
+
+    def _pauli_label(self) -> str:
         body = (self.x_mask | self.z_mask).bit_count()
         if self.phase == 0 and body == 1:
             k = self.n - (self.x_mask | self.z_mask).bit_length() + 1
@@ -177,156 +226,81 @@ class PauliString:
         return self.to_letters()
 
 
-@dataclass(frozen=True)
-class ExchangeOp:
-    """Swap qubits j and k; flips the two bits exactly when they differ."""
-
-    n: int
-    j: int
-    k: int
-
-    def __post_init__(self):
-        j, k = self.j, self.k
-        if j == k:
-            raise ValueError("exchange requires two distinct qubits")
-        if not (1 <= j <= self.n and 1 <= k <= self.n):
-            raise DimensionMismatch(f"exchange qubits ({j},{k}) out of range 1..{self.n}")
-        if j > k:
-            object.__setattr__(self, "j", k)
-            object.__setattr__(self, "k", j)
-
-    def apply(self, state: StateVector) -> StateVector:
-        if self.n != state.n:
-            raise DimensionMismatch("operator and state sizes differ")
-        n = self.n
-        pj, pk = n - self.j, n - self.k
-        both = (1 << pj) | (1 << pk)
-        if state.mode == "exact":
-            out = {}
-            for idx, amp in state.terms.items():
-                if ((idx >> pj) ^ (idx >> pk)) & 1:
-                    idx ^= both
-                out[idx] = amp
-            return StateVector.from_terms(n, out)
-        idx = np.arange(1 << n, dtype=np.int64)
-        differ = ((idx >> pj) ^ (idx >> pk)) & 1
-        out = np.empty_like(state.dense)
-        out[idx ^ (differ * both)] = state.dense
-        return StateVector.from_dense(n, out)
-
-    def label(self) -> str:
-        return f"E({self.j},{self.k})"
+PauliString = ErrorOperator
 
 
-@dataclass(frozen=True)
-class PermutationOp:
-    """A general relabeling of qubit positions."""
-
-    perm: QubitPermutation
-
-    @property
-    def n(self) -> int:
-        return self.perm.n
-
-    def apply(self, state: StateVector) -> StateVector:
-        return apply_permutation(state, self.perm)
-
-    def label(self) -> str:
-        return "P(" + " ".join(str(d) for d in self.perm.image) + ")"
+def ExchangeOp(n: int, j: int, k: int) -> ErrorOperator:
+    """Swap qubits j and k, labelled ``E(j,k)`` with ``j < k``."""
+    if j == k:
+        raise ValueError("exchange requires two distinct qubits")
+    if not (1 <= j <= n and 1 <= k <= n):
+        raise DimensionMismatch(f"exchange qubits ({j},{k}) out of range 1..{n}")
+    j, k = min(j, k), max(j, k)
+    return ErrorOperator(
+        n, 0, 0, 0, QubitPermutation.transposition(n, j, k).image, f"E({j},{k})"
+    )
 
 
-@dataclass(frozen=True)
-class IdentityOp:
-    n: int
-
-    def apply(self, state: StateVector) -> StateVector:
-        if self.n != state.n:
-            raise DimensionMismatch("operator and state sizes differ")
-        return state
-
-    def label(self) -> str:
-        return "I"
+def PermutationOp(perm: QubitPermutation) -> ErrorOperator:
+    """A general relabeling of qubit positions, labelled ``P(image)``."""
+    return ErrorOperator(perm.n, 0, 0, 0, perm.image, _perm_label(perm.image))
 
 
-@dataclass(frozen=True)
-class Composition:
+def IdentityOp(n: int) -> ErrorOperator:
+    return ErrorOperator(n, 0, 0, 0, (), "I")
+
+
+def Composition(ops: Iterable[ErrorOperator]) -> ErrorOperator:
     """Operator product; the last listed factor is applied first."""
-
-    ops: tuple
-
-    def __post_init__(self):
-        if not self.ops:
-            raise ValueError("empty composition")
-        sizes = {op.n for op in self.ops}
-        if len(sizes) != 1:
-            raise DimensionMismatch(f"composition mixes sizes {sorted(sizes)}")
-
-    @property
-    def n(self) -> int:
-        return self.ops[0].n
-
-    def apply(self, state: StateVector) -> StateVector:
-        for op in reversed(self.ops):
-            state = op.apply(state)
-        return state
-
-    def label(self) -> str:
-        return " ".join(op.label() for op in self.ops)
-
-
-ErrorOperator = Union[PauliString, ExchangeOp, PermutationOp, IdentityOp, Composition]
+    ops = tuple(ops)
+    if not ops:
+        raise ValueError("empty composition")
+    sizes = {op.n for op in ops}
+    if len(sizes) != 1:
+        raise DimensionMismatch(f"composition mixes sizes {sorted(sizes)}")
+    product = reduce(ErrorOperator.compose, ops)
+    return replace(product, text=" ".join(op.label() for op in ops))
 
 
 def apply(op: ErrorOperator, state: StateVector) -> StateVector:
-    """Apply an error operator to a state (dispatches on the operator kind)."""
+    """Apply an error operator to a state."""
     return op.apply(state)
 
 
-def action_signature(op: ErrorOperator) -> tuple:
-    """Canonical fingerprint of the operator's action on every basis state.
-
-    Two operators are the same error exactly when their signatures match.
-    Exponential in n; meant for validating small error sets.
-    """
-    n = op.n
-    rows = []
-    for idx in range(1 << n):
-        image = op.apply(StateVector.basis(n, idx))
-        rows.append(tuple(sorted((i, a.re, a.im, a.radicand) for i, a in image.terms.items())))
-    return tuple(rows)
+_ATOM = _re.compile(
+    r"I|([XYZ])(\d+)|E\((\d+)\s*,\s*(\d+)\)|P\(([\d\s]+)\)"
+)
 
 
-def _family_of(op: ErrorOperator) -> str:
-    if isinstance(op, IdentityOp):
-        return "identity"
-    if isinstance(op, ExchangeOp):
-        return "exchange"
-    if isinstance(op, PauliString):
-        lbl = op.label()
-        if lbl[0] in "XYZ" and lbl[1:].isdigit():
-            return lbl[0]
+def _family_of(label: str) -> str:
+    """``identity``, ``exchange``, a Pauli letter or ``other``, read from a label."""
+    m = _ATOM.fullmatch(label)
+    if m is None or m.group(5) is not None:
         return "other"
-    return "other"
+    if m.group(1):
+        return m.group(1)
+    if m.group(3):
+        return "exchange"
+    return "identity"
 
 
 @dataclass(frozen=True)
 class ErrorSet:
-    """An ordered list of error operators, identity first."""
+    """An ordered list of error operators, identity (label ``I``) first."""
 
     n: int
     ops: tuple
-    labels: tuple[str, ...] = field(default=())
-    families: tuple[str, ...] = field(default=())
+    labels: tuple[str, ...] = field(init=False)
+    families: tuple[str, ...] = field(init=False)
 
     def __post_init__(self):
-        if not self.ops or not isinstance(self.ops[0], IdentityOp):
+        labels = tuple(op.label() for op in self.ops)
+        if not labels or labels[0] != "I":
             raise ValueError("error set must start with the identity")
         if any(op.n != self.n for op in self.ops):
             raise DimensionMismatch("error set mixes qubit counts")
-        if not self.labels:
-            object.__setattr__(self, "labels", tuple(op.label() for op in self.ops))
-        if not self.families:
-            object.__setattr__(self, "families", tuple(_family_of(op) for op in self.ops))
+        object.__setattr__(self, "labels", labels)
+        object.__setattr__(self, "families", tuple(_family_of(lbl) for lbl in labels))
 
     def __len__(self) -> int:
         return len(self.ops)
@@ -335,25 +309,23 @@ class ErrorSet:
         return iter(self.ops)
 
     @staticmethod
-    def from_ops(n: int, ops: Sequence[ErrorOperator], validate: bool = True) -> "ErrorSet":
+    def from_ops(n: int, ops: Sequence[ErrorOperator]) -> "ErrorSet":
+        """The operators, with ``I`` put first unless it leads already.
+
+        Rejects two operators of equal form, whatever their labels.
+        """
         ops = list(ops)
-        if not ops or not isinstance(ops[0], IdentityOp):
+        if not ops or ops[0].label() != "I":
             ops.insert(0, IdentityOp(n))
         es = ErrorSet(n, tuple(ops))
-        if validate:
-            es.check_distinct()
-        return es
-
-    def check_distinct(self) -> None:
-        """Reject duplicate operators (compared by action, not by label)."""
-        seen: dict[tuple, str] = {}
-        for op, lbl in zip(self.ops, self.labels):
-            sig = action_signature(op)
-            if sig in seen:
+        seen: dict[ErrorOperator, str] = {}
+        for op, lbl in zip(es.ops, es.labels):
+            if op in seen:
                 raise ValueError(
-                    f"duplicate error operators: {seen[sig]} and {lbl} act identically"
+                    f"duplicate error operators: {seen[op]} and {lbl} act identically"
                 )
-            seen[sig] = lbl
+            seen[op] = lbl
+        return es
 
 
 _KNOWN_FAMILIES = {"single_pauli", "exchange", "identity_only"}
@@ -382,13 +354,8 @@ def basic_error_set(n: int, families: Iterable[str] = ("single_pauli",)) -> Erro
     if "single_pauli" in fams:
         for kind in "XYZ":
             for k in range(1, n + 1):
-                ops.append(PauliString.single(n, kind, k))
+                ops.append(ErrorOperator.single(n, kind, k))
     return ErrorSet(n, tuple(ops))
-
-
-_ATOM = _re.compile(
-    r"I|([XYZ])(\d+)|E\((\d+)\s*,\s*(\d+)\)|P\(([\d\s]+)\)"
-)
 
 
 def _parse_atom(token: str, n: int) -> ErrorOperator:
@@ -396,7 +363,7 @@ def _parse_atom(token: str, n: int) -> ErrorOperator:
     if m is None:
         raise ValueError(f"cannot parse operator token {token!r}")
     if m.group(1):
-        return PauliString.single(n, m.group(1), int(m.group(2)))
+        return ErrorOperator.single(n, m.group(1), int(m.group(2)))
     if m.group(3):
         return ExchangeOp(n, int(m.group(3)), int(m.group(4)))
     if m.group(5) is not None:
@@ -414,45 +381,27 @@ def parse_error_ops(text: str, n: int) -> list[ErrorOperator]:
     (rightmost factor applied first).
     """
     ops: list[ErrorOperator] = []
-    for element in _split_outside_parens(text, ","):
+    for element in _split_outside_parens(text, ",".__eq__):
         element = element.strip()
         if not element:
             raise ValueError("empty operator element")
-        atoms = [_parse_atom(t, n) for t in _split_atoms(element)]
-        ops.append(atoms[0] if len(atoms) == 1 else Composition(tuple(atoms)))
+        atoms = _split_outside_parens(element, str.isspace)
+        ops.append(Composition(_parse_atom(t, n) for t in atoms if t))
     return ops
 
 
-def _split_outside_parens(text: str, sep: str) -> list[str]:
+def _split_outside_parens(text: str, is_sep) -> list[str]:
+    """Split ``text`` at each character ``is_sep`` accepts outside parentheses."""
     out, depth, cur = [], 0, []
     for ch in text:
         if ch == "(":
             depth += 1
         elif ch == ")":
             depth -= 1
-        if ch == sep and depth == 0:
+        if depth == 0 and is_sep(ch):
             out.append("".join(cur))
             cur = []
         else:
             cur.append(ch)
     out.append("".join(cur))
-    return out
-
-
-def _split_atoms(element: str) -> list[str]:
-    # split on whitespace that is not inside parentheses
-    out, depth, cur = [], 0, []
-    for ch in element:
-        if ch == "(":
-            depth += 1
-        elif ch == ")":
-            depth -= 1
-        if ch.isspace() and depth == 0:
-            if cur:
-                out.append("".join(cur))
-                cur = []
-        else:
-            cur.append(ch)
-    if cur:
-        out.append("".join(cur))
     return out

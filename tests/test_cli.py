@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import hashlib
+import shlex
 import shutil
 import subprocess
 import sys
@@ -235,12 +236,41 @@ def test_output_is_deterministic(capsys):
             0,
             "2fb5cc84b10f4cac4aabaf735650e8a8f9ce001a2bc41249b5e6e0c07a22d972",
         ),
+        (
+            'dmatrix --code ruskai9 --errors "Y1 Z1, P(2 3 4 5 6 7 8 9 1), '
+            'X2 E(1,2), Z9 Y9 X9, E(3,4) E(4,5)"',
+            0,
+            "139050e1c8e309a2451f90d9ef4bbe72316c58b0d1c4d90f19e4b4dee3af352e",
+        ),
+        (
+            '--mode float dmatrix --code ruskai9 --errors "Y1 Z1, '
+            'P(2 3 4 5 6 7 8 9 1), X2 E(1,2), Z9 Y9 X9, E(3,4) E(4,5)"',
+            0,
+            "ba841625502f70becba43adc88185a4db58d1c62da4416a151ac6b0d7f2dabd1",
+        ),
+        (
+            'gram --code rep3 --errors "X1 Z2, P(3 1 2), Y3 E(1,3)"',
+            0,
+            "afe5d23d2a1631659ba18b3e51eb9f9e273061ad0e72dcecc29336aa472e7160",
+        ),
+        (
+            '--mode float gram --code shor9 --errors '
+            '"X1 Z2 E(3,4), P(9 8 7 6 5 4 3 2 1), Y5 Y6"',
+            0,
+            "d7ee3de328f30ec96f77be9d3a341059c7437a7a944e06b1919b88800b9c56d5",
+        ),
+        (
+            # prints 4.22e-17, which moves with any change in float rounding
+            "demo-shor",
+            0,
+            "48bd8e02b673cdaf3b24b39b494cc9a9948db6b560a3e7f891a7e00b87d5e296",
+        ),
     ],
 )
 def test_output_matches_golden_digest(capsys, argv, rc, digest):
     """stdout bytes and exit code pinned to a reference run of the same
     command, so a change in any printed exact value shows up here."""
-    got_rc, out, _ = invoke(capsys, *argv.split())
+    got_rc, out, _ = invoke(capsys, *shlex.split(argv))
     assert got_rc == rc
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
@@ -267,6 +297,22 @@ def test_bad_error_spec_is_usage_error(capsys):
     rc, _, err = invoke(capsys, "verify", "--code", "rep3", "--errors", "Q9")
     assert rc == 2
     assert "cannot parse operator token" in err
+
+
+@pytest.mark.parametrize(
+    "spec, first, second",
+    [
+        ("X1 X1", "I", "X1 X1"),
+        ("P(1 2 3)", "I", "P(1 2 3)"),
+        ("X1, X1 E(1,2) E(1,2)", "X1", "X1 E(1,2) E(1,2)"),
+        ("I, I", "I", "I"),
+    ],
+)
+def test_duplicate_error_operators_are_usage_error(capsys, spec, first, second):
+    rc, out, err = invoke(capsys, "verify", "--code", "rep3", "--errors", spec)
+    assert rc == 2
+    assert out == ""
+    assert f"duplicate error operators: {first} and {second} act identically" in err
 
 
 def test_bad_witness_mask_is_usage_error(capsys):

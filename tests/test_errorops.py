@@ -12,12 +12,12 @@ from hypothesis import strategies as st
 from exqec.errors import DimensionMismatch
 from exqec.errorops import (
     Composition,
+    ErrorOperator,
     ErrorSet,
     ExchangeOp,
     IdentityOp,
     PauliString,
     PermutationOp,
-    action_signature,
     basic_error_set,
     parse_error_ops,
     qubit_mask,
@@ -53,6 +53,20 @@ def swap_matrix(n: int, j: int, k: int) -> np.ndarray:
             out = idx ^ ((1 << pj) | (1 << pk))
         m[out, idx] = 1.0
     return m
+
+
+def permutation_matrix(n: int, image) -> np.ndarray:
+    """Dense P that moves the tensor factor of qubit j to position image[j-1]."""
+    axes = [0] * n
+    for j, dest in enumerate(image):
+        axes[dest - 1] = j
+    eye = np.eye(1 << n).reshape((2,) * n + (1 << n,))
+    return np.transpose(eye, axes + [n]).reshape(1 << n, 1 << n)
+
+
+def operator_matrix(op: ErrorOperator) -> np.ndarray:
+    """Dense i**phase X(a) Z(b) P(perm), built independently of errorops."""
+    return pauli_matrix(op) @ permutation_matrix(op.n, op.perm or range(1, op.n + 1))
 
 
 def random_dense(n: int, seed: int) -> StateVector:
@@ -192,14 +206,82 @@ def test_composition_applies_rightmost_first():
         Composition((x1, PauliString.single(3, "X", 1)))
 
 
+@st.composite
+def error_operators(draw, n=None):
+    if n is None:
+        n = draw(st.integers(min_value=1, max_value=4))
+    top = (1 << n) - 1
+    return ErrorOperator(
+        n,
+        draw(st.integers(min_value=0, max_value=top)),
+        draw(st.integers(min_value=0, max_value=top)),
+        draw(st.integers(min_value=0, max_value=3)),
+        tuple(draw(st.permutations(range(1, n + 1)))),
+    )
+
+
+operator_pairs = st.integers(min_value=1, max_value=4).flatmap(
+    lambda n: st.tuples(error_operators(n), error_operators(n))
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(operator_pairs)
+def test_operator_algebra_matches_dense_matrices(pair):
+    a, b = pair
+    ma, mb = operator_matrix(a), operator_matrix(b)
+    assert np.allclose(operator_matrix(a.compose(b)), ma @ mb)
+    assert np.allclose(operator_matrix(a.inverse()), ma.conj().T)
+    assert (a == b) == np.allclose(ma, mb)
+    if a == b:
+        assert hash(a) == hash(b)
+    # the same operator reached by another product compares equal
+    assert a.compose(b).compose(b.inverse()) == a
+
+
+@settings(max_examples=60, deadline=None)
+@given(error_operators(), st.integers(min_value=0, max_value=1 << 30))
+def test_apply_matches_dense_matrix(op, seed):
+    matrix = operator_matrix(op)
+    state = random_dense(op.n, seed)
+    assert np.allclose(op.apply(state).dense, matrix @ state.dense)
+    rng = np.random.default_rng(seed)
+    exact = StateVector.from_terms(
+        op.n,
+        {
+            idx: Amplitude.make(
+                Fraction(int(rng.integers(-3, 4)), int(rng.integers(1, 4))),
+                Fraction(int(rng.integers(-3, 4))),
+                int(rng.choice([1, 2, 3])),
+            )
+            for idx in range(1 << op.n)
+        },
+    )
+    out = op.apply(exact)
+    assert out.mode == "exact"
+    assert np.allclose(out.to_float().dense, matrix @ exact.to_float().dense)
+
+
+def test_identity_permutation_is_normalized():
+    op = PermutationOp(QubitPermutation.identity(3))
+    assert op.perm == ()
+    assert op == IdentityOp(3)
+    assert op.label() == "P(1 2 3)"
+    with pytest.raises(DimensionMismatch):
+        ErrorOperator(3, 0, 0, 0, (2, 1))
+
+
 def test_action_signature_identifies_equal_actions():
+    """Operators of equal action compare equal, whatever their labels."""
     # E(1,2) applied twice is the identity
     e = ExchangeOp(3, 1, 2)
-    assert action_signature(Composition((e, e))) == action_signature(IdentityOp(3))
+    assert Composition((e, e)) == IdentityOp(3)
     # an exchange equals the matching transposition permutation
     p = PermutationOp(QubitPermutation.transposition(3, 1, 2))
-    assert action_signature(e) == action_signature(p)
-    assert action_signature(e) != action_signature(ExchangeOp(3, 1, 3))
+    assert e == p
+    assert hash(e) == hash(p)
+    assert (e.label(), p.label()) == ("E(1,2)", "P(2 1 3)")
+    assert e != ExchangeOp(3, 1, 3)
 
 
 # -------------------------------------------------------------------- parser
@@ -212,11 +294,10 @@ def test_parse_error_ops_basic():
 
 def test_parse_error_ops_products_and_permutations():
     (combo,) = parse_error_ops("X1 Z2", 3)
-    assert isinstance(combo, Composition)
     assert combo.label() == "X1 Z2"
     (perm,) = parse_error_ops("P(2 1 3)", 3)
-    assert isinstance(perm, PermutationOp)
-    assert perm.perm.image == (2, 1, 3)
+    assert perm.label() == "P(2 1 3)"
+    assert perm.perm == (2, 1, 3)
 
 
 @pytest.mark.parametrize(
@@ -260,6 +341,44 @@ def test_error_set_prepends_identity_and_checks_duplicates():
     dup = [ExchangeOp(3, 1, 2), PermutationOp(QubitPermutation.transposition(3, 1, 2))]
     with pytest.raises(ValueError):
         ErrorSet.from_ops(3, dup)
+
+
+_N15_OPS = ", ".join(
+    [f"E({j},{k})" for j in range(1, 16) for k in range(j + 1, 16)]
+    + [f"{kind}{q}" for kind in "XYZ" for q in range(1, 16)]
+)
+
+
+def test_error_set_validation_never_applies_an_operator(monkeypatch):
+    ops = parse_error_ops(_N15_OPS, 15)
+
+    def refuse(self, state):
+        raise AssertionError("validation applied an operator")
+
+    monkeypatch.setattr(ErrorOperator, "apply", refuse)
+    assert len(ErrorSet.from_ops(15, ops)) == 151
+    swap = PermutationOp(QubitPermutation.transposition(15, 1, 2))
+    with pytest.raises(ValueError, match=r"E\(1,2\) and P\(2 1 3 .*\) act identically"):
+        ErrorSet.from_ops(15, ops + [swap])
+
+
+def test_identity_leads_by_label():
+    with pytest.raises(ValueError, match="I and X1 X1 act identically"):
+        ErrorSet.from_ops(3, parse_error_ops("X1 X1, X2", 3))
+    with pytest.raises(ValueError, match="start with the identity"):
+        ErrorSet(3, tuple(parse_error_ops("X1 X1", 3)))
+
+
+def test_families_are_read_from_labels():
+    es = ErrorSet.from_ops(3, parse_error_ops("E(1,3), X2, Y3, Z1, P(2 3 1), X1 Z2", 3))
+    assert es.families == (
+        "identity", "exchange", "X", "Y", "Z", "other", "other"
+    )
+
+
+def test_parse_error_ops_splits_outside_parentheses():
+    ops = parse_error_ops(" E(1, 2)  X3 ,P(2 1 3)\t", 3)
+    assert [op.label() for op in ops] == ["E(1,2) X3", "P(2 1 3)"]
 
 
 def test_qubit_mask_is_msb_first():
