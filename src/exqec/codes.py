@@ -29,6 +29,7 @@ from typing import Mapping
 from .errors import CodeParseError, DimensionMismatch, InvalidCodeError
 from .qstate import (
     AMP_ONE,
+    MAX_QUBITS,
     Amplitude,
     InnerProductValue,
     StateVector,
@@ -338,8 +339,8 @@ def parse_code(text: str, validate: bool = True) -> Code:
                 n = int(line.split(":", 1)[1])
             except ValueError:
                 fail("qubits: header needs an integer", lineno, len("qubits:") + 1)
-            if not 1 <= n <= 24:
-                fail(f"qubit count {n} out of range 1..24", lineno)
+            if not 1 <= n <= MAX_QUBITS:
+                fail(f"qubit count {n} out of range 1..{MAX_QUBITS}", lineno)
             continue
         if line.startswith("label:"):
             label = line.split(":", 1)[1].strip()

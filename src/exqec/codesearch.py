@@ -8,8 +8,10 @@ weights each word uses and the real coefficient attached to each weight:
 
 (the two weight sets are disjoint, so one coefficient map covers both).
 The correctability conditions then become quadratic equations in the
-coefficients.  This module provides the closed-form Gram quantities for
-single orbits, assembles the full constraint system exactly, and decides
+coefficients.  Every coefficient of those equations is one Gram atom
+<O_kappa | E O_mu> between two orbit sums, with E = p^-1 q for a pair of
+errors; it is an exact binomial sum in closed form (``_orbit_atom``), so
+the system is assembled without building a state.  The module then decides
 feasibility — exactly where the system is linear in the squared
 coefficients, by certified sign arguments where a constraint is a
 positive combination of squares, and by grid search plus local refinement
@@ -28,11 +30,12 @@ from typing import Mapping, Sequence
 import numpy as np
 import scipy.optimize
 
+from ._linalg import solve_rational
 from .codes import Code, PermInvariantSpec, perm_invariant_code
 from .errors import CapabilityError
-from .errorops import ErrorSet, ExchangeOp, IdentityOp, PauliString
+from .errorops import ErrorOperator, ErrorSet, IdentityOp, basic_error_set
 from .klverify import DEFAULT_FLOAT_TOL, verify_kl
-from .qstate import Amplitude, StateVector, inner_product, orbit_sum
+from .qstate import Amplitude, StateVector, _check_n, orbit_sum
 
 __all__ = [
     "phase_offdiag_term",
@@ -104,6 +107,7 @@ class SupportPattern:
     def __post_init__(self):
         if self.n < 1:
             raise ValueError(f"n must be at least 1, got {self.n}")
+        _check_n(self.n)
         object.__setattr__(self, "word0", frozenset(self.word0))
         object.__setattr__(self, "word1", frozenset(self.word1))
         if not self.word0 or not self.word1:
@@ -129,45 +133,32 @@ class SupportPattern:
         return f"n={self.n} weights {{{w0}}} / {{{w1}}}{dual}"
 
 
-class _OrbitGram:
-    """Exact single-orbit Gram atoms <e O_kappa | f O_mu>, memoized.
+def _signed_choices(k: int, minus: int, plus: int) -> int:
+    """Ways to pick k of ``minus + plus`` slots, each minus slot picked costing -1."""
+    return sum(
+        (-1) ** a * math.comb(minus, a) * math.comb(plus, k - a)
+        for a in range(min(k, minus) + 1)
+    )
 
-    Orbit sums are invariant under every qubit permutation, so an atom
-    only depends on the operator kinds, whether the two qubit positions
-    coincide, and the weights: any pair of positions can be relabeled to
-    (1, 2) by a permutation that fixes both orbit sums.
+
+def _orbit_atom(op: ErrorOperator, kappa: int, mu: int) -> tuple[int, int]:
+    """<O_kappa | op O_mu> as a Gaussian integer (re, im), O = orbit_sum.
+
+    Orbit sums are fixed by every qubit permutation, so only the Pauli
+    factor ``i**p X(x) Z(z)`` of op acts.  A weight-mu string v lands in
+    weight kappa exactly when it holds h = (mu + |x| - kappa) / 2 ones
+    under x, and it picks up (-1)**|z & v|: a product of signed counts
+    over the Y- and X-type qubits (h ones) and the Z-type and untouched
+    qubits (mu - h ones).
     """
-
-    def __init__(self, n: int):
-        self.n = n
-        self._orbits: dict[int, StateVector] = {}
-        self._memo: dict[tuple, tuple[Fraction, Fraction]] = {}
-
-    def _orbit(self, kappa: int) -> StateVector:
-        if kappa not in self._orbits:
-            self._orbits[kappa] = orbit_sum(self.n, kappa)
-        return self._orbits[kappa]
-
-    def atom(
-        self, tp: str, kp: int, tq: str, kq: int, kappa: int, mu: int
-    ) -> tuple[Fraction, Fraction]:
-        if tp == "I":
-            key = ("I", 0, tq, 0 if tq == "I" else 1, kappa, mu)
-        elif tq == "I":
-            key = (tp, 1, "I", 0, kappa, mu)
-        else:
-            key = (tp, 1, tq, 1 if kp == kq else 2, kappa, mu)
-        if key not in self._memo:
-            left = self._image(key[0], key[1], kappa)
-            right = self._image(key[2], key[3], mu)
-            self._memo[key] = inner_product(left, right).as_gaussian()
-        return self._memo[key]
-
-    def _image(self, kind: str, qubit: int, kappa: int) -> StateVector:
-        vec = self._orbit(kappa)
-        if kind == "I":
-            return vec
-        return PauliString.single(self.n, kind, qubit).apply(vec)
+    x, z = op.x_mask, op.z_mask
+    twice_h = mu + x.bit_count() - kappa
+    if twice_h % 2:
+        return 0, 0
+    h = twice_h // 2
+    total = _signed_choices(h, (x & z).bit_count(), (x & ~z).bit_count())
+    total *= _signed_choices(mu - h, (z & ~x).bit_count(), op.n - (x | z).bit_count())
+    return ((total, 0), (0, total), (-total, 0), (0, -total))[op.phase]
 
 
 @dataclass(frozen=True)
@@ -199,7 +190,8 @@ _FAMILY_OPS = {
 }
 
 
-def _op_descriptors(n: int, families: Sequence[str]) -> list[tuple[str, int]]:
+def _family_ops(n: int, families: Sequence[str]) -> list[ErrorOperator]:
+    """Single-qubit Paulis of the families, kind by kind; exchange adds none."""
     kinds = []
     for fam in families:
         if fam == "exchange":
@@ -210,20 +202,17 @@ def _op_descriptors(n: int, families: Sequence[str]) -> list[tuple[str, int]]:
                 f"{sorted(_FAMILY_OPS) + ['exchange']}"
             )
         kinds.extend(_FAMILY_OPS[fam])
-    ops = [("I", 0)]
-    for kind in kinds:
-        ops.extend((kind, k) for k in range(1, n + 1))
-    return ops
+    return [ErrorOperator.single(n, kind, k) for kind in kinds for k in range(1, n + 1)]
 
 
-def _canonical(terms: dict[tuple[int, int], Fraction]) -> tuple | None:
+def _canonical(terms: dict[tuple[int, int], int]) -> tuple | None:
     items = tuple(
         (i, j, c) for (i, j), c in sorted(terms.items()) if c != 0
     )
     if not items:
         return None
     lead = items[0][2]
-    return tuple((i, j, c / lead) for i, j, c in items)
+    return tuple((i, j, Fraction(c, lead)) for i, j, c in items)
 
 
 def _assemble_constraints(
@@ -239,53 +228,51 @@ def _assemble_constraints(
     keys += [(1, k) for k in sorted(pattern.word1)]
     index = {key: pos for pos, key in enumerate(keys)}
     names = [f"a_{k}" for _, k in keys]
-    gram = _OrbitGram(n)
-    ops = _op_descriptors(n, families)
+    ops = [IdentityOp(n), *_family_ops(n, families)]
 
     seen: dict[tuple, _Constraint] = {}
 
-    def push(terms: dict[tuple[int, int], Fraction], origin: str) -> None:
+    def push(terms: dict[tuple[int, int], int], origin: str) -> None:
         canon = _canonical(terms)
         if canon is not None and canon not in seen:
             seen[canon] = _Constraint(canon, origin)
 
     def accumulate(dest, i, j, value):
         key = (i, j) if i <= j else (j, i)
-        dest[key] = dest.get(key, Fraction(0)) + value
-
-    def op_name(op):
-        return "I" if op[0] == "I" else f"{op[0]}{op[1]}"
+        dest[key] = dest.get(key, 0) + value
 
     for a, p in enumerate(ops):
         for q in ops[a:]:
-            re_terms: dict[tuple[int, int], Fraction] = {}
-            im_terms: dict[tuple[int, int], Fraction] = {}
+            e = p.inverse().compose(q)
+            re_terms: dict[tuple[int, int], int] = {}
+            im_terms: dict[tuple[int, int], int] = {}
             for word, sign in ((0, 1), (1, -1)):
                 weights = pattern.word0 if word == 0 else pattern.word1
                 for ka in weights:
                     for mu in weights:
-                        re, im = gram.atom(p[0], p[1], q[0], q[1], ka, mu)
+                        re, im = _orbit_atom(e, ka, mu)
                         i, j = index[(word, ka)], index[(word, mu)]
                         if re:
                             accumulate(re_terms, i, j, sign * re)
                         if im:
                             accumulate(im_terms, i, j, sign * im)
-            origin = f"word blocks must agree at <{op_name(p)} w, {op_name(q)} w>"
+            origin = f"word blocks must agree at <{p.label()} w, {q.label()} w>"
             push(re_terms, origin)
             push(im_terms, origin + " (imaginary part)")
     for p in ops:
         for q in ops:
+            e = p.inverse().compose(q)
             re_terms = {}
             im_terms = {}
             for ka in pattern.word0:
                 for mu in pattern.word1:
-                    re, im = gram.atom(p[0], p[1], q[0], q[1], ka, mu)
+                    re, im = _orbit_atom(e, ka, mu)
                     i, j = index[(0, ka)], index[(1, mu)]
                     if re:
                         accumulate(re_terms, i, j, re)
                     if im:
                         accumulate(im_terms, i, j, im)
-            origin = f"<{op_name(p)} w0, {op_name(q)} w1> must vanish"
+            origin = f"<{p.label()} w0, {q.label()} w1> must vanish"
             push(re_terms, origin)
             push(im_terms, origin + " (imaginary part)")
     return list(seen.values()), names, keys
@@ -366,18 +353,8 @@ def realize_code(
 
 
 def _verification_errors(n: int, families: Sequence[str]) -> ErrorSet:
-    ops: list = [IdentityOp(n)]
-    for j in range(1, n + 1):
-        for k in range(j + 1, n + 1):
-            ops.append(ExchangeOp(n, j, k))
-    kinds = []
-    for fam in families:
-        if fam != "exchange":
-            kinds.extend(_FAMILY_OPS[fam])
-    for kind in kinds:
-        for k in range(1, n + 1):
-            ops.append(PauliString.single(n, kind, k))
-    return ErrorSet(n, tuple(ops))
+    exchanges = basic_error_set(n, ("exchange",)).ops
+    return ErrorSet(n, (*exchanges, *_family_ops(n, families)))
 
 
 def _gate(
@@ -457,8 +434,6 @@ def _solve_diagonal(
             norm_row[pos] = Fraction(math.comb(pattern.n, k))
     rows.append(norm_row)
     rhs.append(Fraction(1))
-
-    from ._linalg import solve_rational
 
     status, solution, free_cols = solve_rational(rows, rhs)
     if status == "inconsistent":

@@ -265,6 +265,22 @@ def test_output_is_deterministic(capsys):
             0,
             "48bd8e02b673cdaf3b24b39b494cc9a9948db6b560a3e7f891a7e00b87d5e296",
         ),
+        (
+            # sign-definite, exact-linear and grid rows, exact gates
+            "survey --n 9 --max-weights 2",
+            0,
+            "0e8a83f6b7152a1a3cc3ca6d4d0ecb0298ce7b6137c5f532265230a02d414a3b",
+        ),
+        (
+            "survey --n 7 --max-weights 2 --families phase",
+            0,
+            "13ee3d1c33bc1e34ea7b18bc203007f87223a92572b46d9e0398980ee33cf12e",
+        ),
+        (
+            "search --n 7 --support0 0,5 --support1 2,7",
+            0,
+            "9203e089694d75708f9d9903f0c8466d9c8b7161c4c381b5f2757a220c752699",
+        ),
     ],
 )
 def test_output_matches_golden_digest(capsys, argv, rc, digest):
@@ -338,8 +354,9 @@ def test_overlapping_supports_are_usage_error(capsys):
 def test_scan_too_large_is_usage_error(tmp_path, capsys):
     path = tmp_path / "wide.code"
     path.write_text("qubits: 13\nword 0:\n1 |0000000000000>\n")
-    rc, _, err = invoke(capsys, "stab-check", str(path))
+    rc, out, err = invoke(capsys, "stab-check", str(path))
     assert rc == 2
+    assert out == ""
     assert "scan" in err.lower()
 
 
@@ -353,9 +370,26 @@ def test_scan_too_large_is_usage_error(tmp_path, capsys):
             ("search", "--n", "-2", "--support0", "0", "--support1", "1"),
             "n must be at least 1, got -2",
         ),
+        (
+            ("search", "--n", "25", "--support0", "0", "--support1", "25"),
+            "qubit count must be between 1 and 24, got 25",
+        ),
+        (
+            ("survey", "--n", "25", "--max-weights", "1"),
+            "qubit count must be between 1 and 24, got 25",
+        ),
+        (
+            ("search", "--n", "7", "--support0", "0,1,2,3,4", "--support1", "5"),
+            "limited to 4 weights per word",
+        ),
+        (("survey", "--n", "11", "--max-weights", "5"), "limited to 4 weights per word"),
+        (("verify", "--codefile", "{wide}"), "qubit count 25 out of range 1..24"),
     ],
 )
-def test_out_of_range_sizes_are_usage_errors(capsys, argv, message):
+def test_out_of_range_sizes_are_usage_errors(tmp_path, capsys, argv, message):
+    wide = tmp_path / "wide.code"
+    wide.write_text("qubits: 25\nword 0:\n1 |0>\n")
+    argv = [arg.format(wide=wide) for arg in argv]
     rc, out, err = invoke(capsys, *argv)
     assert rc == 2
     assert out == ""

@@ -6,10 +6,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from exqec import codesearch, qstate
 from exqec.codesearch import (
     MAX_WEIGHTS_PER_WORD,
     SupportPattern,
-    _OrbitGram,
+    _assemble_constraints,
+    _orbit_atom,
     bitflip_cross_count,
     phase_offdiag_term,
     realize_code,
@@ -18,10 +20,10 @@ from exqec.codesearch import (
     survey_patterns,
     zk_diag,
 )
-from exqec.errorops import PauliString, basic_error_set
+from exqec.errorops import ErrorOperator, PauliString, basic_error_set
 from exqec.errors import CapabilityError
 from exqec.klverify import verify_kl
-from exqec.qstate import inner_product, orbit_sum
+from exqec.qstate import StateVector, inner_product, orbit_sum
 
 
 # ------------------------------------------------------------- closed forms
@@ -68,27 +70,65 @@ def test_closed_form_spot_values():
 # --------------------------------------------------------- orbit gram atoms
 
 
-@settings(max_examples=40, deadline=None)
-@given(
-    st.sampled_from("IXYZ"),
-    st.integers(min_value=1, max_value=5),
-    st.sampled_from("IXYZ"),
-    st.integers(min_value=1, max_value=5),
-    st.integers(min_value=0, max_value=5),
-    st.integers(min_value=0, max_value=5),
-)
-def test_orbit_gram_atom_only_sees_coincidence(tp, kp, tq, kq, kappa, mu):
-    gram = _OrbitGram(5)
-    got = gram.atom(tp, kp, tq, kq, kappa, mu)
+@st.composite
+def operators_and_weights(draw):
+    n = draw(st.integers(min_value=1, max_value=6))
+    top = (1 << n) - 1
+    op = ErrorOperator(
+        n,
+        draw(st.integers(min_value=0, max_value=top)),
+        draw(st.integers(min_value=0, max_value=top)),
+        draw(st.integers(min_value=0, max_value=3)),
+        tuple(draw(st.permutations(range(1, n + 1)))),
+    )
+    kappa = draw(st.integers(min_value=0, max_value=n))
+    mu = draw(st.integers(min_value=0, max_value=n))
+    return op, kappa, mu
 
-    def image(kind, qubit, k):
-        vec = orbit_sum(5, k)
-        if kind == "I":
-            return vec
-        return PauliString.single(5, kind, qubit).apply(vec)
 
-    direct = inner_product(image(tp, kp, kappa), image(tq, kq, mu)).as_gaussian()
-    assert got == direct
+@settings(max_examples=300, deadline=None)
+@given(operators_and_weights())
+def test_orbit_atom_matches_brute_force(case):
+    """<O_kappa | E O_mu> in closed form against the states themselves, for
+    arbitrary masks, phases and qubit permutations."""
+    op, kappa, mu = case
+    left = orbit_sum(op.n, kappa)
+    right = op.apply(orbit_sum(op.n, mu))
+    assert _orbit_atom(op, kappa, mu) == inner_product(left, right).as_gaussian()
+
+
+@pytest.mark.parametrize("n", [2, 3, 9, 17, 25, 40])
+def test_orbit_atom_matches_public_closed_forms(n):
+    """Beyond any brute-force size: the atom reproduces the three
+    independently derived single-orbit formulas."""
+    for kind, closed in (("Z", phase_offdiag_term), ("X", bitflip_cross_count)):
+        for j, k in ((1, 2), (1, n), (n - 1, n)):
+            left = ErrorOperator.single(n, kind, j)
+            e = left.inverse().compose(ErrorOperator.single(n, kind, k))
+            for kappa in range(n + 1):
+                assert _orbit_atom(e, kappa, kappa) == (closed(n, kappa), 0)
+    for k in (1, n):
+        z = ErrorOperator.single(n, "Z", k)
+        for kappa in range(n + 1):
+            assert _orbit_atom(z, kappa, kappa) == (zk_diag(n, kappa), 0)
+
+
+def test_constraint_assembly_builds_no_state(monkeypatch):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("constraint assembly touched a state vector")
+
+    monkeypatch.setattr(codesearch, "orbit_sum", forbidden)
+    monkeypatch.setattr(qstate, "orbit_sum", forbidden)
+    monkeypatch.setattr(qstate, "inner_product", forbidden)
+    monkeypatch.setattr(ErrorOperator, "apply", forbidden)
+    monkeypatch.setattr(StateVector, "__init__", forbidden)
+    pattern = SupportPattern(9, {0, 6}, {3, 9})
+    constraints, names, keys = _assemble_constraints(
+        pattern, ("single_pauli", "exchange")
+    )
+    assert names == ["a_0", "a_6", "a_3", "a_9"]
+    assert keys == [(0, 0), (0, 6), (1, 3), (1, 9)]
+    assert constraints and all(con.is_diagonal() for con in constraints)
 
 
 # ------------------------------------------------------------------ patterns
@@ -105,6 +145,8 @@ def test_support_pattern_validation():
         SupportPattern(9, {0, 10}, {3})
     with pytest.raises(ValueError):
         SupportPattern(9, {0, 3}, {3, 9})
+    with pytest.raises(ValueError, match="between 1 and 24, got 25"):
+        SupportPattern(25, {0}, {25})
 
 
 # ----------------------------------------------------------------- solving
