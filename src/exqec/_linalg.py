@@ -2,36 +2,47 @@
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
+from itertools import combinations
 from typing import Sequence
 
-__all__ = ["rational_rank", "solve_rational"]
+__all__ = ["rational_rank", "solve_rational", "surd_rank"]
 
 
 def _eliminate(
     matrix: Sequence[Sequence[Fraction]], ncols: int
-) -> tuple[list[list[Fraction]], list[int]]:
-    """Gauss-Jordan elimination of the first ``ncols`` columns.
+) -> tuple[list[list[int]], list[int]]:
+    """Fraction-free row echelon form of the first ``ncols`` columns.
 
-    Returns the reduced rows and the pivot column of each leading row; it
-    stops once every row holds a pivot.
+    Each row is first scaled to integers by its common denominator.  A row
+    with a nonzero entry under a pivot becomes ``pv*row - f*top``, divided
+    by the gcd of its entries; rows with a zero there are left alone, which
+    keeps sparse matrices cheap, and no ``Fraction`` is built.  Returns the
+    integer rows, pivot rows first, and the pivot column of each; it stops
+    once every row holds a pivot.
     """
-    rows = [list(r) for r in matrix]
+    rows = []
+    for r in matrix:
+        den = math.lcm(*(x.denominator for x in r))
+        rows.append([int(x * den) for x in r])
     pivots: list[int] = []
     for col in range(ncols):
         rank = len(pivots)
         if rank == len(rows):
             break
-        pivot = next((r for r in range(rank, len(rows)) if rows[r][col] != 0), None)
+        pivot = next((r for r in range(rank, len(rows)) if rows[r][col]), None)
         if pivot is None:
             continue
         rows[rank], rows[pivot] = rows[pivot], rows[rank]
-        pv = rows[rank][col]
-        rows[rank] = [x / pv for x in rows[rank]]
-        for r in range(len(rows)):
-            if r != rank and rows[r][col] != 0:
-                f = rows[r][col]
-                rows[r] = [a - f * b for a, b in zip(rows[r], rows[rank])]
+        top = rows[rank]
+        pv = top[col]
+        for r in range(rank + 1, len(rows)):
+            f = rows[r][col]
+            if f:
+                row = [pv * a - f * b for a, b in zip(rows[r], top)]
+                g = math.gcd(*row)
+                rows[r] = [x // g for x in row] if g > 1 else row
         pivots.append(col)
     return rows, pivots
 
@@ -40,6 +51,51 @@ def rational_rank(matrix: Sequence[Sequence[Fraction]]) -> int:
     """Exact rank of a matrix of Fractions by Gaussian elimination."""
     ncols = len(matrix[0]) if matrix else 0
     return len(_eliminate(matrix, ncols)[1])
+
+
+def _prime_factors(r: int) -> set[int]:
+    primes, p = set(), 2
+    while p * p <= r:
+        while r % p == 0:
+            primes.add(p)
+            r //= p
+        p += 1
+    return primes | ({r} if r > 1 else set())
+
+
+def surd_rank(matrix: Sequence[Sequence[Sequence[tuple[int, Fraction, Fraction]]]]) -> int:
+    """Exact rank of a matrix whose entries are sums of ``(re + im*i) sqrt(r)``.
+
+    Each entry is a sequence of ``(r, re, im)`` terms with squarefree r.  The
+    entries lie in K = Q(i, sqrt(p) for each prime p dividing some r), with
+    i left out when every ``im`` is 0; its basis is ``i**a sqrt(t)`` for t
+    a product of those primes.  Multiplying by an entry is a Q-linear map
+    of K, so the matrix acts on K**cols as a rational matrix ``deg`` times
+    larger (its regular representation), whose rank is ``deg`` times the
+    rank over K.  A rational matrix has ``deg`` 1.
+    """
+    terms = [part for row in matrix for entry in row for part in entry]
+    primes = sorted(set().union(*(_prime_factors(r) for r, _, _ in terms)))
+    units = range(2 if any(im for _, _, im in terms) else 1)
+    basis = [
+        (math.prod(c), a) for a in units
+        for k in range(len(primes) + 1) for c in combinations(primes, k)
+    ]
+    index = {b: pos for pos, b in enumerate(basis)}
+    deg, ncols = len(basis), len(matrix[0]) if matrix else 0
+    rows = [[Fraction(0)] * (deg * ncols) for _ in range(deg * len(matrix))]
+    for p, row in enumerate(matrix):
+        for q, entry in enumerate(row):
+            for b, (t, a) in enumerate(basis):
+                col = q * deg + b
+                for r, re, im in entry:  # (re + im i) sqrt(r) * i**a sqrt(t)
+                    g = math.gcd(r, t)
+                    u = r * t // (g * g)
+                    re, im = (-im * g, re * g) if a else (re * g, im * g)
+                    rows[p * deg + index[(u, 0)]][col] += re
+                    if im:
+                        rows[p * deg + index[(u, 1)]][col] += im
+    return rational_rank(rows) // deg
 
 
 def solve_rational(
@@ -57,7 +113,8 @@ def solve_rational(
         return "inconsistent", None, []
     free = [c for c in range(ncols) if c not in pivots]
     solution = [Fraction(0)] * ncols
-    for row, col in zip(rows, pivots):
-        solution[col] = row[ncols]
+    for row, col in reversed(list(zip(rows, pivots))):  # back substitution
+        rest = sum(row[c] * solution[c] for c in range(col + 1, ncols))
+        solution[col] = Fraction(row[ncols] - rest, row[col])
     status = "unique" if not free else "underdetermined"
     return status, solution, free

@@ -281,8 +281,6 @@ def parse_amplitude(token: str) -> Amplitude:
         if radicand < 1:
             raise ValueError(f"radicand must be positive in {token!r}")
         if surd_op == "/":
-            if radicand == 0:
-                raise ValueError("division by sqrt(0)")
             c = c / radicand  # 1/sqrt(r) == (1/r) sqrt(r)
     if imag:
         return Amplitude.make(0, c, radicand)

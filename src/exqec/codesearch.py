@@ -12,19 +12,22 @@ coefficients.  Every coefficient of those equations is one Gram atom
 <O_kappa | E O_mu> between two orbit sums, with E = p^-1 q for a pair of
 errors; it is an exact binomial sum in closed form (``_orbit_atom``), so
 the system is assembled without building a state.  The module then decides
-feasibility — exactly where the system is linear in the squared
-coefficients, by certified sign arguments where a constraint is a
-positive combination of squares, and by grid search plus local refinement
-otherwise.  Every claimed-feasible result is re-verified by running the
-realized code through the correctability checker.
+feasibility in one exact step: a constraint that is a positive combination
+of squares can force a word to zero (``sign-definite``); otherwise the
+diagonal constraints pin the squared coefficients or leave finitely many
+nonnegative basic solutions, and a finite choice of signs is checked in
+exact surd arithmetic (``exact-linear``).  Only rows that step leaves open
+go to grid search plus local refinement.  Every claimed-feasible result is
+re-verified by running the realized code through the correctability
+checker, exactly whenever its squares are exact.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, product
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -35,7 +38,7 @@ from .codes import Code, PermInvariantSpec, perm_invariant_code
 from .errors import CapabilityError
 from .errorops import ErrorOperator, ErrorSet, IdentityOp, basic_error_set
 from .klverify import DEFAULT_FLOAT_TOL, verify_kl
-from .qstate import Amplitude, StateVector, _check_n, orbit_sum
+from .qstate import Amplitude, StateVector, _check_n, orbit_sum, squarefree_split
 
 __all__ = [
     "phase_offdiag_term",
@@ -283,7 +286,7 @@ class SolverResult:
     pattern: SupportPattern
     families: tuple[str, ...]
     feasible: bool
-    method: str  # sign-definite | exact-linear | linear-program | grid
+    method: str  # sign-definite | exact-linear | grid
     coefficients: dict[int, float] | None  # weight -> value, scale-free
     squares: dict[int, Fraction] | None  # exact squared values when known
     residual: float | None
@@ -352,11 +355,6 @@ def realize_code(
     return Code(pattern.n, tuple(words), label=label)
 
 
-def _verification_errors(n: int, families: Sequence[str]) -> ErrorSet:
-    exchanges = basic_error_set(n, ("exchange",)).ops
-    return ErrorSet(n, (*exchanges, *_family_ops(n, families)))
-
-
 def _gate(
     pattern: SupportPattern,
     families: Sequence[str],
@@ -370,7 +368,8 @@ def _gate(
     immunity.  Returns (passed, worst violation magnitude).
     """
     code = realize_code(pattern, coefficients, squares)
-    errors = _verification_errors(pattern.n, families)
+    exchanges = basic_error_set(pattern.n, ("exchange",)).ops
+    errors = ErrorSet(pattern.n, (*exchanges, *_family_ops(pattern.n, families)))
     if squares is None:
         code = code.to_float()
     report = verify_kl(code, errors, tol=None if squares else DEFAULT_FLOAT_TOL)
@@ -380,7 +379,7 @@ def _gate(
 
 def _forced_zero_analysis(
     constraints: list[_Constraint], names: list[str], keys: list[tuple[int, int]]
-) -> tuple[str, _Constraint] | None:
+) -> str | None:
     """Propagate sign-definite constraints; detect a word forced to zero."""
     zero: set[int] = set()
     cause: dict[int, _Constraint] = {}
@@ -404,106 +403,129 @@ def _forced_zero_analysis(
             return (
                 f"{con.render(names)} (from: {con.origin}); every term is a "
                 "square with same-signed coefficient, so the listed "
-                f"coefficients must all vanish, leaving word {word} zero",
-                con,
+                f"coefficients must all vanish, leaving word {word} zero"
             )
     return None
 
 
-def _solve_diagonal(
+def _signs(
+    constraints: list[_Constraint], keys: list[tuple[int, int]], squares: list[Fraction]
+) -> list[int] | None:
+    """First sign choice under which every constraint sums to exactly 0.
+
+    Each word's first nonzero coefficient is +: flipping a whole word's
+    sign changes no constraint's zero set.  A term c*a_i*a_j is
+    c * sigma_i sigma_j * sqrt(s_i s_j), a rational times sqrt(t) for a
+    squarefree t, and surds of distinct t are linearly independent, so a
+    constraint vanishes exactly when each t-part does.
+    """
+    nonzero = [pos for pos in range(len(keys)) if squares[pos]]
+    flips = [p for p in nonzero if any(keys[q][0] == keys[p][0] for q in nonzero if q < p)]
+    surds = []
+    for con in constraints:
+        terms = []
+        for i, j, c in con.terms:
+            prod = squares[i] * squares[j]
+            if prod:
+                root, t = squarefree_split(prod.numerator * prod.denominator)
+                terms.append((i, j, c * root / prod.denominator, t))
+        surds.append(terms)
+    for choice in product((1, -1), repeat=len(flips)):
+        sign = [1] * len(keys)
+        for pos, s in zip(flips, choice):
+            sign[pos] = s
+        for terms in surds:
+            parts: dict[int, Fraction] = {}
+            for i, j, q, t in terms:
+                parts[t] = parts.get(t, 0) + sign[i] * sign[j] * q
+            if any(parts.values()):
+                break
+        else:
+            return sign
+    return None
+
+
+def _solve_exact(
     pattern: SupportPattern,
     constraints: list[_Constraint],
     names: list[str],
     keys: list[tuple[int, int]],
-    families: Sequence[str],
-) -> SolverResult:
-    """Exact path: every constraint linear in the squared coefficients."""
-    d = len(keys)
-    rows: list[list[Fraction]] = []
-    rhs: list[Fraction] = []
-    for con in constraints:
-        row = [Fraction(0)] * d
-        for i, _, c in con.terms:
-            row[i] += c
-        rows.append(row)
-        rhs.append(Fraction(0))
-    # fix the free overall scale: word-0 squared norm = 1
-    norm_row = [Fraction(0)] * d
-    for pos, (w, k) in enumerate(keys):
-        if w == 0:
-            norm_row[pos] = Fraction(math.comb(pattern.n, k))
-    rows.append(norm_row)
-    rhs.append(Fraction(1))
+    families: tuple[str, ...],
+) -> SolverResult | None:
+    """Exact path: candidate squares from the diagonal constraints, then signs.
 
-    status, solution, free_cols = solve_rational(rows, rhs)
+    The diagonal constraints and the word-0 norm are linear in the squares
+    s_i = a_i^2.  Their unique solution, or else each nonnegative basic
+    solution (len(free) squares set to zero), is a candidate; the first
+    candidate with a sign choice that zeroes every constraint exactly is
+    confirmed by the exact gate.  Returns None when the squares are not
+    pinned, some constraint mixes coefficients and no candidate works.
+    """
+    d = len(keys)
+    rows = [
+        [next((c for i, _, c in con.terms if i == pos), Fraction(0)) for pos in range(d)]
+        for con in constraints if con.is_diagonal()
+    ]
+    # fix the free overall scale: word-0 squared norm = 1
+    rows.append([Fraction(math.comb(pattern.n, k) if w == 0 else 0) for w, k in keys])
+    rhs = [Fraction(0)] * (len(rows) - 1) + [Fraction(1)]
+
+    def infeasible(text: str) -> SolverResult:
+        return SolverResult(pattern, families, False, "exact-linear", None, None, None, text)
+
+    status, solution, free = solve_rational(rows, rhs)
     if status == "inconsistent":
-        return SolverResult(
-            pattern, tuple(families), False, "exact-linear", None, None, None,
+        return infeasible(
             "the linear system in the squared coefficients is inconsistent "
-            "(exact elimination)",
+            "(exact elimination)"
         )
+    candidates = []
     if status == "unique":
-        negative = [pos for pos, s in enumerate(solution) if s < 0]
-        if negative:
-            pos = negative[0]
-            return SolverResult(
-                pattern, tuple(families), False, "exact-linear", None, None, None,
-                f"unique exact solution needs {names[pos]}^2 = "
-                f"{solution[pos]} < 0",
+        negative = next((pos for pos, s in enumerate(solution) if s < 0), None)
+        if negative is not None:
+            return infeasible(
+                f"unique exact solution needs {names[negative]}^2 = {solution[negative]} < 0"
             )
-        squares = {k: solution[pos] for pos, (_, k) in enumerate(keys)}
-        coefficients = {
-            k: math.sqrt(float(s)) for k, s in squares.items()
-        }
+        candidates.append(solution)
+    for kept in combinations(range(d), d - len(free)) if free else ():
+        found, part, _ = solve_rational([[row[p] for p in kept] for row in rows], rhs)
+        if found == "unique" and min(part) >= 0:
+            basic = [part[kept.index(p)] if p in kept else Fraction(0) for p in range(d)]
+            if basic not in candidates:
+                candidates.append(basic)
+    for cand in candidates:
+        sign = _signs(constraints, keys, cand)
+        if sign is None:
+            continue
+        squares = {k: cand[pos] for pos, (_, k) in enumerate(keys)}
+        coefficients = {k: sign[pos] * math.sqrt(cand[pos]) for pos, (_, k) in enumerate(keys)}
         ok, worst = _gate(pattern, families, coefficients, squares)
         if not ok:
             return SolverResult(
-                pattern, tuple(families), False, "exact-linear",
-                coefficients, squares, worst, None,
-                ("diagonal solution failed full re-verification",),
+                pattern, families, False, "exact-linear", coefficients, squares, worst,
+                None, ("exact candidate failed full re-verification",),
             )
+        unused = {k for k, s in squares.items() if not s}
+        used = SupportPattern(pattern.n, pattern.word0 - unused, pattern.word1 - unused)
+        zeros = ", ".join(f"a_{k}" for k in sorted(unused))
+        notes = (
+            f"zero squares at {zeros}: the code is the smaller pattern {used.describe()}",
+        ) if unused else ()
         return SolverResult(
-            pattern, tuple(families), True, "exact-linear",
-            coefficients, squares, 0.0, None,
+            pattern, families, True, "exact-linear", coefficients, squares, 0.0, None, notes
         )
-    # underdetermined: ask a feasibility LP for nonnegative squares
-    A = np.array([[float(c) for c in row] for row in rows])
-    b = np.array([float(v) for v in rhs])
-    lp = scipy.optimize.linprog(
-        c=np.zeros(d), A_eq=A, b_eq=b, bounds=[(0, None)] * d, method="highs"
-    )
-    if not lp.success:
-        return SolverResult(
-            pattern, tuple(families), False, "linear-program", None, None, None,
-            None,
-            (
-                "no solution found: the squared-coefficient system is "
-                "underdetermined and the nonnegativity program is infeasible",
-            ),
+    if not candidates:
+        return infeasible(
+            "every basic solution of the linear system in the squared "
+            "coefficients has a negative square (exact elimination)"
         )
-    squares_f = {k: lp.x[pos] for pos, (_, k) in enumerate(keys)}
-    squares = {k: Fraction(v).limit_denominator(10**9) for k, v in squares_f.items()}
-    coefficients = {k: math.sqrt(max(v, 0.0)) for k, v in squares_f.items()}
-    ok, worst = _gate(pattern, families, coefficients, squares)
-    if ok:
-        return SolverResult(
-            pattern, tuple(families), True, "linear-program",
-            coefficients, squares, 0.0, None,
-            ("squares recovered from an interior-point solution, then "
-             "verified exactly",),
+    if status == "unique":
+        pinned = ", ".join(f"{names[pos]}^2 = {s}" for pos, s in enumerate(solution))
+        return infeasible(
+            f"the squares are pinned ({pinned}) and no sign choice makes every "
+            "constraint vanish exactly"
         )
-    ok, worst = _gate(pattern, families, coefficients, None)
-    if ok:
-        return SolverResult(
-            pattern, tuple(families), True, "linear-program",
-            coefficients, None, worst, None,
-        )
-    return SolverResult(
-        pattern, tuple(families), False, "linear-program",
-        None, None, worst, None,
-        ("no solution found: the linear-program candidate failed "
-         "re-verification",),
-    )
+    return None
 
 
 def _grid_points(free_dims: int) -> int:
@@ -534,14 +556,11 @@ def _grid_search(
     free = [pos for pos in range(d) if pos not in (0, word0_len)]
     f = len(free)
 
-    norm0 = np.zeros(d)
-    norm1 = np.zeros(d)
-    for pos, (w, k) in enumerate(keys):
-        (norm0 if w == 0 else norm1)[pos] = math.comb(n, k)
+    mask = np.array([float(w) for w, _ in keys])  # 1 on word-1 positions
+    norm1 = np.array([float(math.comb(n, k)) for _, k in keys]) * mask
+    norm0 = np.array([float(math.comb(n, k)) for _, k in keys]) - norm1
 
-    con_terms = [
-        [(i, j, float(c)) for i, j, c in con.terms] for con in constraints
-    ]
+    con_terms = [[(i, j, float(c)) for i, j, c in con.terms] for con in constraints]
 
     def residuals(points: np.ndarray) -> np.ndarray:
         """points: (P, d) full coefficient vectors -> (P,) max |constraint|."""
@@ -555,21 +574,12 @@ def _grid_search(
 
     def expand(ratios: np.ndarray) -> np.ndarray:
         """ratios: (P, f) -> (P, d) with pins and norm-balancing scale."""
-        P = len(ratios)
-        pts = np.empty((P, d))
-        pts[:, 0] = 1.0
-        pts[:, word0_len] = 1.0
-        for col, pos in enumerate(free):
-            pts[:, pos] = ratios[:, col]
+        pts = np.ones((len(ratios), d))
+        pts[:, free] = ratios
         n0 = (pts * pts) @ norm0
         n1 = (pts * pts) @ norm1
         scale = np.sqrt(n0 / n1)
-        mask = np.zeros(d)
-        for pos, (w, _) in enumerate(keys):
-            if w == 1:
-                mask[pos] = 1.0
-        pts = pts * (1 + (scale[:, None] - 1) * mask[None, :])
-        return pts
+        return pts * (1 + (scale[:, None] - 1) * mask[None, :])
 
     centers = np.zeros(f)
     span = GRID_SPAN
@@ -579,9 +589,7 @@ def _grid_search(
     for _ in range(GRID_REFINEMENTS + 1):
         if f == 0:
             break
-        axes = [
-            np.linspace(c - span, c + span, points_per_dim) for c in centers
-        ]
+        axes = [np.linspace(c - span, c + span, points_per_dim) for c in centers]
         mesh = np.meshgrid(*axes, indexing="ij")
         ratios = np.stack([m.ravel() for m in mesh], axis=1)
         pts = expand(ratios)
@@ -629,10 +637,13 @@ def solve_coefficients(
     """Decide whether a weight pattern supports a correctable code.
 
     The constraint system is assembled exactly from single-orbit Gram
-    atoms.  Sign-definite constraints give certified infeasibility; a
-    fully diagonal system is solved exactly in the squared coefficients;
-    anything else falls back to grid search.  Feasible answers are always
-    re-verified on the realized code (exchange operators included).
+    atoms.  Sign-definite constraints give certified infeasibility.  Then
+    ``_solve_exact`` takes candidate squares from the diagonal constraints
+    and the norm, and signs under which every constraint vanishes exactly;
+    its infeasible verdicts carry an exact certificate.  Only a row whose
+    squares are not pinned, with constraints mixing coefficients and no
+    candidate that works, falls back to grid search.  Feasible answers are
+    always re-verified on the realized code (exchange operators included).
     """
     if len(pattern.word0) > MAX_WEIGHTS_PER_WORD or len(pattern.word1) > MAX_WEIGHTS_PER_WORD:
         raise CapabilityError(
@@ -640,30 +651,19 @@ def solve_coefficients(
         )
     fams = tuple(families)
     constraints, names, keys = _assemble_constraints(pattern, fams)
-    notes = []
+    forced = _forced_zero_analysis(constraints, names, keys)
+    if forced is not None:
+        result = SolverResult(pattern, fams, False, "sign-definite", None, None, None, forced)
+    else:
+        result = _solve_exact(pattern, constraints, names, keys, fams) or _grid_search(
+            pattern, constraints, names, keys, fams
+        )
     if "exchange" in fams:
-        notes.append(
+        note = (
             "exchange operators fix weight-orbit words, so they add no "
             "constraints; feasibility matches the exchange-free run"
         )
-    forced = _forced_zero_analysis(constraints, names, keys)
-    if forced is not None:
-        text, _ = forced
-        result = SolverResult(
-            pattern, fams, False, "sign-definite", None, None, None, text,
-            tuple(notes),
-        )
-        return result
-    if all(con.is_diagonal() for con in constraints):
-        result = _solve_diagonal(pattern, constraints, names, keys, fams)
-    else:
-        result = _grid_search(pattern, constraints, names, keys, fams)
-    if notes:
-        result = SolverResult(
-            result.pattern, result.families, result.feasible, result.method,
-            result.coefficients, result.squares, result.residual,
-            result.certificate, tuple(notes) + result.notes,
-        )
+        result = replace(result, notes=(note, *result.notes))
     return result
 
 
@@ -692,10 +692,8 @@ def survey_patterns(
     for size in range(1, max_weights + 1):
         for combo in combinations(range(n + 1), size):
             mirror = tuple(sorted(n - k for k in combo))
-            if set(combo) & set(mirror):
-                continue
             key = min(combo, mirror)
-            if key in seen:
+            if set(combo) & set(mirror) or key in seen:
                 continue
             seen.add(key)
             patterns.append(SupportPattern(n, frozenset(combo), frozenset(mirror)))

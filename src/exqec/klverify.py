@@ -29,7 +29,7 @@ import scipy.linalg
 from .codes import Code, shor_code
 from .errorops import ErrorSet, ExchangeOp, PauliString, apply
 from .qstate import InnerProductValue, StateVector, _exact_gram, inner_product
-from ._linalg import rational_rank
+from ._linalg import surd_rank
 
 __all__ = [
     "GramTensor",
@@ -147,13 +147,17 @@ class DMatrix:
         )
 
     def rank(self, tol: float = DEFAULT_FLOAT_TOL) -> int:
-        """Exact rank when all entries are plain rationals, else float rank."""
-        try:
-            rows = [[v.as_fraction() for v in row] for row in self.entries]
-        except ValueError:
+        """Exact rank over the field of the exact entries, else float rank.
+
+        Repeated rows and columns (errors with equal images, such as the
+        exchanges on a permutation-invariant code) add no rank and are
+        dropped before ``surd_rank``.
+        """
+        if not all(v.is_exact for row in self.entries for v in row):
             m = self.to_float()
             return int(np.linalg.matrix_rank(m, tol=tol * max(1.0, float(np.abs(m).max()))))
-        return rational_rank(rows)
+        columns = dict.fromkeys(zip(*dict.fromkeys(self.entries)))
+        return surd_rank([[v.parts for v in col] for col in columns])
 
 
 @dataclass
@@ -199,6 +203,8 @@ def _excess(
     v: InnerProductValue, ref: InnerProductValue | None, tol: float
 ) -> InnerProductValue | None:
     """``v - ref`` (``v`` when ``ref`` is None) if it exceeds ``tol``, else None."""
+    if ref is not None and v.is_exact and v.parts == ref.parts:
+        return None  # exact parts are canonical: equal parts, zero difference
     d = v if ref is None else v.sub(ref)
     if tol == 0.0 and d.is_exact:
         return None if d.is_exact_zero() else d

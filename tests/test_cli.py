@@ -266,10 +266,10 @@ def test_output_is_deterministic(capsys):
             "48bd8e02b673cdaf3b24b39b494cc9a9948db6b560a3e7f891a7e00b87d5e296",
         ),
         (
-            # sign-definite, exact-linear and grid rows, exact gates
+            # sign-definite and exact-linear rows, exact gates
             "survey --n 9 --max-weights 2",
             0,
-            "0e8a83f6b7152a1a3cc3ca6d4d0ecb0298ce7b6137c5f532265230a02d414a3b",
+            "5aa9382f0d53b39fef56dc0774b3c38c23324188493ef7e20cf77f21391762ac",
         ),
         (
             "survey --n 7 --max-weights 2 --families phase",
@@ -279,7 +279,7 @@ def test_output_is_deterministic(capsys):
         (
             "search --n 7 --support0 0,5 --support1 2,7",
             0,
-            "9203e089694d75708f9d9903f0c8466d9c8b7161c4c381b5f2757a220c752699",
+            "6f47a576fc4bec47e29679608d4e72453ac8c28f2d7f446c486014c7cec0dd97",
         ),
     ],
 )
@@ -289,6 +289,19 @@ def test_output_matches_golden_digest(capsys, argv, rc, digest):
     got_rc, out, _ = invoke(capsys, *shlex.split(argv))
     assert got_rc == rc
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+def test_seven_qubit_survey_matches_golden_digest(capsys):
+    """The 32-pattern n=7 survey: its bytes, and the two facts a reader
+    checks first."""
+    rc, out, _ = invoke(capsys, "survey", "--n", "7", "--max-weights", "3")
+    assert rc == 0
+    assert "  patterns: 32\n" in out
+    assert out.endswith("  feasible-count: 5\n")
+    assert out.count("method: grid") <= 8
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "e30800a7ad73a4bf8d0f90255d21a3d8cd1aa291d5145ee28792b84801c803e9"
+    )
 
 
 # --------------------------------------------------------------- exit code 2

@@ -1,6 +1,8 @@
 from __future__ import annotations
 
+import re
 from fractions import Fraction
+from itertools import product
 
 import pytest
 from hypothesis import given, settings
@@ -204,18 +206,104 @@ def test_families_parameter_changes_the_answer():
 
 
 def test_seven_qubit_pattern_found_by_grid():
+    """The pattern the grid used to find is now pinned and signed exactly."""
     result = solve_coefficients(SupportPattern(7, {0, 5}, {2, 7}))
     assert result.feasible
-    assert result.method == "grid"
-    coeffs = result.coefficients
-    assert abs(coeffs[0]) == pytest.approx((3 / 10) ** 0.5, abs=1e-9)
-    assert abs(coeffs[5]) == pytest.approx((1 / 30) ** 0.5, abs=1e-9)
-    # the two word-0 coefficients take opposite signs
-    assert coeffs[0] * coeffs[5] < 0
+    assert result.method == "exact-linear"
+    assert result.squares == {
+        0: Fraction(3, 10),
+        5: Fraction(1, 30),
+        2: Fraction(1, 30),
+        7: Fraction(3, 10),
+    }
+    code = realize_code(result.pattern, result.coefficients, result.squares)
+    report = verify_kl(code, basic_error_set(7, families=("single_pauli", "exchange")))
+    assert report.correctable and report.tolerance == 0.0
+    assert report.rank == 22
+
+
+@pytest.mark.parametrize(
+    "n, word0, word1, lead, inner",
+    [
+        (9, {0, 7}, {2, 9}, Fraction(5, 14), Fraction(1, 56)),
+        (13, {0, 11}, {2, 13}, Fraction(9, 22), Fraction(1, 132)),
+    ],
+)
+def test_codes_the_grid_missed_are_found_exactly(n, word0, word1, lead, inner):
+    result = solve_coefficients(SupportPattern(n, word0, word1))
+    assert result.feasible
+    assert result.method == "exact-linear"
+    assert result.squares == {0: lead, n: lead, 2: inner, n - 2: inner}
+    assert result.residual == 0.0
+
+
+def test_underdetermined_squares_need_no_linear_program(monkeypatch):
+    """A diagonal system with a free square takes a nonnegative basic
+    solution; the float linear program it replaced is never called."""
+    import scipy.optimize
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("linprog called")
+
+    monkeypatch.setattr(scipy.optimize, "linprog", forbidden)
+    result = solve_coefficients(SupportPattern(9, {0, 3}, {6, 9}), families=("bitflip",))
+    assert result.feasible
+    assert result.method == "exact-linear"
+    assert result.squares == {0: 0, 3: Fraction(1, 84), 6: Fraction(1, 84), 9: 0}
+    assert result.notes == (
+        "zero squares at a_0, a_9: the code is the smaller pattern "
+        "n=9 weights {3} / {6} (complement-dual)",
+    )
+
+
+@pytest.mark.parametrize(
+    "word1, families, pinned",
+    [
+        ({3, 7}, ("single_pauli",), "a_0^2 = 1/8, a_4^2 = 1/40, a_3^2 = 1/40, a_7^2 = 1/8"),
+        # a_0 a_4 carries sqrt(105) and a_2 a_6 is rational: summing the surd
+        # parts together would accept a sign choice the exact gate rejects
+        ({2, 6}, ("bitflip", "phase"), "a_0^2 = 1/4, a_4^2 = 3/140, a_2^2 = 1/28, a_6^2 = 1/28"),
+    ],
+)
+def test_pinned_squares_without_a_sign_choice_are_infeasible(word1, families, pinned):
+    result = solve_coefficients(SupportPattern(7, {0, 4}, word1), families)
+    assert not result.feasible
+    assert result.method == "exact-linear"
+    assert result.squares is None
+    assert result.certificate == (
+        f"the squares are pinned ({pinned}) and no sign choice makes every "
+        "constraint vanish exactly"
+    )
+
+
+_PINNED = re.compile(r"a_(\d+)\^2 = (-?\d+(?:/\d+)?)")
+
+
+@pytest.mark.parametrize("n", range(5, 10))
+def test_exact_verdicts_agree_with_float_verification(n):
+    """Exact against float: every exact two-weight verdict is checked on
+    float codes.  A feasible code passes; for pinned squares with no sign
+    choice, every sign pattern on those squares fails."""
+    errors = basic_error_set(n)
+    rows = [r for r in survey_patterns(n, 2) if len(r.pattern.word0) == 2]
+    decided = [r for r in rows if r.method == "exact-linear"]
+    assert decided and all(r.method != "grid" for r in rows)
+    for r in decided:
+        if r.feasible:
+            code = realize_code(r.pattern, r.coefficients)
+            assert verify_kl(code, errors, tol=1e-9).correctable
+            continue
+        assert r.certificate.startswith("the squares are pinned")
+        squares = {int(k): float(Fraction(v)) for k, v in _PINNED.findall(r.certificate)}
+        weights = sorted(squares)
+        for signs in product((1, -1), repeat=len(weights)):
+            coeffs = {k: s * squares[k] ** 0.5 for k, s in zip(weights, signs)}
+            code = realize_code(r.pattern, coeffs)
+            assert not verify_kl(code, errors, tol=1e-9).correctable
 
 
 def test_seven_qubit_code_verifies_exactly():
-    """Regression: the n=7 grid discovery is a genuine exact code."""
+    """Regression: the n=7 discovery is a genuine exact code."""
     pattern = SupportPattern(7, {0, 5}, {2, 7})
     squares = {
         0: Fraction(3, 10),
@@ -259,7 +347,7 @@ def test_five_qubit_survey_is_all_infeasible():
     assert len(results) == 13
     assert all(not r.feasible for r in results)
     assert all(r.pattern.is_complement_dual for r in results)
-    assert {r.method for r in results} <= {"sign-definite", "exact-linear", "grid", "linear-program"}
+    assert {r.method for r in results} <= {"sign-definite", "exact-linear", "grid"}
     sizes = [len(r.pattern.word0) for r in results]
     assert sizes == sorted(sizes)
 
@@ -267,15 +355,21 @@ def test_five_qubit_survey_is_all_infeasible():
 def test_seven_qubit_survey_finds_the_discovery():
     results = survey_7bit()
     assert len(results) == 32
+    assert sum(r.method == "grid" for r in results) <= 8
     feasible = [r for r in results if r.feasible]
     assert len(feasible) == 5
     descriptions = {tuple(sorted(r.pattern.word0)) for r in feasible}
     assert (0, 5) in descriptions
-    # the larger feasible patterns are the same code with an unused weight
+    errors = basic_error_set(7, families=("single_pauli", "exchange"))
     for r in feasible:
-        extras = set(r.pattern.word0) - {0, 5} - {2, 7}
-        for k in extras:
-            assert r.coefficients[k] == pytest.approx(0.0, abs=1e-8)
+        assert r.method == "exact-linear"
+        code = realize_code(r.pattern, r.coefficients, r.squares)
+        assert verify_kl(code, errors, tol=0.0).correctable
+        # the larger feasible patterns are the same code with unused weights
+        extras = (r.pattern.word0 | r.pattern.word1) - {0, 5, 2, 7}
+        assert all(r.squares[k] == 0 for k in extras)
+        assert any("smaller pattern n=7 weights {0,5} / {2,7}" in note
+                   for note in r.notes) == bool(extras)
 
 
 def test_survey_pairs_each_pattern_with_its_mirror():

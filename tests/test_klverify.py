@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import dataclasses
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -9,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from exqec import klverify, qstate
-from exqec.codes import Code
+from exqec.codes import Code, parse_code
 from exqec.errorops import (
     ErrorSet,
     ExchangeOp,
@@ -456,3 +457,92 @@ def test_exchange_demo_phase_flips_act_identically_within_block(shor9):
         z8 = PauliString.single(9, "Z", 8).apply(w)
         z9 = PauliString.single(9, "Z", 9).apply(w)
         assert z7 == z8 == z9
+
+
+# ---------------------------------------------------------------- exact rank
+
+
+def test_surd_d_matrix_rank_is_exact(monkeypatch):
+    """D = [[3, 2 sqrt 2], [2 sqrt 2, 3]] on the X block has determinant 1;
+    its rank comes from elimination over Q(sqrt 2), not from numpy."""
+    code = parse_code("qubits: 3\nword 0:\n1 |000>\nsqrt(2) |011>\n")
+    errors = ErrorSet.from_ops(3, parse_error_ops("X1, X2, X3, X1 X2 X3", 3))
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("float rank used on an exact D matrix")
+
+    monkeypatch.setattr(np.linalg, "matrix_rank", forbidden)
+    report = verify_kl(code, errors)
+    assert report.correctable
+    assert str(report.d_matrix.entries[1][4]) == "2 sqrt(2)"
+    assert report.rank == 5
+
+
+def test_surd_rank_sees_what_float_tolerance_hides():
+    """[[p, q sqrt 2], [q sqrt 2, p]] with p^2 - 2 q^2 = 1 (p + q sqrt 2 =
+    (3 + 2 sqrt 2)^10) is invertible, but its small singular value lies far
+    below the float tolerance."""
+    p, q = 3, 2
+    for _ in range(9):
+        p, q = 3 * p + 4 * q, 2 * p + 3 * q
+    assert p * p - 2 * q * q == 1
+    diag = InnerProductValue.exact_rational(p)
+    off = InnerProductValue.exact({2: (Fraction(q), Fraction(0))})
+    d = DMatrix(((diag, off), (off, diag)), ("I", "X1"), ("identity", "bitflip"))
+    assert d.rank() == 2
+    m = d.to_float()
+    assert np.linalg.matrix_rank(m, tol=1e-9 * np.abs(m).max()) == 1
+
+
+_FIELD = st.dictionaries(
+    st.sampled_from([1, 2, 3, 6]),
+    st.tuples(st.integers(-2, 2), st.integers(-2, 2)),
+    max_size=2,
+)
+
+
+def _field_product(x, y):
+    """(sum (a + b i) sqrt r) * (sum (c + d i) sqrt s) as the same kind of dict."""
+    out = {}
+    for r, (a, b) in x.items():
+        for s, (c, d) in y.items():
+            g = math.gcd(r, s)
+            key = r * s // (g * g)
+            re, im = out.get(key, (0, 0))
+            out[key] = (re + g * (a * c - b * d), im + g * (a * d + b * c))
+    return out
+
+
+def _field_sum(values):
+    out = {}
+    for v in values:
+        for r, (a, b) in v.items():
+            re, im = out.get(r, (0, 0))
+            out[r] = (re + a, im + b)
+    return out
+
+
+@st.composite
+def _low_rank_matrices(draw):
+    """B C over Q(i, sqrt 2, sqrt 3), B rows x k and C k x cols."""
+    rows, inner, cols = draw(st.integers(1, 4)), draw(st.integers(1, 3)), draw(st.integers(1, 4))
+    b = [[draw(_FIELD) for _ in range(inner)] for _ in range(rows)]
+    c = [[draw(_FIELD) for _ in range(cols)] for _ in range(inner)]
+    return [
+        [_field_sum(_field_product(b[i][t], c[t][j]) for t in range(inner)) for j in range(cols)]
+        for i in range(rows)
+    ]
+
+
+@settings(max_examples=200, deadline=None)
+@given(_low_rank_matrices())
+def test_exact_d_matrix_rank_matches_numpy(matrix):
+    entries = tuple(
+        tuple(
+            InnerProductValue.exact({r: (Fraction(a), Fraction(b)) for r, (a, b) in v.items()})
+            for v in row
+        )
+        for row in matrix
+    )
+    d = DMatrix(entries, ("I",) * len(entries), ("identity",) * len(entries))
+    assert d.rank() == np.linalg.matrix_rank(d.to_float())

@@ -50,5 +50,19 @@ def test_solve_rational_is_exact(system):
     assert all(solution[c] == 0 for c in free)
 
 
+@settings(max_examples=200, deadline=None)
+@given(_system(), st.lists(st.integers(1, 12), min_size=5, max_size=5))
+def test_row_denominators_change_nothing(system, dens):
+    """Elimination scales each row to integers first; dividing row i of
+    ``A x = b`` by ``dens[i]`` keeps the rank and the solution."""
+    matrix, rhs = system
+    scaled = [[Fraction(a, d) for a in row] for row, d in zip(matrix, dens)]
+    scaled_rhs = [Fraction(b, d) for b, d in zip(rhs, dens)]
+    assert rational_rank(scaled) == rational_rank(_fractions(matrix))
+    assert solve_rational(scaled, scaled_rhs) == solve_rational(
+        _fractions(matrix), [Fraction(b) for b in rhs]
+    )
+
+
 def test_rational_rank_of_empty_matrix_is_zero():
     assert rational_rank([]) == 0
