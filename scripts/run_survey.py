@@ -2,10 +2,11 @@
 """Sweep all complement-dual weight patterns for an n-qubit register.
 
 Each pattern assigns Hamming-weight supports to the two codewords; the
-solver decides feasibility exactly where it can (sign-definite
-certificates, linear systems in the squared coefficients) and by verified
-grid search otherwise.  Feasible rows mean a genuine correctable code:
-every one has been re-checked through the full verifier.
+solver decides feasibility exactly (sign-definite certificates, linear
+systems in the squared coefficients, exact sign checks) and labels a row
+it cannot decide ``undecided``.  Feasible rows mean a genuine correctable
+code: every one has been re-checked through the full verifier in exact
+arithmetic, and every infeasible row carries an exact certificate.
 """
 
 from __future__ import annotations
@@ -29,15 +30,19 @@ def main() -> int:
 
     families = tuple(f for f in args.families.split("+") if f)
     results = survey_patterns(args.n, max_weights=args.max_weights, families=families)
-    feasible = 0
+    feasible = undecided = 0
     for result in results:
         feasible += result.feasible
-        mark = "FEASIBLE" if result.feasible else "infeasible"
+        undecided += result.method == "undecided"
+        if result.feasible:
+            mark = "FEASIBLE"
+        else:
+            mark = "undecided" if result.method == "undecided" else "infeasible"
         print(f"{result.pattern.describe():48} {mark:10} [{result.method}]")
         if args.verbose:
             for line in result.to_lines():
                 print("    " + line)
-    print(f"\n{len(results)} patterns, {feasible} feasible")
+    print(f"\n{len(results)} patterns, {feasible} feasible, {undecided} undecided")
     return 0
 
 

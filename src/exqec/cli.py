@@ -10,6 +10,7 @@ produce byte-identical output; all randomness is seeded.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from dataclasses import dataclass
 from pathlib import Path
@@ -306,8 +307,9 @@ def run(argv: list[str] | None = None) -> int:
             output=args.output,
             seed=args.seed,
         )
-        if config.tolerance is not None and config.tolerance < 0:
-            raise _UsageError("tolerance must be nonnegative")
+        tol = config.tolerance
+        if tol is not None and not (math.isfinite(tol) and tol >= 0):
+            raise _UsageError(f"tolerance must be finite and nonnegative, got {tol}")
         return _COMMANDS[args.command](args, config)
     except _UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -16,10 +16,10 @@ feasibility in one exact step: a constraint that is a positive combination
 of squares can force a word to zero (``sign-definite``); otherwise the
 diagonal constraints pin the squared coefficients or leave finitely many
 nonnegative basic solutions, and a finite choice of signs is checked in
-exact surd arithmetic (``exact-linear``).  Only rows that step leaves open
-go to grid search plus local refinement.  Every claimed-feasible result is
-re-verified by running the realized code through the correctability
-checker, exactly whenever its squares are exact.
+exact surd arithmetic (``exact-linear``).  A row that step leaves open is
+reported ``undecided``, never as infeasible.  Every feasible result has
+exact squares and is re-verified by running the realized code through the
+correctability checker in exact arithmetic at tolerance 0.
 """
 
 from __future__ import annotations
@@ -31,13 +31,12 @@ from itertools import combinations, product
 from typing import Mapping, Sequence
 
 import numpy as np
-import scipy.optimize
 
 from ._linalg import solve_rational
 from .codes import Code, PermInvariantSpec, perm_invariant_code
 from .errors import CapabilityError
 from .errorops import ErrorOperator, ErrorSet, IdentityOp, basic_error_set
-from .klverify import DEFAULT_FLOAT_TOL, verify_kl
+from .klverify import verify_kl
 from .qstate import Amplitude, StateVector, _check_n, orbit_sum, squarefree_split
 
 __all__ = [
@@ -54,9 +53,6 @@ __all__ = [
 ]
 
 MAX_WEIGHTS_PER_WORD = 4
-
-GRID_SPAN = 10.0
-GRID_REFINEMENTS = 3
 
 
 def _check_args(n: int, kappa: int, min_n: int = 2) -> None:
@@ -285,19 +281,23 @@ def _assemble_constraints(
 class SolverResult:
     pattern: SupportPattern
     families: tuple[str, ...]
-    feasible: bool
-    method: str  # sign-definite | exact-linear | grid
+    feasible: bool  # False for an undecided row as well
+    # sign-definite: infeasible, a sign-definite constraint zeroes a word;
+    # exact-linear: exact squares and signs, or an exact certificate;
+    # undecided: the exact step proves neither; no certificate
+    method: str
     coefficients: dict[int, float] | None  # weight -> value, scale-free
-    squares: dict[int, Fraction] | None  # exact squared values when known
+    squares: dict[int, Fraction] | None  # exact squared values of a feasible row
     residual: float | None
     certificate: str | None
     notes: tuple[str, ...] = ()
 
     def to_lines(self) -> list[str]:
+        verdict = "undecided" if self.method == "undecided" else str(self.feasible).lower()
         lines = [
             f"pattern: {self.pattern.describe()}",
             f"families: {'+'.join(self.families)}",
-            f"feasible: {str(self.feasible).lower()}",
+            f"feasible: {verdict}",
             f"method: {self.method}",
         ]
         if self.coefficients is not None:
@@ -359,22 +359,19 @@ def _gate(
     pattern: SupportPattern,
     families: Sequence[str],
     coefficients: dict[int, float],
-    squares: dict[int, Fraction] | None,
-) -> tuple[bool, float]:
-    """Re-verify a candidate through the full correctability checker.
+    squares: dict[int, Fraction],
+) -> bool:
+    """Re-verify exact candidate squares through the full correctability
+    checker, in exact arithmetic at tolerance 0.
 
     Exchange operators are always included: they fix every weight-orbit
     word, so they cost nothing and confirm the pattern's built-in
-    immunity.  Returns (passed, worst violation magnitude).
+    immunity.
     """
     code = realize_code(pattern, coefficients, squares)
     exchanges = basic_error_set(pattern.n, ("exchange",)).ops
     errors = ErrorSet(pattern.n, (*exchanges, *_family_ops(pattern.n, families)))
-    if squares is None:
-        code = code.to_float()
-    report = verify_kl(code, errors, tol=None if squares else DEFAULT_FLOAT_TOL)
-    worst = max((v.magnitude for v in report.violations), default=0.0)
-    return report.correctable, worst
+    return verify_kl(code, errors).correctable
 
 
 def _forced_zero_analysis(
@@ -451,15 +448,16 @@ def _solve_exact(
     names: list[str],
     keys: list[tuple[int, int]],
     families: tuple[str, ...],
-) -> SolverResult | None:
+) -> SolverResult:
     """Exact path: candidate squares from the diagonal constraints, then signs.
 
     The diagonal constraints and the word-0 norm are linear in the squares
     s_i = a_i^2.  Their unique solution, or else each nonnegative basic
     solution (len(free) squares set to zero), is a candidate; the first
-    candidate with a sign choice that zeroes every constraint exactly is
-    confirmed by the exact gate.  Returns None when the squares are not
-    pinned, some constraint mixes coefficients and no candidate works.
+    candidate with a sign choice that zeroes every constraint exactly and
+    passes the exact gate is the code.  Without one the row is infeasible
+    when that is proved (inconsistent system, no nonnegative candidate, or
+    pinned squares without a sign choice) and undecided otherwise.
     """
     d = len(keys)
     rows = [
@@ -472,6 +470,9 @@ def _solve_exact(
 
     def infeasible(text: str) -> SolverResult:
         return SolverResult(pattern, families, False, "exact-linear", None, None, None, text)
+
+    def undecided(text: str) -> SolverResult:
+        return SolverResult(pattern, families, False, "undecided", None, None, None, None, (text,))
 
     status, solution, free = solve_rational(rows, rhs)
     if status == "inconsistent":
@@ -493,18 +494,17 @@ def _solve_exact(
             basic = [part[kept.index(p)] if p in kept else Fraction(0) for p in range(d)]
             if basic not in candidates:
                 candidates.append(basic)
+
+    rejected = False
     for cand in candidates:
         sign = _signs(constraints, keys, cand)
         if sign is None:
             continue
         squares = {k: cand[pos] for pos, (_, k) in enumerate(keys)}
         coefficients = {k: sign[pos] * math.sqrt(cand[pos]) for pos, (_, k) in enumerate(keys)}
-        ok, worst = _gate(pattern, families, coefficients, squares)
-        if not ok:
-            return SolverResult(
-                pattern, families, False, "exact-linear", coefficients, squares, worst,
-                None, ("exact candidate failed full re-verification",),
-            )
+        if not _gate(pattern, families, coefficients, squares):
+            rejected = True
+            continue
         unused = {k for k, s in squares.items() if not s}
         used = SupportPattern(pattern.n, pattern.word0 - unused, pattern.word1 - unused)
         zeros = ", ".join(f"a_{k}" for k in sorted(unused))
@@ -513,6 +513,11 @@ def _solve_exact(
         ) if unused else ()
         return SolverResult(
             pattern, families, True, "exact-linear", coefficients, squares, 0.0, None, notes
+        )
+    if rejected:
+        return undecided(
+            "a candidate whose sign choice makes every constraint vanish exactly "
+            "failed full re-verification, and no other candidate works"
         )
     if not candidates:
         return infeasible(
@@ -525,109 +530,10 @@ def _solve_exact(
             f"the squares are pinned ({pinned}) and no sign choice makes every "
             "constraint vanish exactly"
         )
-    return None
-
-
-def _grid_points(free_dims: int) -> int:
-    if free_dims <= 3:
-        return 101
-    if free_dims == 4:
-        return 21
-    return 9
-
-
-def _grid_search(
-    pattern: SupportPattern,
-    constraints: list[_Constraint],
-    names: list[str],
-    keys: list[tuple[int, int]],
-    families: Sequence[str],
-) -> SolverResult:
-    """Numerical path: grid over coefficient ratios, then local refinement.
-
-    The leading coefficient of each word is pinned to 1 (patterns declare
-    their weights nonzero, and per-word global sign is immaterial), word 1
-    carries a scale factor chosen to equalize the two squared norms, and
-    the remaining ratios sweep [-span, span].
-    """
-    n = pattern.n
-    d = len(keys)
-    word0_len = len(pattern.word0)
-    free = [pos for pos in range(d) if pos not in (0, word0_len)]
-    f = len(free)
-
-    mask = np.array([float(w) for w, _ in keys])  # 1 on word-1 positions
-    norm1 = np.array([float(math.comb(n, k)) for _, k in keys]) * mask
-    norm0 = np.array([float(math.comb(n, k)) for _, k in keys]) - norm1
-
-    con_terms = [[(i, j, float(c)) for i, j, c in con.terms] for con in constraints]
-
-    def residuals(points: np.ndarray) -> np.ndarray:
-        """points: (P, d) full coefficient vectors -> (P,) max |constraint|."""
-        worst = np.zeros(len(points))
-        for terms in con_terms:
-            val = np.zeros(len(points))
-            for i, j, c in terms:
-                val += c * points[:, i] * points[:, j]
-            np.maximum(worst, np.abs(val), out=worst)
-        return worst
-
-    def expand(ratios: np.ndarray) -> np.ndarray:
-        """ratios: (P, f) -> (P, d) with pins and norm-balancing scale."""
-        pts = np.ones((len(ratios), d))
-        pts[:, free] = ratios
-        n0 = (pts * pts) @ norm0
-        n1 = (pts * pts) @ norm1
-        scale = np.sqrt(n0 / n1)
-        return pts * (1 + (scale[:, None] - 1) * mask[None, :])
-
-    centers = np.zeros(f)
-    span = GRID_SPAN
-    best_pt = expand(centers[None, :])[0]
-    best_res = float(residuals(best_pt[None, :])[0])
-    points_per_dim = _grid_points(f)
-    for _ in range(GRID_REFINEMENTS + 1):
-        if f == 0:
-            break
-        axes = [np.linspace(c - span, c + span, points_per_dim) for c in centers]
-        mesh = np.meshgrid(*axes, indexing="ij")
-        ratios = np.stack([m.ravel() for m in mesh], axis=1)
-        pts = expand(ratios)
-        res = residuals(pts)
-        arg = int(np.argmin(res))
-        if res[arg] < best_res:
-            best_res = float(res[arg])
-            best_pt = pts[arg]
-            centers = ratios[arg]
-        span /= 10.0
-
-    def vector_residuals(x: np.ndarray) -> np.ndarray:
-        out = [sum(c * x[i] * x[j] for i, j, c in terms) for terms in con_terms]
-        out.append(float((x * x) @ norm0 - 1.0))
-        return np.asarray(out)
-
-    start = best_pt / math.sqrt(float((best_pt * best_pt) @ norm0))
-    fit = scipy.optimize.least_squares(vector_residuals, start, xtol=1e-15, ftol=1e-15)
-    x = fit.x
-    polished = float(np.max(np.abs(vector_residuals(x)[:-1]))) if con_terms else 0.0
-    coefficients = {k: float(x[pos]) for pos, (_, k) in enumerate(keys)}
-    resolution = 2 * GRID_SPAN / (points_per_dim - 1) / 10**GRID_REFINEMENTS if f else 0.0
-    if polished < 1e-10:
-        ok, worst = _gate(pattern, families, coefficients, None)
-        if ok:
-            return SolverResult(
-                pattern, tuple(families), True, "grid",
-                coefficients, None, polished, None,
-                (f"grid {points_per_dim} points/dim over [-{GRID_SPAN:g}, "
-                 f"{GRID_SPAN:g}], {GRID_REFINEMENTS} refinements, "
-                 "least-squares polish, full re-verification",),
-            )
-    return SolverResult(
-        pattern, tuple(families), False, "grid", None, None,
-        min(best_res, polished), None,
-        (f"no solution found down to ratio resolution {resolution:g} "
-         f"(best residual {min(best_res, polished):.3g}); numerical "
-         "evidence, not a proof",),
+    return undecided(
+        "the squares are not pinned, and no nonnegative basic solution of the "
+        "linear system in the squared coefficients admits a sign choice that "
+        "makes every constraint vanish exactly"
     )
 
 
@@ -639,11 +545,12 @@ def solve_coefficients(
     The constraint system is assembled exactly from single-orbit Gram
     atoms.  Sign-definite constraints give certified infeasibility.  Then
     ``_solve_exact`` takes candidate squares from the diagonal constraints
-    and the norm, and signs under which every constraint vanishes exactly;
-    its infeasible verdicts carry an exact certificate.  Only a row whose
-    squares are not pinned, with constraints mixing coefficients and no
-    candidate that works, falls back to grid search.  Feasible answers are
-    always re-verified on the realized code (exchange operators included).
+    and the norm, and signs under which every constraint vanishes exactly.
+    Every verdict is exact: a feasible answer carries exact squares and
+    passes the exact gate on the realized code (exchange operators
+    included), and an infeasible one carries an exact certificate.  A row
+    this step cannot decide has method ``undecided``, ``feasible`` False,
+    no certificate and a note saying why.
     """
     if len(pattern.word0) > MAX_WEIGHTS_PER_WORD or len(pattern.word1) > MAX_WEIGHTS_PER_WORD:
         raise CapabilityError(
@@ -655,9 +562,7 @@ def solve_coefficients(
     if forced is not None:
         result = SolverResult(pattern, fams, False, "sign-definite", None, None, None, forced)
     else:
-        result = _solve_exact(pattern, constraints, names, keys, fams) or _grid_search(
-            pattern, constraints, names, keys, fams
-        )
+        result = _solve_exact(pattern, constraints, names, keys, fams)
     if "exchange" in fams:
         note = (
             "exchange operators fix weight-orbit words, so they add no "

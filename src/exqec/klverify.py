@@ -193,8 +193,9 @@ class KLReport:
 
 def _resolve_tol(code: Code, tol: float | None) -> float:
     if tol is not None:
-        if tol < 0:
-            raise ValueError("tolerance must be nonnegative")
+        # a nan bound makes every comparison False, so nothing would exceed it
+        if not (math.isfinite(tol) and tol >= 0):
+            raise ValueError(f"tolerance must be finite and nonnegative, got {tol}")
         return tol
     return 0.0 if code.mode == "exact" else DEFAULT_FLOAT_TOL
 

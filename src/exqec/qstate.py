@@ -23,7 +23,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -380,13 +380,25 @@ class QubitPermutation:
             inv[dest - 1] = j
         return QubitPermutation(tuple(inv))
 
+    @cached_property
+    def _moves(self) -> tuple[int, tuple[tuple[int, int], ...]]:
+        """(mask of the fixed qubits' bits, (source bit, target bit) per moved qubit)."""
+        n = self.n
+        fixed, moves = 0, []
+        for j, dest in enumerate(self.image, start=1):
+            if j == dest:
+                fixed |= 1 << (n - j)
+            else:
+                moves.append((1 << (n - j), 1 << (n - dest)))
+        return fixed, tuple(moves)
+
     def apply_index(self, index: int) -> int:
         """Move every bit of a basis index to its image position."""
-        n = self.n
-        out = 0
-        for j, dest in enumerate(self.image, start=1):
-            if (index >> (n - j)) & 1:
-                out |= 1 << (n - dest)
+        fixed, moves = self._moves
+        out = index & fixed
+        for source, target in moves:
+            if index & source:
+                out |= target
         return out
 
 

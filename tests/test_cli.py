@@ -157,6 +157,16 @@ def test_search_infeasible(capsys):
     assert "method: sign-definite" in out
 
 
+def test_search_undecided_exits_one(capsys):
+    rc, out, _ = invoke(
+        capsys, "search", "--n", "5", "--support0", "0,1,3", "--support1", "2,4,5"
+    )
+    assert rc == 1
+    assert "  feasible: undecided\n  method: undecided\n" in out
+    assert "the squares are not pinned" in out
+    assert "certificate:" not in out
+
+
 def test_survey_small(capsys):
     rc, out, _ = invoke(capsys, "survey", "--n", "4", "--max-weights", "1")
     assert rc == 0
@@ -298,9 +308,10 @@ def test_seven_qubit_survey_matches_golden_digest(capsys):
     assert rc == 0
     assert "  patterns: 32\n" in out
     assert out.endswith("  feasible-count: 5\n")
-    assert out.count("method: grid") <= 8
+    assert out.count("feasible: undecided") == 8
+    assert out.count("feasible: true") == 5
     assert hashlib.sha256(out.encode()).hexdigest() == (
-        "e30800a7ad73a4bf8d0f90255d21a3d8cd1aa291d5145ee28792b84801c803e9"
+        "704b7930428a4fc0b56144f338e16696bfb50875d28c699df2243c17c62921af"
     )
 
 
@@ -354,6 +365,19 @@ def test_negative_tolerance_is_usage_error(capsys):
     rc, _, err = invoke(capsys, "--tol", "-1", "verify", "--code", "rep3")
     assert rc == 2
     assert "tolerance" in err
+
+
+@pytest.mark.parametrize("mode", ["exact", "float"])
+@pytest.mark.parametrize("tol", ["nan", "inf"])
+def test_non_finite_tolerance_is_usage_error(capsys, mode, tol):
+    """A nan bound would make every comparison False and pass shor9."""
+    rc, out, err = invoke(
+        capsys, "--mode", mode, "--tol", tol,
+        "verify", "--code", "shor9", "--errors", "pauli+exchange",
+    )
+    assert rc == 2
+    assert out == ""
+    assert "tolerance must be finite and nonnegative" in err
 
 
 def test_overlapping_supports_are_usage_error(capsys):

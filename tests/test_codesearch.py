@@ -1,14 +1,19 @@
 from __future__ import annotations
 
+import os
 import re
+import subprocess
+import sys
 from fractions import Fraction
 from itertools import product
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from exqec import codesearch, qstate
+from exqec.codes import Code
 from exqec.codesearch import (
     MAX_WEIGHTS_PER_WORD,
     SupportPattern,
@@ -287,7 +292,7 @@ def test_exact_verdicts_agree_with_float_verification(n):
     errors = basic_error_set(n)
     rows = [r for r in survey_patterns(n, 2) if len(r.pattern.word0) == 2]
     decided = [r for r in rows if r.method == "exact-linear"]
-    assert decided and all(r.method != "grid" for r in rows)
+    assert decided and all(r.method != "undecided" for r in rows)
     for r in decided:
         if r.feasible:
             code = realize_code(r.pattern, r.coefficients)
@@ -343,11 +348,21 @@ def test_weight_budget_is_enforced():
 
 
 def test_five_qubit_survey_is_all_infeasible():
+    """No n=5 pattern is feasible: 10 rows are certified infeasible and the
+    exact step leaves 3 three-weight rows undecided."""
     results = survey_patterns(5)
     assert len(results) == 13
     assert all(not r.feasible for r in results)
     assert all(r.pattern.is_complement_dual for r in results)
-    assert {r.method for r in results} <= {"sign-definite", "exact-linear", "grid"}
+    certified = [r for r in results if r.method in ("sign-definite", "exact-linear")]
+    undecided = [r for r in results if r.method == "undecided"]
+    assert len(certified) == 10 and all(r.certificate for r in certified)
+    assert len(undecided) == 3
+    for r in undecided:
+        assert len(r.pattern.word0) == 3
+        assert r.certificate is None and r.squares is None
+        assert "feasible: undecided" in r.to_lines()
+        assert "note: the squares are not pinned" in r.to_lines()[-1]
     sizes = [len(r.pattern.word0) for r in results]
     assert sizes == sorted(sizes)
 
@@ -355,7 +370,7 @@ def test_five_qubit_survey_is_all_infeasible():
 def test_seven_qubit_survey_finds_the_discovery():
     results = survey_7bit()
     assert len(results) == 32
-    assert sum(r.method == "grid" for r in results) <= 8
+    assert sum(r.method == "undecided" for r in results) == 8
     feasible = [r for r in results if r.feasible]
     assert len(feasible) == 5
     descriptions = {tuple(sorted(r.pattern.word0)) for r in feasible}
@@ -376,3 +391,60 @@ def test_survey_pairs_each_pattern_with_its_mirror():
     results = survey_patterns(4, max_weights=1)
     seen = {(tuple(sorted(r.pattern.word0)), tuple(sorted(r.pattern.word1))) for r in results}
     assert seen == {((0,), (4,)), ((1,), (3,))}  # weight 2 mirrors onto itself
+
+
+@pytest.mark.parametrize(
+    "survey", [survey_7bit, lambda: survey_patterns(9, 2)], ids=["n7", "n9"]
+)
+def test_survey_verdicts_are_exact(monkeypatch, survey):
+    """No verdict touches float arithmetic: a feasible row has exact squares,
+    an infeasible one an exact certificate, and a row the exact step cannot
+    decide says so instead of offering numerical evidence."""
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("the solver built a float code")
+
+    monkeypatch.setattr(Code, "to_float", forbidden)
+    monkeypatch.setattr(StateVector, "to_float", forbidden)
+    for r in survey():
+        lines = r.to_lines()
+        assert not any("numerical evidence" in line for line in lines)
+        if r.feasible:
+            assert r.squares and all(isinstance(v, Fraction) for v in r.squares.values())
+        elif "feasible: false" in lines:
+            assert any(line.startswith("certificate: ") for line in lines)
+        else:
+            assert r.method == "undecided" and "feasible: undecided" in lines
+
+
+def test_candidate_failing_the_gate_leaves_the_row_undecided(monkeypatch):
+    """A sign choice the full checker rejects certifies nothing: the pinned
+    n=7 code becomes undecided, not infeasible."""
+    monkeypatch.setattr(codesearch, "_gate", lambda *args: False)
+    result = solve_coefficients(SupportPattern(7, {0, 5}, {2, 7}))
+    assert not result.feasible
+    assert result.method == "undecided"
+    assert result.certificate is None and result.squares is None
+    assert result.notes == (
+        "a candidate whose sign choice makes every constraint vanish exactly "
+        "failed full re-verification, and no other candidate works",
+    )
+
+
+def test_import_leaves_scipy_optimize_unloaded():
+    """Neither the import nor a solve (feasible, undecided) loads it."""
+    code = (
+        "import sys, exqec\n"
+        "loaded = 'scipy.optimize' in sys.modules\n"
+        "exqec.solve_coefficients(exqec.SupportPattern(7, {0, 5}, {2, 7}))\n"
+        "exqec.solve_coefficients(exqec.SupportPattern(5, {0, 1, 3}, {2, 4, 5}))\n"
+        "print(loaded, 'scipy.optimize' in sys.modules)"
+    )
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join([src, *filter(None, [env.get("PYTHONPATH")])])
+    done = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=120
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "False False\n"

@@ -255,6 +255,17 @@ def test_tolerance_override_accepts_perturbation(ruskai9, full_error_set_9):
     assert verify_kl(nearly, full_error_set_9, tol=1e-6).correctable
 
 
+@pytest.mark.parametrize("tol", [math.nan, math.inf, -1.0])
+@pytest.mark.parametrize("float_mode", [False, True])
+def test_tolerance_must_be_finite_and_nonnegative(shor9, full_error_set_9, tol, float_mode):
+    """Every ``magnitude > nan`` is False, so a nan bound would pass shor9."""
+    code = shor9.to_float() if float_mode else shor9
+    with pytest.raises(ValueError, match="tolerance must be finite and nonnegative"):
+        verify_kl(code, full_error_set_9, tol=tol)
+    with pytest.raises(ValueError, match="tolerance must be finite and nonnegative"):
+        verify_kl_extended([code], full_error_set_9, tol=tol)
+
+
 # ------------------------------------------------------------ extended check
 
 

@@ -17,6 +17,7 @@ ROOT = Path(__file__).resolve().parents[1]
     [
         ("verify_dual_orbit.py", "total rank: 28"),
         ("exchange_vs_blocks.py", "remainder-fraction: 0.5"),
+        ("run_survey.py --n 5 --max-weights 3", "13 patterns, 0 feasible, 3 undecided"),
     ],
 )
 def test_script_runs(script, expected):
@@ -24,8 +25,9 @@ def test_script_runs(script, expected):
     env["PYTHONPATH"] = os.pathsep.join(
         [str(ROOT / "src"), *filter(None, [env.get("PYTHONPATH")])]
     )
+    name, *args = script.split()
     done = subprocess.run(
-        [sys.executable, str(ROOT / "scripts" / script)],
+        [sys.executable, str(ROOT / "scripts" / name), *args],
         capture_output=True,
         text=True,
         env=env,
