@@ -12,6 +12,7 @@ arithmetic, and every infeasible row carries an exact certificate.
 from __future__ import annotations
 
 import argparse
+import sys
 
 from exqec import survey_patterns
 
@@ -29,7 +30,13 @@ def main() -> int:
     args = parser.parse_args()
 
     families = tuple(f for f in args.families.split("+") if f)
-    results = survey_patterns(args.n, max_weights=args.max_weights, families=families)
+    try:
+        if not families:
+            raise ValueError("at least one error family is required")
+        results = survey_patterns(args.n, max_weights=args.max_weights, families=families)
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     feasible = undecided = 0
     for result in results:
         feasible += result.feasible

@@ -11,7 +11,11 @@ The correctability conditions then become quadratic equations in the
 coefficients.  Every coefficient of those equations is one Gram atom
 <O_kappa | E O_mu> between two orbit sums, with E = p^-1 q for a pair of
 errors; it is an exact binomial sum in closed form (``_orbit_atom``), so
-the system is assembled without building a state.  The module then decides
+the system is assembled without building a state.  An atom depends on E
+only through its Pauli class (phase and the sizes of its Y-, X- and
+Z-type supports), so assembly evaluates one atom per class, and the first
+error pair of a class names the constraint it yields; the work per pattern
+does not grow with n.  The module then decides
 feasibility in one exact step: a constraint that is a positive combination
 of squares can force a word to zero (``sign-definite``); otherwise the
 diagonal constraints pin the squared coefficients or leave finitely many
@@ -189,9 +193,10 @@ _FAMILY_OPS = {
 }
 
 
-def _family_ops(n: int, families: Sequence[str]) -> list[ErrorOperator]:
-    """Single-qubit Paulis of the families, kind by kind; exchange adds none."""
-    kinds = []
+def _family_ops(n: int, families: Sequence[str], top: int) -> list[ErrorOperator]:
+    """Single-qubit Paulis of the families on qubits 1..top, kind by kind,
+    each kind once in first-seen order; exchange adds none."""
+    kinds: list[str] = []
     for fam in families:
         if fam == "exchange":
             continue
@@ -200,8 +205,8 @@ def _family_ops(n: int, families: Sequence[str]) -> list[ErrorOperator]:
                 f"unknown error family {fam!r}; pick from "
                 f"{sorted(_FAMILY_OPS) + ['exchange']}"
             )
-        kinds.extend(_FAMILY_OPS[fam])
-    return [ErrorOperator.single(n, kind, k) for kind in kinds for k in range(1, n + 1)]
+        kinds.extend(kind for kind in _FAMILY_OPS[fam] if kind not in kinds)
+    return [ErrorOperator.single(n, kind, k) for kind in kinds for k in range(1, top + 1)]
 
 
 def _canonical(terms: dict[tuple[int, int], int]) -> tuple | None:
@@ -221,59 +226,53 @@ def _assemble_constraints(
 
     Returns (constraints, variable names, variable keys) where each key
     is (word, weight) in variable order and names render as a_kappa.
+
+    The equations come from the ordered error pairs (p, q): pairs with
+    p <= q make the two word blocks agree, and all pairs make the cross
+    block vanish.  An atom sees E = p^-1 q only through its Pauli class
+    (phase, |x&z|, |x&~z|, |z&~x|), so each class is evaluated once, and
+    its first pair in that order names the constraint's origin.  Lowering
+    the qubit indices of a pair to 1 and 2 keeps its class and never
+    moves it later, so that first pair always acts on qubits 1 and 2 only.
     """
     n = pattern.n
     keys = [(0, k) for k in sorted(pattern.word0)]
     keys += [(1, k) for k in sorted(pattern.word1)]
     index = {key: pos for pos, key in enumerate(keys)}
     names = [f"a_{k}" for _, k in keys]
-    ops = [IdentityOp(n), *_family_ops(n, families)]
+    ops = [IdentityOp(n), *_family_ops(n, families, min(n, 2))]
+    pairs = [(True, p, q) for a, p in enumerate(ops) for q in ops[a:]]
+    pairs += [(False, p, q) for p in ops for q in ops]
+
+    classes: dict[tuple, tuple[ErrorOperator, str]] = {}
+    for block, p, q in pairs:
+        e = p.inverse().compose(q)
+        x, z = e.x_mask, e.z_mask
+        cls = (block, e.phase, (x & z).bit_count(), (x & ~z).bit_count(), (z & ~x).bit_count())
+        if cls not in classes:
+            classes[cls] = e, (
+                f"word blocks must agree at <{p.label()} w, {q.label()} w>" if block
+                else f"<{p.label()} w0, {q.label()} w1> must vanish"
+            )
 
     seen: dict[tuple, _Constraint] = {}
-
-    def push(terms: dict[tuple[int, int], int], origin: str) -> None:
-        canon = _canonical(terms)
-        if canon is not None and canon not in seen:
-            seen[canon] = _Constraint(canon, origin)
-
-    def accumulate(dest, i, j, value):
-        key = (i, j) if i <= j else (j, i)
-        dest[key] = dest.get(key, 0) + value
-
-    for a, p in enumerate(ops):
-        for q in ops[a:]:
-            e = p.inverse().compose(q)
-            re_terms: dict[tuple[int, int], int] = {}
-            im_terms: dict[tuple[int, int], int] = {}
-            for word, sign in ((0, 1), (1, -1)):
-                weights = pattern.word0 if word == 0 else pattern.word1
-                for ka in weights:
-                    for mu in weights:
-                        re, im = _orbit_atom(e, ka, mu)
-                        i, j = index[(word, ka)], index[(word, mu)]
-                        if re:
-                            accumulate(re_terms, i, j, sign * re)
-                        if im:
-                            accumulate(im_terms, i, j, sign * im)
-            origin = f"word blocks must agree at <{p.label()} w, {q.label()} w>"
-            push(re_terms, origin)
-            push(im_terms, origin + " (imaginary part)")
-    for p in ops:
-        for q in ops:
-            e = p.inverse().compose(q)
-            re_terms = {}
-            im_terms = {}
-            for ka in pattern.word0:
-                for mu in pattern.word1:
-                    re, im = _orbit_atom(e, ka, mu)
-                    i, j = index[(0, ka)], index[(1, mu)]
-                    if re:
-                        accumulate(re_terms, i, j, re)
-                    if im:
-                        accumulate(im_terms, i, j, im)
-            origin = f"<{p.label()} w0, {q.label()} w1> must vanish"
-            push(re_terms, origin)
-            push(im_terms, origin + " (imaginary part)")
+    words = (pattern.word0, pattern.word1)
+    for (block, *_), (e, origin) in classes.items():
+        # (row word, column word, sign): the two blocks' difference, or the cross block
+        parts = ((0, 0, 1), (1, 1, -1)) if block else ((0, 1, 1),)
+        re_terms: dict[tuple[int, int], int] = {}
+        im_terms: dict[tuple[int, int], int] = {}
+        for wa, wb, sign in parts:
+            for ka in words[wa]:
+                for mu in words[wb]:
+                    i, j = sorted((index[(wa, ka)], index[(wb, mu)]))
+                    for dest, value in zip((re_terms, im_terms), _orbit_atom(e, ka, mu)):
+                        if value:
+                            dest[i, j] = dest.get((i, j), 0) + sign * value
+        for terms, suffix in ((re_terms, ""), (im_terms, " (imaginary part)")):
+            canon = _canonical(terms)
+            if canon is not None and canon not in seen:
+                seen[canon] = _Constraint(canon, origin + suffix)
     return list(seen.values()), names, keys
 
 
@@ -370,7 +369,7 @@ def _gate(
     """
     code = realize_code(pattern, coefficients, squares)
     exchanges = basic_error_set(pattern.n, ("exchange",)).ops
-    errors = ErrorSet(pattern.n, (*exchanges, *_family_ops(pattern.n, families)))
+    errors = ErrorSet(pattern.n, (*exchanges, *_family_ops(pattern.n, families, pattern.n)))
     return verify_kl(code, errors).correctable
 
 

@@ -291,6 +291,21 @@ def test_output_is_deterministic(capsys):
             0,
             "6f47a576fc4bec47e29679608d4e72453ac8c28f2d7f446c486014c7cec0dd97",
         ),
+        (
+            "survey --n 5 --max-weights 3",
+            0,
+            "a9d5dda362d1f9dec1652a0285dcd16c79bb3bddd6833611c9db288e3cf2cfbc",
+        ),
+        (
+            "survey --n 8 --max-weights 3 --families bitflip+phase",
+            0,
+            "bb02537cccc4c1092da7e6d042be163f2105787d5455b9d228c675e9cd907d09",
+        ),
+        (
+            "survey --n 7 --max-weights 2 --families single_pauli+exchange",
+            0,
+            "338b278ba0966abdf71f53e26bd9a8d3494061d98a2b2c742f0b958c11411c35",
+        ),
     ],
 )
 def test_output_matches_golden_digest(capsys, argv, rc, digest):

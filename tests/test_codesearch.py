@@ -4,6 +4,7 @@ import os
 import re
 import subprocess
 import sys
+from collections import Counter
 from fractions import Fraction
 from itertools import product
 from pathlib import Path
@@ -27,7 +28,7 @@ from exqec.codesearch import (
     survey_patterns,
     zk_diag,
 )
-from exqec.errorops import ErrorOperator, PauliString, basic_error_set
+from exqec.errorops import ErrorOperator, IdentityOp, PauliString, basic_error_set
 from exqec.errors import CapabilityError
 from exqec.klverify import verify_kl
 from exqec.qstate import StateVector, inner_product, orbit_sum
@@ -138,6 +139,112 @@ def test_constraint_assembly_builds_no_state(monkeypatch):
     assert constraints and all(con.is_diagonal() for con in constraints)
 
 
+def reference_assembly(pattern, families):
+    """The O(ops^2) double loop over every ordered operator pair, one atom
+    per pair and weight pair, kept as the reference for the class-based
+    assembly."""
+    n = pattern.n
+    kinds = []
+    for fam in families:
+        kinds += [k for k in {"single_pauli": "XYZ", "bitflip": "X", "phase": "Z"}.get(fam, "")
+                  if k not in kinds]
+    ops = [IdentityOp(n)]
+    ops += [ErrorOperator.single(n, kind, k) for kind in kinds for k in range(1, n + 1)]
+    keys = [(0, k) for k in sorted(pattern.word0)] + [(1, k) for k in sorted(pattern.word1)]
+    index = {key: pos for pos, key in enumerate(keys)}
+    seen = {}
+
+    def push(terms, origin):
+        canon = codesearch._canonical(terms)
+        if canon is not None and canon not in seen:
+            seen[canon] = origin
+
+    def add(dest, i, j, value):
+        key = (min(i, j), max(i, j))
+        dest[key] = dest.get(key, 0) + value
+
+    for a, p in enumerate(ops):
+        for q in ops[a:]:
+            e = p.inverse().compose(q)
+            re_terms, im_terms = {}, {}
+            for word, sign, weights in ((0, 1, pattern.word0), (1, -1, pattern.word1)):
+                for ka in weights:
+                    for mu in weights:
+                        re, im = _orbit_atom(e, ka, mu)
+                        add(re_terms, index[(word, ka)], index[(word, mu)], sign * re)
+                        add(im_terms, index[(word, ka)], index[(word, mu)], sign * im)
+            origin = f"word blocks must agree at <{p.label()} w, {q.label()} w>"
+            push(re_terms, origin)
+            push(im_terms, origin + " (imaginary part)")
+    for p in ops:
+        for q in ops:
+            e = p.inverse().compose(q)
+            re_terms, im_terms = {}, {}
+            for ka in pattern.word0:
+                for mu in pattern.word1:
+                    re, im = _orbit_atom(e, ka, mu)
+                    add(re_terms, index[(0, ka)], index[(1, mu)], re)
+                    add(im_terms, index[(0, ka)], index[(1, mu)], im)
+            origin = f"<{p.label()} w0, {q.label()} w1> must vanish"
+            push(re_terms, origin)
+            push(im_terms, origin + " (imaginary part)")
+    return [(canon, origin) for canon, origin in seen.items()], [f"a_{k}" for _, k in keys], keys
+
+
+@st.composite
+def patterns_and_families(draw):
+    n = draw(st.integers(min_value=1, max_value=9))
+    word0 = draw(st.sets(st.integers(min_value=0, max_value=n), min_size=1, max_size=min(n, 3)))
+    rest = sorted(set(range(n + 1)) - word0)
+    word1 = draw(st.sets(st.sampled_from(rest), min_size=1, max_size=3))
+    families = draw(st.lists(
+        st.sampled_from(["single_pauli", "bitflip", "phase", "exchange"]),
+        min_size=1, max_size=4, unique=True,
+    ))
+    return SupportPattern(n, word0, word1), tuple(families)
+
+
+@settings(max_examples=80, deadline=None)
+@given(patterns_and_families())
+def test_class_assembly_matches_the_pair_loops(case):
+    """One atom per Pauli class gives the same constraints, in the same
+    order and with the same origins, as one atom per operator pair."""
+    pattern, families = case
+    constraints, names, keys = _assemble_constraints(pattern, families)
+    got = [(con.terms, con.origin) for con in constraints]
+    assert (got, names, keys) == reference_assembly(pattern, families)
+
+
+def test_assembly_work_does_not_grow_with_n(monkeypatch):
+    """Same-shape patterns at n=7 and n=15 cost the same operator products
+    and atoms, and a repeated call costs the same again (no hidden cache)."""
+    counts = Counter()
+    compose, atom = ErrorOperator.compose, codesearch._orbit_atom
+
+    def counted_compose(self, other):
+        counts["compose"] += 1
+        return compose(self, other)
+
+    def counted_atom(*args):
+        counts["atom"] += 1
+        return atom(*args)
+
+    monkeypatch.setattr(ErrorOperator, "compose", counted_compose)
+    monkeypatch.setattr(codesearch, "_orbit_atom", counted_atom)
+
+    def work(pattern):
+        counts.clear()
+        _assemble_constraints(pattern, ("single_pauli", "exchange"))
+        return dict(counts)
+
+    small = work(SupportPattern(7, {0, 5}, {2, 7}))
+    large = work(SupportPattern(15, {0, 13}, {2, 15}))
+    assert small == large == work(SupportPattern(15, {0, 13}, {2, 15}))
+    # identity and X, Y, Z on qubits 1 and 2: 28 block pairs and 49 cross pairs
+    assert small["compose"] == 28 + 49
+    assert 0 < small["atom"] < 2 * 7 * 7 * 4
+
+
 # ------------------------------------------------------------------ patterns
 
 
@@ -208,6 +315,29 @@ def test_families_parameter_changes_the_answer():
     assert phase_only.method == "sign-definite"
     with pytest.raises(ValueError):
         solve_coefficients(pattern, families=("bogus",))
+
+
+@pytest.mark.parametrize(
+    "families", [("single_pauli", "single_pauli"), ("bitflip", "single_pauli")]
+)
+def test_repeated_families_use_each_operator_once(monkeypatch, families):
+    """A Pauli named by two families is one error: the verdict matches the
+    single_pauli run, and the exact gate sees distinct operators."""
+    pattern = SupportPattern(7, {0, 5}, {2, 7})
+    reference = solve_coefficients(pattern, ("single_pauli",))
+    gated = []
+
+    def recording(code, errors):
+        gated.append(errors.ops)
+        return verify_kl(code, errors)
+
+    monkeypatch.setattr(codesearch, "verify_kl", recording)
+    result = solve_coefficients(pattern, families)
+    assert (result.feasible, result.method, result.squares) == (
+        reference.feasible, reference.method, reference.squares
+    )
+    assert result.feasible and gated
+    assert all(len(set(ops)) == len(ops) for ops in gated)
 
 
 def test_seven_qubit_pattern_found_by_grid():

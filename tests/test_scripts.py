@@ -12,6 +12,21 @@ import pytest
 ROOT = Path(__file__).resolve().parents[1]
 
 
+def run_script(script):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(ROOT / "src"), *filter(None, [env.get("PYTHONPATH")])]
+    )
+    name, *args = script.split()
+    return subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / name), *args],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=120,
+    )
+
+
 @pytest.mark.parametrize(
     "script, expected",
     [
@@ -21,17 +36,23 @@ ROOT = Path(__file__).resolve().parents[1]
     ],
 )
 def test_script_runs(script, expected):
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        [str(ROOT / "src"), *filter(None, [env.get("PYTHONPATH")])]
-    )
-    name, *args = script.split()
-    done = subprocess.run(
-        [sys.executable, str(ROOT / "scripts" / name), *args],
-        capture_output=True,
-        text=True,
-        env=env,
-        timeout=120,
-    )
+    done = run_script(script)
     assert done.returncode == 0, done.stderr
     assert expected in done.stdout
+
+
+@pytest.mark.parametrize(
+    "script, message",
+    [
+        ("run_survey.py --families bogus", "error: unknown error family 'bogus'"),
+        ("run_survey.py --n 0", "error: n must be at least 1, got 0"),
+        ("run_survey.py --families +", "error: at least one error family is required"),
+    ],
+)
+def test_script_reports_bad_input_without_traceback(script, message):
+    """Bad input ends like the CLI: one error line on stderr, exit 2."""
+    done = run_script(script)
+    assert done.returncode == 2
+    assert done.stderr.startswith(message)
+    assert "Traceback" not in done.stderr
+    assert done.stdout == ""
