@@ -75,7 +75,7 @@ def surd_rank(matrix: Sequence[Sequence[Sequence[tuple[int, Fraction, Fraction]]
     rank over K.  A rational matrix has ``deg`` 1.
     """
     terms = [part for row in matrix for entry in row for part in entry]
-    primes = sorted(set().union(*(_prime_factors(r) for r, _, _ in terms)))
+    primes = sorted(set().union(*map(_prime_factors, {r for r, _, _ in terms})))
     units = range(2 if any(im for _, _, im in terms) else 1)
     basis = [
         (math.prod(c), a) for a in units

@@ -16,7 +16,8 @@ Each entry line is a coefficient token followed by either a ket literal
 (spaces between bits allowed) or the shorthand ``orbit(k=W)`` for the
 equal-amplitude sum over all weight-W basis states.  Coefficient tokens
 cover exact rationals and surds: ``1``, ``-3/4``, ``i``, ``sqrt(2)``,
-``1/sqrt(28)``, ``2/3*sqrt(5)``, ``1/2*i``.
+``1/sqrt(28)``, ``2/3*sqrt(5)``, ``1/2*i``.  A radicand may not exceed
+``MAX_RADICAND``.
 """
 
 from __future__ import annotations
@@ -256,6 +257,11 @@ def builtin_code(name: str) -> Code:
 # file format
 # ---------------------------------------------------------------------------
 
+#: Largest radicand a ``sqrt(r)`` token may carry.  Normalizing a radicand
+#: takes about ``sqrt(r)`` trial divisions, and the product of two accepted
+#: radicands stays at most 10**12.
+MAX_RADICAND = 10**6
+
 _AMP_RE = _re.compile(
     r"""^([+-])?                 # sign
         (?:(\d+)(?:/(\d+))?)?    # rational part
@@ -272,6 +278,8 @@ def parse_amplitude(token: str) -> Amplitude:
     if m is None or (m.group(2) is None and m.group(4) is None and m.group(6) is None):
         raise ValueError(f"cannot parse coefficient {token!r}")
     sign, num, den, imag, surd_op, surd = m.groups()
+    if den is not None and int(den) == 0:
+        raise ValueError(f"zero denominator in {token!r}")
     c = Fraction(int(num) if num else 1, int(den) if den else 1)
     if sign == "-":
         c = -c
@@ -280,6 +288,11 @@ def parse_amplitude(token: str) -> Amplitude:
         radicand = int(surd)
         if radicand < 1:
             raise ValueError(f"radicand must be positive in {token!r}")
+        if radicand > MAX_RADICAND:
+            raise ValueError(
+                f"radicand {radicand} in {token!r} exceeds {MAX_RADICAND}; write the "
+                "coefficient as a rational instead, e.g. 1/1024 for 1/sqrt(1048576)"
+            )
         if surd_op == "/":
             c = c / radicand  # 1/sqrt(r) == (1/r) sqrt(r)
     if imag:

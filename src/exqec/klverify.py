@@ -73,10 +73,10 @@ class GramTensor:
 
 
 def _gram(words: Sequence[StateVector], errors: ErrorSet) -> GramTensor:
-    """Apply every error to every word once.  Exact images go to the
-    integer-matrix engine; float images take ``inner_product(image_x,
-    image_y)`` for each flat pair ``x <= y``, and ``(y, x)`` holds its
-    conjugate."""
+    """Apply every error to every word once.  Exact images go to
+    ``_exact_gram``, which sums over shared basis states in Python integers;
+    float images take ``inner_product(image_x, image_y)`` for each flat pair
+    ``x <= y``, and ``(y, x)`` holds its conjugate."""
     images = [apply(op, word) for op in errors.ops for word in words]
     if images[0].mode == "exact":
         return GramTensor(errors, len(words), _exact_gram(images))

@@ -12,6 +12,9 @@ Conventions used throughout the package:
   Sums over several radicands do arise in inner products, which get their
   own representation (:class:`InnerProductValue`).
 * Float mode stores a dense ``complex128`` array of length ``2**n``.
+* ``inner_product`` computes one exact pair in ``Fraction`` arithmetic;
+  ``_exact_gram`` computes all pairs of many states at once on Python
+  integers, which cannot overflow, and gives the same values.
 
 Exact mode is the default everywhere; float mode exists for spectral work
 (recovery operators) and for cross-checking the exact arithmetic.
@@ -27,7 +30,6 @@ from functools import cached_property, lru_cache
 from typing import Mapping, Sequence
 
 import numpy as np
-import scipy.sparse
 
 from .errors import DimensionMismatch, ExactArithmeticError
 
@@ -614,82 +616,73 @@ def inner_product(left: StateVector, right: StateVector) -> InnerProductValue:
     return InnerProductValue.exact({r: (v[0], v[1]) for r, v in acc.items()})
 
 
-def _int64_safe(rows: int, max_abs: int) -> bool:
-    """Whether ``conj(A)ᵀ B`` is exact in int64 when ``A`` and ``B`` have
-    ``rows`` rows and integer parts of size at most ``max_abs``: each real or
-    imaginary entry is a sum of ``2 * rows`` products of size at most
-    ``max_abs**2``.  int64 matrix products wrap silently, so this is a
-    correctness gate."""
-    return 2 * rows * max_abs * max_abs < 2**63
-
-
 def _exact_gram(images: Sequence[StateVector]) -> tuple[InnerProductValue, ...]:
     """All ``<images[x] | images[y]>`` of exact states, flat with ``y`` fastest.
 
-    Identical images are merged.  Each radicand's part of the distinct
-    images is scaled to Gaussian integers over one common denominator, and
-    each radicand pair contributes sparse int64 products ``conj(A_r)ᵀ A_s``
-    once :func:`_int64_safe` holds; otherwise every distinct pair takes
-    :func:`inner_product`.  Each distinct ordered pair's value is built once
-    and shared; ``(v, u)`` holds the conjugate of ``(u, v)``.
+    Each radicand's amplitudes are scaled to Gaussian integers over one
+    common denominator ``L_r`` taken over all images, and identical images
+    are merged by their integer terms, in first-seen order.  Every basis
+    index adds ``conj(a) * b`` for each pair of its entries ``a`` (image
+    ``u``, radicand ``r``) and ``b`` (image ``v >= u``, radicand ``s``) to
+    one integer sum per ``(u, v, r, s)``; Python integers cannot overflow.
+    A sum ``p`` then becomes ``p * g / (L_r * L_s)`` at radicand
+    ``r * s / g**2``, ``g = gcd(r, s)``, which is exact for squarefree
+    radicands.  Each distinct pair's value is built once and shared;
+    ``(v, u)`` holds the conjugate of ``(u, v)``.
     """
+    scale: dict[int, int] = {}
+    for img in images:
+        for amp in img.terms.values():
+            r = amp.radicand
+            scale[r] = math.lcm(scale.get(r, 1), amp.re.denominator, amp.im.denominator)
+    rads = {r: (k, den) for k, (r, den) in enumerate(scale.items())}
     index: dict[frozenset, int] = {}
-    which = [index.setdefault(frozenset(img.terms.items()), len(index)) for img in images]
-    distinct = list(dict(zip(which, images)).values())  # keyed in first-seen order
-    rows: dict[int, int] = {}
-    # radicand -> (row, column, re, im) of each term at that radicand
-    parts: dict[int, tuple[list, list, list, list]] = {}
-    for col, img in enumerate(distinct):
+    which = []
+    for img in images:
+        ints = []
         for idx, amp in img.terms.items():
-            part = parts.setdefault(amp.radicand, ([], [], [], []))
-            part[0].append(rows.setdefault(idx, len(rows)))
-            part[1].append(col)
-            part[2].append(amp.re)
-            part[3].append(amp.im)
-    scale = {r: math.lcm(*(q.denominator for q in p[2] + p[3])) for r, p in parts.items()}
-    ints = {
-        r: [[q.numerator * (scale[r] // q.denominator) for q in qs] for qs in p[2:]]
-        for r, p in parts.items()
-    }
-    biggest = max((abs(v) for re, im in ints.values() for v in re + im), default=0)
-    size = len(distinct)
-    if _int64_safe(len(rows), biggest):
-        mats = {
-            r: [
-                scipy.sparse.csc_matrix(
-                    (np.array(v, dtype=np.int64), parts[r][:2]),
-                    shape=(len(rows), size),
-                )
-                for v in ints[r]
-            ]
-            for r in parts
-        }
-        acc: dict[tuple[int, int], dict[int, list[Fraction]]] = {}
-        for r, s in itertools.product(mats, repeat=2):
-            (ar, ai), (br, bi) = mats[r], mats[s]
-            f, key = (r, 1) if r == s else squarefree_split(r * s)
-            den = scale[r] * scale[s]
-            for k, block in enumerate((ar.T @ br + ai.T @ bi, ar.T @ bi - ai.T @ br)):
-                coo = scipy.sparse.triu(block, format="coo")
-                for u, v, p in zip(coo.row.tolist(), coo.col.tolist(), coo.data.tolist()):
-                    if p:
-                        slot = acc.setdefault((u, v), {}).setdefault(key, [_ZERO, _ZERO])
-                        slot[k] += Fraction(p * f, den)
-
-        def value(u: int, v: int) -> InnerProductValue:
-            return InnerProductValue.exact(acc.get((u, v), {}))
-
-    else:
-
-        def value(u: int, v: int) -> InnerProductValue:
-            return inner_product(distinct[u], distinct[v])
-
+            k, den = rads[amp.radicand]
+            re, im = amp.re, amp.im
+            ints.append((idx, k, re.numerator * (den // re.denominator),
+                         im.numerator * (den // im.denominator)))
+        which.append(index.setdefault(frozenset(ints), len(index)))
+    size, nr = len(index), len(rads)
+    # basis index -> (left key part, right key part, re, im) of each entry; the
+    # parts add to ((u * size + v) * nr + k) * nr + l for entries (u, k), (v, l)
+    by_index: dict[int, list[tuple[int, int, int, int]]] = {}
+    for u, ints in enumerate(index):
+        for idx, k, re, im in ints:
+            by_index.setdefault(idx, []).append(
+                ((u * size * nr + k) * nr, u * nr * nr + k, re, im)
+            )
+    acc: dict[int, list[int]] = {}
+    for entries in by_index.values():
+        for i, (left, _, ar, ai) in enumerate(entries):
+            for _, right, br, bi in entries[i:]:
+                slot = acc.get(left + right)
+                if slot is None:
+                    acc[left + right] = [ar * br + ai * bi, ar * bi - ai * br]
+                else:
+                    slot[0] += ar * br + ai * bi
+                    slot[1] += ar * bi - ai * br
+    radicand = list(scale)
+    sums: dict[tuple[int, int], dict[int, list[Fraction]]] = {}
+    for key, (re, im) in acc.items():
+        if re or im:
+            key, l = divmod(key, nr)
+            key, k = divmod(key, nr)
+            r, s = radicand[k], radicand[l]
+            g, den = math.gcd(r, s), scale[r] * scale[s]
+            parts = sums.setdefault(divmod(key, size), {})
+            slot = parts.setdefault(r * s // (g * g), [_ZERO, _ZERO])
+            slot[0] += Fraction(re * g, den)
+            slot[1] += Fraction(im * g, den)
     table: dict[tuple[int, int], InnerProductValue] = {}
-    for u in range(size):
-        for v in range(u, size):
-            table[u, v] = value(u, v)
-            table[v, u] = table[u, v] if u == v else table[u, v].conjugate()
-    return tuple(table[a, b] for a in which for b in which)
+    for (u, v), parts in sums.items():
+        table[u, v] = InnerProductValue.exact(parts)
+        table[v, u] = table[u, v] if u == v else table[u, v].conjugate()
+    zero = InnerProductValue.exact({})
+    return tuple(table.get((a, b), zero) for a in which for b in which)
 
 
 def apply_permutation(state: StateVector, perm: QubitPermutation) -> StateVector:

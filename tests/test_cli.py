@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import hashlib
+import os
 import shlex
 import shutil
 import subprocess
@@ -348,6 +349,26 @@ def test_malformed_codefile_is_usage_error(tmp_path, capsys):
     assert "line 3" in err
 
 
+@pytest.mark.parametrize(
+    "entry,message",
+    [
+        ("1/0 |000>", "zero denominator in '1/0'"),
+        ("sqrt(1000000000000000003) |000>", "exceeds 1000000; write the coefficient as a rational"),
+    ],
+)
+def test_bad_coefficient_is_usage_error(tmp_path, capsys, entry, message):
+    """A zero denominator or an oversized radicand is a parse error with its
+    position, not a traceback (exit 1 would read as "not correctable") or a
+    trial division running for minutes."""
+    path = tmp_path / "bad.code"
+    path.write_text(f"qubits: 3\nword 0:\n{entry}\n")
+    rc, out, err = invoke(capsys, "verify", "--codefile", str(path))
+    assert rc == 2
+    assert out == ""
+    assert err.startswith("error: line 3, column 1: ")
+    assert message in err
+
+
 def test_bad_error_spec_is_usage_error(capsys):
     rc, _, err = invoke(capsys, "verify", "--code", "rep3", "--errors", "Q9")
     assert rc == 2
@@ -509,3 +530,17 @@ def test_installed_console_script_matches_module():
     script = _stdout_of(_INSTALLED_SCRIPT)
     module = _stdout_of(sys.executable, "-m", "exqec")
     assert module == script
+
+
+def test_import_leaves_scipy_sparse_unloaded():
+    """The exact Gram engine runs on Python integers; importing the CLI must
+    not bring ``scipy.sparse`` (and its import time) back."""
+    code = "import sys, exqec.cli\nprint('scipy.sparse' in sys.modules)"
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join([src, *filter(None, [env.get("PYTHONPATH")])])
+    done = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=120
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "False\n"

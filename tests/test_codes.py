@@ -146,10 +146,22 @@ def test_parse_amplitude_cases(token, expected):
     assert parse_amplitude(token) == expected
 
 
-@pytest.mark.parametrize("bad", ["", "foo", "1+i", "sqrt(-1)", "1//2"])
+@pytest.mark.parametrize(
+    "bad", ["", "foo", "1+i", "sqrt(-1)", "1//2", "1/0", "-3/0*i", "1/0*sqrt(2)"]
+)
 def test_parse_amplitude_rejects(bad):
     with pytest.raises(ValueError):
         parse_amplitude(bad)
+
+
+def test_parse_amplitude_caps_the_radicand():
+    """Radicands up to 10**6 parse; a larger one fails at once instead of
+    spending about sqrt(r) trial divisions on its squarefree form."""
+    assert parse_amplitude("sqrt(1000000)") == Amplitude.make(1000)
+    assert parse_amplitude("1/sqrt(999999)") == Amplitude(Fraction(1, 333333), Fraction(0), 111111)
+    for bad in ("sqrt(1000001)", "1/sqrt(1048576)", "2*i*sqrt(100000000000031)"):
+        with pytest.raises(ValueError, match="exceeds 1000000.*1/1024 for 1/sqrt"):
+            parse_amplitude(bad)
 
 
 simple_amplitudes = st.builds(
@@ -208,6 +220,8 @@ def test_serialize_requires_exact_mode(rep3):
         ("qubits: 2\nqubits: 3", 2),  # duplicate header
         ("qubits: 2\n1 |00>", 2),  # entry outside a word
         ("qubits: 2\nword 0:\nfoo |00>", 3),  # bad coefficient
+        ("qubits: 2\nword 0:\n1/0 |00>", 3),  # zero denominator
+        ("qubits: 2\nword 0:\n1 |00>\nsqrt(100000000000031) |11>", 4),  # huge radicand
         ("qubits: 2\nword 0:\n1 |000>", 3),  # ket width mismatch
         ("qubits: 2\nword 0:\nword 1:\n1 |00>", 3),  # empty word
         ("qubits: 0\nword 0:\n1 |>", 1),  # bad qubit count

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import dataclasses
+import itertools
 import math
 from fractions import Fraction
 
@@ -63,14 +64,17 @@ def test_gram_tensor_is_hermitian(rep3):
 
 _PAIR_ERRORS = ("single_pauli", "exchange")
 _PARTS = st.fractions(min_value=-5, max_value=5, max_denominator=30)
+# numerators up to 2**40 over denominators up to 10**6: scaled to one common
+# denominator, the integer parts run far past int64
+_BIG_PARTS = st.builds(Fraction, st.integers(-(2**40), 2**40), st.integers(1, 10**6))
 
 
 @st.composite
-def _small_codes(draw):
+def _small_codes(draw, parts=_PARTS, radicands=(1, 2, 3, 6, 7, 12)):
     """Up to three words on n <= 4 qubits with complex rational parts over
     the radicands 1, 2, 3, 6, 7 and 12 (which normalizes to 2*sqrt(3))."""
     n = draw(st.integers(min_value=1, max_value=4))
-    amp = st.builds(Amplitude.make, _PARTS, _PARTS, st.sampled_from((1, 2, 3, 6, 7, 12)))
+    amp = st.builds(Amplitude.make, parts, parts, st.sampled_from(radicands))
     word = st.dictionaries(st.integers(0, (1 << n) - 1), amp, min_size=1, max_size=6)
     words = draw(st.lists(word, min_size=1, max_size=3))
     return Code(n, tuple(StateVector.from_terms(n, w) for w in words))
@@ -98,32 +102,69 @@ def test_gram_engine_matches_inner_products_and_dense_float(code):
     np.testing.assert_allclose(got, dense, rtol=0, atol=1e-9)
 
 
-def test_int64_bound_is_tight():
-    """``2 * rows * max_abs**2`` must stay below 2**63, the first value
-    int64 cannot hold."""
-    assert qstate._int64_safe(1, 2**31 - 1)
-    assert not qstate._int64_safe(1, 2**31)
-    assert qstate._int64_safe(2, 2**30)
-    assert not qstate._int64_safe(4, 2**30)
+@settings(max_examples=50, deadline=None)
+@given(_small_codes(st.one_of(_PARTS, _BIG_PARTS)))
+def test_gram_engine_matches_inner_products_past_int64(code):
+    """Parts and float views equal ``inner_product``'s when the integer
+    parts are far too large for a fixed-width integer type."""
+    _assert_matches_inner_products(code, basic_error_set(code.n, families=_PAIR_ERRORS))
 
 
-def test_gram_engine_falls_back_when_int64_could_overflow(monkeypatch):
+def test_gram_engine_is_exact_past_2_pow_63():
     big = Fraction(2**40 + 1, 3)
     word0 = {0: Amplitude.make(big, 5, 2), 3: Amplitude.make(Fraction(1, 7), big)}
     word1 = {1: Amplitude.make(big, -big, 6), 2: Amplitude.make(1, 0, 3)}
     code = Code(2, (StateVector.from_terms(2, word0), StateVector.from_terms(2, word1)))
-    verdicts = []
-    real = qstate._int64_safe
-
-    def recorded(rows, max_abs):
-        verdicts.append(real(rows, max_abs))
-        return verdicts[-1]
-
-    monkeypatch.setattr(qstate, "_int64_safe", recorded)
     errors = basic_error_set(2, families=_PAIR_ERRORS)
     entries, _ = _assert_matches_inner_products(code, errors)
-    assert verdicts == [False]
     assert max(abs(re.numerator) for v in entries for _, re, _ in v.parts) >= 2**63
+
+
+def _dense_operator(op) -> np.ndarray:
+    """``i**phase X(x_mask) Z(z_mask) P(perm)`` as a dense matrix, built from
+    the operator's fields alone: column b holds the image of ``|b>``."""
+    n = op.n
+    b = np.arange(1 << n)
+    moved = np.zeros_like(b)
+    for j, dest in enumerate(op.perm or range(1, n + 1), start=1):
+        moved |= ((b >> (n - j)) & 1) << (n - dest)
+    sign = np.where(np.bitwise_count(moved & op.z_mask) % 2, -1, 1)
+    m = np.zeros((1 << n, 1 << n), dtype=complex)
+    m[moved ^ op.x_mask, b] = 1j**op.phase * sign
+    return m
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from((2, 3, 7)).flatmap(lambda p: _small_codes(radicands=(1, p, 4 * p))))
+def test_dense_oracle_finds_the_same_violations_and_rank(code):
+    """An independent float oracle: ``M^H M`` of the dense error images.
+    Its entries off by more than 1e-9 are exactly ``verify_kl``'s
+    violations, and a correctable code's D has the same float rank.
+
+    Each code lives in one field Q(i, sqrt(p)).  Over two or more primes the
+    exact D rank is still far too slow for a test: a one-word 4-qubit code
+    over sqrt 2, sqrt 3 and sqrt 7 takes minutes in ``surd_rank``."""
+    errors = basic_error_set(code.n, families=_PAIR_ERRORS)
+    words = np.array([w.to_float().dense for w in code.words]).T
+    m = np.hstack([_dense_operator(op) @ words for op in errors.ops])
+    size, w = len(errors), len(code.words)
+    g = (m.conj().T @ m).reshape(size, w, size, w)
+    pairs = list(itertools.product(range(size), repeat=2))
+    expected = {
+        ("cross_word", p, q, (i, j))
+        for i, j in itertools.combinations(range(w), 2)
+        for p, q in pairs
+        if abs(g[p, i, q, j]) > 1e-9
+    } | {
+        ("block_mismatch", p, q, (i, i))
+        for i in range(1, w)
+        for p, q in pairs
+        if abs(g[p, i, q, i] - g[p, 0, q, 0]) > 1e-9
+    }
+    report = verify_kl(code, errors)
+    assert {(v.kind, v.p, v.q, (v.i, v.j)) for v in report.violations} == expected
+    if report.correctable:
+        assert np.linalg.matrix_rank(g[:, 0, :, 0]) == report.rank
 
 
 # -------------------------------------------------- dual-orbit code passes KL
