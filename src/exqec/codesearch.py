@@ -40,7 +40,7 @@ from ._linalg import solve_rational
 from .codes import Code, PermInvariantSpec, perm_invariant_code
 from .errors import CapabilityError
 from .errorops import ErrorOperator, ErrorSet, IdentityOp, basic_error_set
-from .klverify import verify_kl
+from .klverify import _orbit_atom, verify_kl
 from .qstate import Amplitude, StateVector, _check_n, orbit_sum, squarefree_split
 
 __all__ = [
@@ -134,34 +134,6 @@ class SupportPattern:
         w1 = ",".join(str(k) for k in sorted(self.word1))
         dual = " (complement-dual)" if self.is_complement_dual else ""
         return f"n={self.n} weights {{{w0}}} / {{{w1}}}{dual}"
-
-
-def _signed_choices(k: int, minus: int, plus: int) -> int:
-    """Ways to pick k of ``minus + plus`` slots, each minus slot picked costing -1."""
-    return sum(
-        (-1) ** a * math.comb(minus, a) * math.comb(plus, k - a)
-        for a in range(min(k, minus) + 1)
-    )
-
-
-def _orbit_atom(op: ErrorOperator, kappa: int, mu: int) -> tuple[int, int]:
-    """<O_kappa | op O_mu> as a Gaussian integer (re, im), O = orbit_sum.
-
-    Orbit sums are fixed by every qubit permutation, so only the Pauli
-    factor ``i**p X(x) Z(z)`` of op acts.  A weight-mu string v lands in
-    weight kappa exactly when it holds h = (mu + |x| - kappa) / 2 ones
-    under x, and it picks up (-1)**|z & v|: a product of signed counts
-    over the Y- and X-type qubits (h ones) and the Z-type and untouched
-    qubits (mu - h ones).
-    """
-    x, z = op.x_mask, op.z_mask
-    twice_h = mu + x.bit_count() - kappa
-    if twice_h % 2:
-        return 0, 0
-    h = twice_h // 2
-    total = _signed_choices(h, (x & z).bit_count(), (x & ~z).bit_count())
-    total *= _signed_choices(mu - h, (z & ~x).bit_count(), op.n - (x | z).bit_count())
-    return ((total, 0), (0, total), (-total, 0), (0, -total))[op.phase]
 
 
 @dataclass(frozen=True)

@@ -12,6 +12,22 @@ of codes indexed by an extra label m:
 
     <e_p C_i^m | e_q C_j^m'> = delta_ij * delta_mm' * d_pq
 
+Exact Gram tensors come from one of two engines.  When every word is a sum
+of whole weight orbits (each weight it uses holds all C(n, w) strings with
+one shared amplitude: builtin orbit codes, ``orbit(k=...)`` files, the same
+words written ket by ket, pattern-search output), every qubit permutation
+fixes the words, so an exchange or any permutation factor of an error acts
+as the identity and costs nothing.  Each entry is then
+``sum conj(a_kappa) b_mu <O_kappa | P_p^dagger Q_q O_mu>`` over the Pauli
+parts P_p, Q_q of the two errors, and the closed-form orbit atom
+(``_orbit_atom``) depends on ``P_p^dagger Q_q`` only through its class:
+phase and the sizes of its Y-, X- and Z-type supports.  The engine
+evaluates each class once and builds no state.  Every other exact code
+takes ``qstate._exact_gram``, which applies each error and sums over
+shared basis states.  For an orbit word 0 and errors whose distinct Pauli
+parts are exactly I and every X_k, Y_k, Z_k, the rank of D comes from the
+S_n split into a 4x4 symmetric block and an (n-1)-fold 3x3 block.
+
 Recovery construction diagonalizes D in float arithmetic; everything else
 runs exactly when given exact-mode codes.
 """
@@ -20,15 +36,15 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 from itertools import combinations, product
 from typing import Sequence
 
 import numpy as np
-import scipy.linalg
 
 from .codes import Code, shor_code
-from .errorops import ErrorSet, ExchangeOp, PauliString, apply
-from .qstate import InnerProductValue, StateVector, _exact_gram, inner_product
+from .errorops import ErrorOperator, ErrorSet, ExchangeOp, PauliString, apply
+from .qstate import Amplitude, InnerProductValue, StateVector, _exact_gram, inner_product
 from ._linalg import surd_rank
 
 __all__ = [
@@ -72,11 +88,137 @@ class GramTensor:
         return self.entries[(p * w + i) * len(self.errors) * w + q * w + j]
 
 
+def _signed_choices(k: int, minus: int, plus: int) -> int:
+    """Ways to pick k of ``minus + plus`` slots, each minus slot picked costing -1."""
+    return sum(
+        (-1) ** a * math.comb(minus, a) * math.comb(plus, k - a)
+        for a in range(min(k, minus) + 1)
+    )
+
+
+def _orbit_atom(op: ErrorOperator, kappa: int, mu: int) -> tuple[int, int]:
+    """<O_kappa | op O_mu> as a Gaussian integer (re, im), O = orbit_sum.
+
+    Orbit sums are fixed by every qubit permutation, so only the Pauli
+    factor ``i**p X(x) Z(z)`` of op acts.  A weight-mu string v lands in
+    weight kappa exactly when it holds h = (mu + |x| - kappa) / 2 ones
+    under x, and it picks up (-1)**|z & v|: a product of signed counts
+    over the Y- and X-type qubits (h ones) and the Z-type and untouched
+    qubits (mu - h ones).
+    """
+    x, z = op.x_mask, op.z_mask
+    twice_h = mu + x.bit_count() - kappa
+    if twice_h % 2:
+        return 0, 0
+    h = twice_h // 2
+    total = _signed_choices(h, (x & z).bit_count(), (x & ~z).bit_count())
+    total *= _signed_choices(mu - h, (z & ~x).bit_count(), op.n - (x | z).bit_count())
+    return ((total, 0), (0, total), (-total, 0), (0, -total))[op.phase]
+
+
+def _orbit_coefficients(word: StateVector) -> dict[int, Amplitude] | None:
+    """Weight -> amplitude when the exact ``word`` is a sum of whole weight
+    orbits (all C(n, w) strings of each weight it uses, one shared
+    amplitude per weight); None otherwise."""
+    if word.mode != "exact":
+        return None
+    coeffs: dict[int, Amplitude] = {}
+    counts: dict[int, int] = {}
+    for idx, amp in word.terms.items():
+        w = idx.bit_count()
+        if coeffs.setdefault(w, amp) != amp:
+            return None
+        counts[w] = counts.get(w, 0) + 1
+    if any(c != math.comb(word.n, w) for w, c in counts.items()):
+        return None
+    return coeffs
+
+
+def _orbit_gram(
+    n: int, coeffs: Sequence[dict[int, Amplitude]], errors: ErrorSet
+) -> tuple[InnerProductValue, ...]:
+    """The flat Gram entries of orbit words, one atom per Pauli class.
+
+    Permutation factors fix the words and are dropped.  For the Pauli parts
+    ``P_u = i**p_u X(x_u) Z(z_u)`` and ``P_v`` of two errors,
+    ``P_u^dagger P_v = i**(p_v - p_u + 2 |x_u & z_u| + 2 |z_u & x_v|)
+    X(x_u ^ x_v) Z(z_u ^ z_v)``; each class of that product gets its
+    ``(i, j)`` values once as ``sum conj(a_kappa) b_mu atom(kappa, mu)``,
+    and equal values share one object.
+    """
+    parts: dict[tuple[int, int, int], int] = {}
+    which = [parts.setdefault((op.phase, op.x_mask, op.z_mask), len(parts)) for op in errors.ops]
+    # conj(a_kappa) * b_mu per word pair (i, j), grouped by radicand r as
+    # (r, L, [(kappa, mu, re * L, im * L)]) over the group's common denominator
+    # L, so the loop over classes adds integers only
+    products = []
+    for left in coeffs:
+        for right in coeffs:
+            groups: dict[int, list[tuple[int, int, Fraction, Fraction]]] = {}
+            for kappa, a in left.items():
+                for mu, b in right.items():
+                    g = math.gcd(a.radicand, b.radicand)
+                    groups.setdefault(a.radicand * b.radicand // (g * g), []).append((
+                        kappa, mu,
+                        g * (a.re * b.re + a.im * b.im), g * (a.re * b.im - a.im * b.re),
+                    ))
+            terms = []
+            for r, group in groups.items():
+                den = math.lcm(*(q.denominator for _, _, re, im in group for q in (re, im)))
+                terms.append((r, den, [
+                    (kappa, mu, int(re * den), int(im * den)) for kappa, mu, re, im in group
+                ]))
+            products.append(terms)
+    shared: dict[tuple, InnerProductValue] = {}
+
+    def class_values(e: ErrorOperator) -> tuple[InnerProductValue, ...]:
+        out = []
+        for terms in products:
+            acc = {}
+            for r, den, group in terms:
+                sr = si = 0
+                for kappa, mu, re, im in group:
+                    tr, ti = _orbit_atom(e, kappa, mu)
+                    sr += re * tr - im * ti
+                    si += re * ti + im * tr
+                acc[r] = (Fraction(sr, den), Fraction(si, den))
+            value = InnerProductValue.exact(acc)
+            out.append(shared.setdefault(value.parts, value))
+        return tuple(out)
+
+    by_class: dict[tuple[int, int, int, int], tuple[InnerProductValue, ...]] = {}
+    table = []  # table[u][v][i * w + j] = <P_u W_i | P_v W_j>
+    for pu, xu, zu in parts:
+        row = []
+        for pv, xv, zv in parts:
+            phase = (pv - pu + 2 * ((xu & zu).bit_count() + (zu & xv).bit_count())) & 3
+            x, z = xu ^ xv, zu ^ zv
+            cls = (phase, (x & z).bit_count(), (x & ~z).bit_count(), (z & ~x).bit_count())
+            if cls not in by_class:
+                by_class[cls] = class_values(ErrorOperator(n, x, z, phase))
+            row.append(by_class[cls])
+        table.append(row)
+    w = len(coeffs)
+    rows = {
+        (u, i): [table[u][v][i * w + j] for v in which for j in range(w)]
+        for u in range(len(parts)) for i in range(w)
+    }
+    entries: list[InnerProductValue] = []
+    for u in which:
+        for i in range(w):
+            entries.extend(rows[u, i])
+    return tuple(entries)
+
+
 def _gram(words: Sequence[StateVector], errors: ErrorSet) -> GramTensor:
-    """Apply every error to every word once.  Exact images go to
-    ``_exact_gram``, which sums over shared basis states in Python integers;
-    float images take ``inner_product(image_x, image_y)`` for each flat pair
-    ``x <= y``, and ``(y, x)`` holds its conjugate."""
+    """Orbit words go to ``_orbit_gram``, which builds no state.  Other
+    exact words have every error applied once, and ``_exact_gram`` sums
+    the images over shared basis states in Python integers; float images
+    take ``inner_product(image_x, image_y)`` for each flat pair ``x <= y``,
+    and ``(y, x)`` holds its conjugate."""
+    coeffs = [_orbit_coefficients(word) for word in words]
+    if all(c is not None for c in coeffs):
+        return GramTensor(errors, len(words), _orbit_gram(words[0].n, coeffs, errors))
     images = [apply(op, word) for op in errors.ops for word in words]
     if images[0].mode == "exact":
         return GramTensor(errors, len(words), _exact_gram(images))
@@ -213,30 +355,99 @@ def _excess(
 
 
 def _violations(G: GramTensor, keys: Sequence, tol: float) -> list[Violation]:
-    """``cross_word`` then ``block_mismatch`` violations; ``keys[a]`` names word a."""
+    """``cross_word`` then ``block_mismatch`` violations; ``keys[a]`` names word a.
+
+    Exact entries that are one object (equal images, equal orbit classes)
+    are compared once per ``(value, reference)`` object pair."""
     checks = [("cross_word", a, b) for a, b in combinations(range(len(keys)), 2)]
     checks += [("block_mismatch", a, a) for a in range(1, len(keys))]
+    entries, w, N = G.entries, G.num_words, len(G.errors)
+    size = N * w
+    memo: dict[tuple[int, int], InnerProductValue | None] | None = (
+        {} if entries[0].is_exact else None
+    )
     out: list[Violation] = []
     for kind, a, b in checks:
-        for p, q in product(range(len(G.errors)), repeat=2):
-            v = G.entry(p, a, q, b)
-            ref = G.entry(p, 0, q, 0) if kind == "block_mismatch" else None
-            d = _excess(v, ref, tol)
-            if d is not None:
-                out.append(Violation(kind, keys[a], keys[b], p, q, d.magnitude(), v, ref))
+        for p in range(N):
+            # entry(p, a, q, b) and its reference entry(p, 0, q, 0) for every q
+            at, ref_at = (p * w + a) * size + b, p * w * size
+            refs = entries[ref_at : ref_at + size : w] if kind == "block_mismatch" else (None,) * N
+            for q, (v, ref) in enumerate(zip(entries[at : at + size : w], refs)):
+                if memo is None:
+                    d = _excess(v, ref, tol)
+                else:
+                    key = id(v), id(ref)
+                    if key not in memo:
+                        memo[key] = _excess(v, ref, tol)
+                    d = memo[key]
+                if d is not None:
+                    out.append(Violation(kind, keys[a], keys[b], p, q, d.magnitude(), v, ref))
     return out
 
 
+def _split_rank(d_matrix: DMatrix, errors: ErrorSet) -> int | None:
+    """rank D through the S_n split, for a D of a permutation-invariant word
+    whose errors' distinct Pauli parts are exactly I and every X_k, Y_k,
+    Z_k; None for any other error set.
+
+    Errors with equal Pauli parts have equal rows and columns.  Within the
+    X/Y/Z blocks D is ``A`` on the diagonal and ``B`` off it, and the
+    identity row ``c^H`` does not depend on the qubit.  The sum-zero
+    vectors of each kind carry ``A - B`` n-1 times; the symmetric ones,
+    with the identity row scaled by sqrt(n) and its column by 1/sqrt(n),
+    carry ``M_sym = [[<w|w>, n c^H], [c, A + (n-1) B]]``.
+    """
+    n = errors.n
+
+    def part(op: ErrorOperator) -> tuple[int, int, int]:
+        return op.phase, op.x_mask, op.z_mask
+
+    first: dict[tuple[int, int, int], int] = {}
+    for p, op in enumerate(errors.ops):
+        first.setdefault(part(op), p)
+    singles = [[part(ErrorOperator.single(n, kind, k)) for k in range(1, n + 1)] for kind in "XYZ"]
+    if set(first) != {(0, 0, 0)}.union(*singles):
+        return None
+    ident = first[0, 0, 0]
+
+    def d(p: int, q: int, scale: int = 1) -> list[tuple[int, Fraction, Fraction]]:
+        return [(r, scale * re, scale * im) for r, re, im in d_matrix.entries[p][q].parts]
+
+    one = [first[kind[0]] for kind in singles]
+    two = [first[kind[1]] for kind in singles] if n > 1 else []
+    sym = [[d(ident, ident), *(d(ident, t, n) for t in one)]]
+    sym += [[d(s, ident), *(d(s, t) for t in one)] for s in one]
+    for row, s in zip(sym[1:], one):
+        for col, t in enumerate(two, start=1):
+            row[col] += d(s, t, n - 1)
+    rank = surd_rank(sym)
+    if two:
+        diff = [[d(s, t) + d(s, t2, -1) for t, t2 in zip(one, two)] for s in one]
+        rank += (n - 1) * surd_rank(diff)
+    return rank
+
+
 def _report(
-    G: GramTensor, violations: list[Violation], tol: float, strict: bool, n: int
+    G: GramTensor,
+    violations: list[Violation],
+    tol: float,
+    strict: bool,
+    n: int,
+    word0: StateVector,
 ) -> KLReport:
-    """The report; when correctable, word 0's block is the D matrix."""
+    """The report; when correctable, word 0's block is the D matrix.  Its
+    rank comes from the S_n split when ``word0`` is a sum of weight orbits
+    and the errors allow it, else from ``DMatrix.rank``."""
     d_matrix = rank = None
     if not violations:
-        N = len(G.errors)
-        block = tuple(tuple(G.entry(p, 0, q, 0) for q in range(N)) for p in range(N))
+        w = G.num_words
+        size = len(G.errors) * w
+        block = tuple(G.entries[x * size : (x + 1) * size : w] for x in range(0, size, w))
         d_matrix = DMatrix(block, G.errors.labels, G.errors.families)
-        rank = d_matrix.rank()
+        if _orbit_coefficients(word0) is not None:
+            rank = _split_rank(d_matrix, G.errors)
+        if rank is None:
+            rank = d_matrix.rank()
     return KLReport(
         correctable=not violations,
         d_matrix=d_matrix,
@@ -269,7 +480,7 @@ def verify_kl(
             d = _excess(v, ref, tol)
             if d is not None:
                 violations.append(Violation("strict", 0, 0, p, q, d.magnitude(), v, ref))
-    return _report(G, violations, tol, strict, code.n)
+    return _report(G, violations, tol, strict, code.n, code.words[0])
 
 
 def verify_kl_extended(
@@ -295,7 +506,7 @@ def verify_kl_extended(
         raise ValueError(f"codes on {n} qubits, errors on {errors.n}")
     keys = [(i, m) for m in range(len(family)) for i in range(w)]
     G = _gram([family[m].words[i] for i, m in keys], errors)
-    return _report(G, _violations(G, keys, tol), tol, False, n)
+    return _report(G, _violations(G, keys, tol), tol, False, n, family[0].words[0])
 
 
 @dataclass(frozen=True)
@@ -597,6 +808,8 @@ def shor_exchange_demo(seed: int = 0, samples: int = 3) -> ShorExchangeReport:
             op = PauliString.single(9, kind, k)
             for word in (c0, c1):
                 pauli_images.append(op.apply(StateVector.from_dense(9, word)).dense)
+    import scipy.linalg  # its import time is paid only by this demo
+
     code_basis = scipy.linalg.orth(np.column_stack([c0, c1]))
     full_basis = scipy.linalg.orth(np.column_stack([c0, c1, *pauli_images]))
 

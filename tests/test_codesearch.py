@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from exqec import codesearch, qstate
+from exqec import codesearch, klverify, qstate
 from exqec.codes import Code
 from exqec.codesearch import (
     MAX_WEIGHTS_PER_WORD,
@@ -243,6 +243,11 @@ def test_assembly_work_does_not_grow_with_n(monkeypatch):
     # identity and X, Y, Z on qubits 1 and 2: 28 block pairs and 49 cross pairs
     assert small["compose"] == 28 + 49
     assert 0 < small["atom"] < 2 * 7 * 7 * 4
+
+
+def test_pattern_search_and_verifier_share_one_atom():
+    assert codesearch._orbit_atom is klverify._orbit_atom
+    assert not hasattr(codesearch, "_signed_choices")
 
 
 # ------------------------------------------------------------------ patterns

@@ -4,15 +4,17 @@ import dataclasses
 import itertools
 import math
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from exqec import klverify, qstate
-from exqec.codes import Code, parse_code
+from exqec import codesearch, klverify, qstate
+from exqec.codes import Code, parse_code, ruskai9_code, serialize_code
 from exqec.errorops import (
+    ErrorOperator,
     ErrorSet,
     ExchangeOp,
     PauliString,
@@ -21,6 +23,7 @@ from exqec.errorops import (
     parse_error_ops,
 )
 from exqec.klverify import (
+    DEFAULT_FLOAT_TOL,
     DMatrix,
     build_recovery,
     d_blocks,
@@ -165,6 +168,167 @@ def test_dense_oracle_finds_the_same_violations_and_rank(code):
     assert {(v.kind, v.p, v.q, (v.i, v.j)) for v in report.violations} == expected
     if report.correctable:
         assert np.linalg.matrix_rank(g[:, 0, :, 0]) == report.rank
+
+
+# ------------------------------------------------------------- orbit engine
+
+
+def _orbit_word(n, amps):
+    """sum over weights w of amps[w] times the all-ones weight-w orbit."""
+    return StateVector.from_terms(
+        n, {idx: amps[idx.bit_count()] for idx in range(1 << n) if idx.bit_count() in amps}
+    )
+
+
+def _random_ops(n):
+    """Distinct random ``i**p X(x) Z(z) P(perm)``, none equal to the identity."""
+    op = st.builds(
+        ErrorOperator,
+        st.just(n),
+        st.integers(0, (1 << n) - 1),
+        st.integers(0, (1 << n) - 1),
+        st.integers(0, 3),
+        st.permutations(range(1, n + 1)).map(tuple),
+    ).filter(lambda e: e != ErrorOperator.identity(n))
+    return st.lists(op, max_size=8, unique=True).map(lambda ops: ErrorSet.from_ops(n, ops))
+
+
+@st.composite
+def _orbit_cases(draw):
+    """An orbit code on n <= 8 qubits (1-3 words, complex parts over the
+    radicands 1, p and 4p of one prime p), its errors, and whether word 0
+    was made a near-orbit word: one member of a weight orbit with at least
+    two members dropped, or given another amplitude."""
+    n = draw(st.integers(1, 8))
+    p = draw(st.sampled_from((2, 3, 7)))
+    amp = st.builds(Amplitude.make, _PARTS, _PARTS, st.sampled_from((1, p, 4 * p)))
+    amp = amp.filter(lambda a: not a.is_zero())
+    coeffs = draw(st.lists(
+        st.dictionaries(st.integers(0, n), amp, min_size=1, max_size=3), min_size=1, max_size=3
+    ))
+    words = [_orbit_word(n, c) for c in coeffs]
+    spread = [w for w in coeffs[0] if math.comb(n, w) > 1]
+    near = bool(spread) and draw(st.booleans())
+    if near:
+        weight = draw(st.sampled_from(spread))
+        idx = draw(st.sampled_from([i for i in words[0].terms if i.bit_count() == weight]))
+        terms = dict(words[0].terms)
+        if draw(st.booleans()):
+            del terms[idx]
+        else:
+            terms[idx] = draw(amp.filter(lambda a: a != terms[idx]))
+        words[0] = StateVector.from_terms(n, terms)
+    errors = draw(st.one_of(
+        st.just(basic_error_set(n)),
+        st.just(basic_error_set(n, families=_PAIR_ERRORS)),
+        _random_ops(n),
+    ))
+    return Code(n, tuple(words)), errors, near
+
+
+@settings(max_examples=80, deadline=None)
+@given(_orbit_cases())
+@example((ruskai9_code(), basic_error_set(9, families=_PAIR_ERRORS), False))
+# one word |00000>: Z_k acts as I, so D has rank n + 1 and the identity row
+# of the symmetric block carries n * <w|Z_k w>
+@example((Code(5, (StateVector.basis(5, 0),)), basic_error_set(5), False))
+@example((
+    ruskai9_code(),
+    ErrorSet.from_ops(
+        9, parse_error_ops("X1, E(1,2) X3, X1 Z1, Y2 Y3, P(2 3 1 4 5 6 7 8 9) Z4", 9)
+    ),
+    False,
+))
+def test_orbit_engine_matches_the_sparse_engine(case):
+    """Gram entries, violations and rank equal the sparse engine's exactly;
+    orbit codes apply no error, near-orbit codes take the sparse engine."""
+    code, errors, near = case
+    with mock.patch.object(klverify, "_exact_gram", side_effect=qstate._exact_gram) as sparse:
+        entries = gram_tensor(code, errors).entries
+        report = verify_kl(code, errors)
+    assert sparse.called == near
+    # the oracle: every code through the sparse engine and ``DMatrix.rank``
+    with mock.patch.object(klverify, "_orbit_coefficients", lambda word: None):
+        assert entries == gram_tensor(code, errors).entries
+        expected = verify_kl(code, errors)
+    assert report.violations == expected.violations
+    assert report.rank == expected.rank
+
+
+def test_orbit_words_are_read_off_their_terms():
+    n = 4
+    one, amp = Amplitude.make(1), Amplitude.make(Fraction(1, 3), 2, 7)
+    word = _orbit_word(n, {0: one, 2: amp})
+    assert klverify._orbit_coefficients(word) == {0: one, 2: amp}
+    # ket by ket, as a relabelled code file writes it
+    code = parse_code(serialize_code(ruskai9_code()))
+    assert "orbit" not in serialize_code(ruskai9_code())
+    assert all(klverify._orbit_coefficients(w) is not None for w in code.words)
+    terms = dict(word.terms)
+    del terms[0b0011]
+    assert klverify._orbit_coefficients(StateVector.from_terms(n, terms)) is None
+    terms = dict(word.terms)
+    terms[0b0011] = amp.scaled(2)
+    assert klverify._orbit_coefficients(StateVector.from_terms(n, terms)) is None
+    assert klverify._orbit_coefficients(word.to_float()) is None
+
+
+def test_orbit_code_applies_no_error(ruskai9, full_error_set_9, ruskai9_report, monkeypatch):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("the orbit engine touched a state")
+
+    monkeypatch.setattr(ErrorOperator, "apply", forbidden)
+    monkeypatch.setattr(klverify, "_exact_gram", forbidden)
+    monkeypatch.setattr(klverify, "inner_product", forbidden)
+    report = verify_kl(ruskai9, full_error_set_9)
+    assert report.violations == [] and report.rank == 28
+    assert report.d_matrix == ruskai9_report.d_matrix
+
+
+def _feasible_survey_codes():
+    for n in range(2, 12):
+        for max_weights in (2, 3) if n <= 8 else (2,):
+            for row in codesearch.survey_patterns(n, max_weights):
+                if row.feasible:
+                    yield codesearch.realize_code(row.pattern, row.coefficients, row.squares)
+
+
+def test_split_rank_equals_the_rank_of_the_distinct_rows(ruskai9, full_error_set_9):
+    """The S_n split gives 3n + 1 wherever the full exact rank does:
+    ruskai9, and every feasible survey row up to n = 11, whose first is
+    the n=7 code {0,5}/{2,7}."""
+    survey = list(_feasible_survey_codes())
+    assert len(survey) == 24
+    assert klverify._orbit_coefficients(survey[0].words[0]) == {
+        0: Amplitude.make(Fraction(1, 10), 0, 30), 5: Amplitude.make(Fraction(1, 30), 0, 30)
+    }
+    for code in (ruskai9, *survey):
+        errors = basic_error_set(code.n, families=_PAIR_ERRORS)
+        report = verify_kl(code, errors)
+        assert report.correctable
+        split = klverify._split_rank(report.d_matrix, errors)
+        assert split == report.rank == report.d_matrix.rank() == 3 * code.n + 1
+
+
+@pytest.mark.parametrize(
+    "ops",
+    [
+        "X1, X2, X3, X4, Y1, Y2, Y3, Y4, Z1, Z2, Z4",  # Z3 missing
+        "X1, X2, X3, X4, X1 Z1, Y2, Y3, Y4, Z1, Z2, Z3, Z4",  # -i Y1 in place of Y1
+        "X1, X2, X3, X4, Y1, Y2, Y3, Y4, Z1, Z2, Z3, Z4, Z1 Z2",  # a two-qubit error
+    ],
+)
+def test_split_rank_needs_exactly_the_single_qubit_paulis(ops):
+    """Any other set of distinct Pauli parts falls back to ``surd_rank``
+    on the distinct rows."""
+    code = parse_code("qubits: 4\nword 0:\n1 orbit(k=0)\n1/sqrt(6) orbit(k=2)\n")
+    errors = ErrorSet.from_ops(4, parse_error_ops(ops, 4))
+    report = verify_kl(code, errors)
+    assert report.correctable
+    assert klverify._split_rank(report.d_matrix, errors) is None
+    assert report.rank == report.d_matrix.rank()
+    full = verify_kl(code, basic_error_set(4))
+    assert klverify._split_rank(full.d_matrix, basic_error_set(4)) == full.rank
 
 
 # -------------------------------------------------- dual-orbit code passes KL
@@ -367,6 +531,42 @@ def test_each_hermitian_gram_pair_is_computed_once(rep3, five_qubit, monkeypatch
         check_code(code.to_float(), errors)
         size = len(images)
         assert len(calls) == size * (size + 1) // 2
+
+
+@pytest.mark.parametrize("mode", ["exact", "float"])
+def test_violations_compare_each_exact_object_pair_once(
+    shor9, full_error_set_9, monkeypatch, mode
+):
+    """Exact entries that are one object are compared once per
+    (value, reference) pair; float mode compares entry by entry.  The list
+    equals the plain per-entry loop's."""
+    code = shor9 if mode == "exact" else shor9.to_float()
+    tol = 0.0 if mode == "exact" else DEFAULT_FLOAT_TOL
+    G = gram_tensor(code, full_error_set_9)
+    N = len(full_error_set_9)
+    plain = []
+    for kind, a in (("cross_word", 1), ("block_mismatch", 1)):
+        for p, q in itertools.product(range(N), repeat=2):
+            v = G.entry(p, 0 if kind == "cross_word" else a, q, a)
+            ref = G.entry(p, 0, q, 0) if kind == "block_mismatch" else None
+            d = klverify._excess(v, ref, tol)
+            if d is not None:
+                i = 0 if kind == "cross_word" else a
+                plain.append(klverify.Violation(kind, i, a, p, q, d.magnitude(), v, ref))
+    calls = []
+    real = klverify._excess
+
+    def counted(v, ref, tol):
+        calls.append((id(v), id(ref)))
+        return real(v, ref, tol)
+
+    monkeypatch.setattr(klverify, "_excess", counted)
+    found = klverify._violations(G, range(2), tol)
+    assert len(found) == 162 and found == plain
+    if mode == "exact":
+        assert len(calls) == len(set(calls)) < 2 * N * N
+    else:
+        assert len(calls) == 2 * N * N
 
 
 def test_extended_family_with_disjoint_members():
