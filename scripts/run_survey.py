@@ -5,8 +5,10 @@ Each pattern assigns Hamming-weight supports to the two codewords; the
 solver decides feasibility exactly (sign-definite certificates, linear
 systems in the squared coefficients, exact sign checks) and labels a row
 it cannot decide ``undecided``.  Feasible rows mean a genuine correctable
-code: every one has been re-checked through the full verifier in exact
-arithmetic, and every infeasible row carries an exact certificate.
+code: each has passed the exact gate, the correctability condition at
+tolerance 0 on the words' weight -> amplitude maps (exchanges fix such
+words, so they need no check), and every infeasible row carries an exact
+certificate.
 """
 
 from __future__ import annotations

@@ -22,8 +22,7 @@ diagonal constraints pin the squared coefficients or leave finitely many
 nonnegative basic solutions, and a finite choice of signs is checked in
 exact surd arithmetic (``exact-linear``).  A row that step leaves open is
 reported ``undecided``, never as infeasible.  Every feasible result has
-exact squares and is re-verified by running the realized code through the
-correctability checker in exact arithmetic at tolerance 0.
+exact squares that pass the exact gate (``_gate``), again with no state.
 """
 
 from __future__ import annotations
@@ -39,8 +38,8 @@ import numpy as np
 from ._linalg import solve_rational
 from .codes import Code, PermInvariantSpec, perm_invariant_code
 from .errors import CapabilityError
-from .errorops import ErrorOperator, ErrorSet, IdentityOp, basic_error_set
-from .klverify import _orbit_atom, verify_kl
+from .errorops import ErrorOperator, ErrorSet, IdentityOp
+from .klverify import GramTensor, _orbit_atom, _orbit_gram, _pauli_class, _violations
 from .qstate import Amplitude, StateVector, _check_n, orbit_sum, squarefree_split
 
 __all__ = [
@@ -202,7 +201,7 @@ def _assemble_constraints(
     The equations come from the ordered error pairs (p, q): pairs with
     p <= q make the two word blocks agree, and all pairs make the cross
     block vanish.  An atom sees E = p^-1 q only through its Pauli class
-    (phase, |x&z|, |x&~z|, |z&~x|), so each class is evaluated once, and
+    (``_pauli_class``), so each class is evaluated once, and
     its first pair in that order names the constraint's origin.  Lowering
     the qubit indices of a pair to 1 and 2 keeps its class and never
     moves it later, so that first pair always acts on qubits 1 and 2 only.
@@ -219,8 +218,7 @@ def _assemble_constraints(
     classes: dict[tuple, tuple[ErrorOperator, str]] = {}
     for block, p, q in pairs:
         e = p.inverse().compose(q)
-        x, z = e.x_mask, e.z_mask
-        cls = (block, e.phase, (x & z).bit_count(), (x & ~z).bit_count(), (z & ~x).bit_count())
+        cls = (block, _pauli_class(e.phase, e.x_mask, e.z_mask))
         if cls not in classes:
             classes[cls] = e, (
                 f"word blocks must agree at <{p.label()} w, {q.label()} w>" if block
@@ -229,7 +227,7 @@ def _assemble_constraints(
 
     seen: dict[tuple, _Constraint] = {}
     words = (pattern.word0, pattern.word1)
-    for (block, *_), (e, origin) in classes.items():
+    for (block, _), (e, origin) in classes.items():
         # (row word, column word, sign): the two blocks' difference, or the cross block
         parts = ((0, 0, 1), (1, 1, -1)) if block else ((0, 1, 1),)
         re_terms: dict[tuple[int, int], int] = {}
@@ -286,6 +284,23 @@ class SolverResult:
         return lines
 
 
+def _exact_maps(
+    pattern: SupportPattern, coefficients: Mapping[int, float], squares: Mapping[int, Fraction]
+) -> tuple[dict[int, Amplitude], ...]:
+    """Each word's weight -> amplitude map: the surd root of each nonzero
+    square, with the sign of its coefficient."""
+    maps = []
+    for weights in (sorted(pattern.word0), sorted(pattern.word1)):
+        entry: dict[int, Amplitude] = {}
+        for k in weights:
+            s = Fraction(squares[k])
+            if s:
+                amp = Amplitude.make(Fraction(1, s.denominator), 0, s.numerator * s.denominator)
+                entry[k] = amp.scaled(-1) if coefficients[k] < 0 else amp
+        maps.append(entry)
+    return tuple(maps)
+
+
 def realize_code(
     pattern: SupportPattern,
     coefficients: Mapping[int, float],
@@ -297,31 +312,14 @@ def realize_code(
     With exact ``squares`` the words use surd amplitudes sign-matched to
     ``coefficients``; otherwise float amplitudes.
     """
-    maps = []
-    for weights in (sorted(pattern.word0), sorted(pattern.word1)):
-        entry: dict[int, Amplitude | float] = {}
-        for k in weights:
-            if squares is not None:
-                s = Fraction(squares[k])
-                if s == 0:
-                    continue
-                amp = Amplitude.make(
-                    Fraction(1, s.denominator), 0, s.numerator * s.denominator
-                )
-                if coefficients[k] < 0:
-                    amp = amp.scaled(-1)
-                entry[k] = amp
-            else:
-                entry[k] = coefficients[k]
-        maps.append(entry)
     if squares is not None:
-        spec = PermInvariantSpec(pattern.n, tuple(maps))
+        spec = PermInvariantSpec(pattern.n, _exact_maps(pattern, coefficients, squares))
         return perm_invariant_code(spec, label=label)
     words = []
-    for entry in maps:
+    for weights in (sorted(pattern.word0), sorted(pattern.word1)):
         dense = np.zeros(1 << pattern.n, dtype=np.complex128)
-        for k, value in entry.items():
-            dense += value * orbit_sum(pattern.n, k).to_float().dense
+        for k in weights:
+            dense += coefficients[k] * orbit_sum(pattern.n, k).to_float().dense
         words.append(StateVector.from_dense(pattern.n, dense))
     return Code(pattern.n, tuple(words), label=label)
 
@@ -332,17 +330,15 @@ def _gate(
     coefficients: dict[int, float],
     squares: dict[int, Fraction],
 ) -> bool:
-    """Re-verify exact candidate squares through the full correctability
-    checker, in exact arithmetic at tolerance 0.
-
-    Exchange operators are always included: they fix every weight-orbit
-    word, so they cost nothing and confirm the pattern's built-in
-    immunity.
-    """
-    code = realize_code(pattern, coefficients, squares)
-    exchanges = basic_error_set(pattern.n, ("exchange",)).ops
-    errors = ErrorSet(pattern.n, (*exchanges, *_family_ops(pattern.n, families, pattern.n)))
-    return verify_kl(code, errors).correctable
+    """The correctability condition at tolerance 0 on the words' weight
+    maps, one orbit atom per Pauli class, over the identity (the words'
+    orthogonality and equal norms) and the families' single-qubit errors.
+    Exchanges fix weight-orbit words, so they would only repeat the
+    identity's rows and are left out."""
+    n = pattern.n
+    maps = _exact_maps(pattern, coefficients, squares)
+    errors = ErrorSet(n, (IdentityOp(n), *_family_ops(n, families, n)))
+    return not _violations(GramTensor(errors, 2, _orbit_gram(n, maps, errors)), range(2), 0.0)
 
 
 def _forced_zero_analysis(
@@ -517,9 +513,9 @@ def solve_coefficients(
     atoms.  Sign-definite constraints give certified infeasibility.  Then
     ``_solve_exact`` takes candidate squares from the diagonal constraints
     and the norm, and signs under which every constraint vanishes exactly.
-    Every verdict is exact: a feasible answer carries exact squares and
-    passes the exact gate on the realized code (exchange operators
-    included), and an infeasible one carries an exact certificate.  A row
+    Every verdict is exact: a feasible answer carries exact squares whose
+    words pass the exact gate (``_gate``) at tolerance 0, and an
+    infeasible one carries an exact certificate.  A row
     this step cannot decide has method ``undecided``, ``feasible`` False,
     no certificate and a note saying why.
     """

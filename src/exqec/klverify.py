@@ -116,6 +116,11 @@ def _orbit_atom(op: ErrorOperator, kappa: int, mu: int) -> tuple[int, int]:
     return ((total, 0), (0, total), (-total, 0), (0, -total))[op.phase]
 
 
+def _pauli_class(phase: int, x: int, z: int) -> tuple[int, int, int, int]:
+    """Phase and Y-, X-, Z-type support sizes of ``i**phase X(x) Z(z)``: the atom's key."""
+    return phase, (x & z).bit_count(), (x & ~z).bit_count(), (z & ~x).bit_count()
+
+
 def _orbit_coefficients(word: StateVector) -> dict[int, Amplitude] | None:
     """Weight -> amplitude when the exact ``word`` is a sum of whole weight
     orbits (all C(n, w) strings of each weight it uses, one shared
@@ -193,7 +198,7 @@ def _orbit_gram(
         for pv, xv, zv in parts:
             phase = (pv - pu + 2 * ((xu & zu).bit_count() + (zu & xv).bit_count())) & 3
             x, z = xu ^ xv, zu ^ zv
-            cls = (phase, (x & z).bit_count(), (x & ~z).bit_count(), (z & ~x).bit_count())
+            cls = _pauli_class(phase, x, z)
             if cls not in by_class:
                 by_class[cls] = class_values(ErrorOperator(n, x, z, phase))
             row.append(by_class[cls])
@@ -210,18 +215,21 @@ def _orbit_gram(
     return tuple(entries)
 
 
-def _gram(words: Sequence[StateVector], errors: ErrorSet) -> GramTensor:
-    """Orbit words go to ``_orbit_gram``, which builds no state.  Other
+def _gram(words: Sequence[StateVector], errors: ErrorSet) -> tuple[GramTensor, dict | None]:
+    """The Gram tensor and word 0's ``_orbit_coefficients``, read once.
+    Orbit words go to ``_orbit_gram``, which builds no state.  Other
     exact words have every error applied once, and ``_exact_gram`` sums
     the images over shared basis states in Python integers; float images
     take ``inner_product(image_x, image_y)`` for each flat pair ``x <= y``,
     and ``(y, x)`` holds its conjugate."""
+    if words[0].n != errors.n:
+        raise ValueError(f"code on {words[0].n} qubits, errors on {errors.n}")
     coeffs = [_orbit_coefficients(word) for word in words]
     if all(c is not None for c in coeffs):
-        return GramTensor(errors, len(words), _orbit_gram(words[0].n, coeffs, errors))
+        return GramTensor(errors, len(words), _orbit_gram(words[0].n, coeffs, errors)), coeffs[0]
     images = [apply(op, word) for op in errors.ops for word in words]
     if images[0].mode == "exact":
-        return GramTensor(errors, len(words), _exact_gram(images))
+        return GramTensor(errors, len(words), _exact_gram(images)), coeffs[0]
     size = len(images)
     entries: list = [None] * (size * size)
     for x in range(size):
@@ -229,13 +237,11 @@ def _gram(words: Sequence[StateVector], errors: ErrorSet) -> GramTensor:
             v = inner_product(images[x], images[y])
             entries[x * size + y] = v
             entries[y * size + x] = v.conjugate()
-    return GramTensor(errors, len(words), tuple(entries))
+    return GramTensor(errors, len(words), tuple(entries)), coeffs[0]
 
 
 def gram_tensor(code: Code, errors: ErrorSet) -> GramTensor:
-    if code.n != errors.n:
-        raise ValueError(f"code on {code.n} qubits, errors on {errors.n}")
-    return _gram(code.words, errors)
+    return _gram(code.words, errors)[0]
 
 
 @dataclass(frozen=True)
@@ -432,11 +438,10 @@ def _report(
     violations: list[Violation],
     tol: float,
     strict: bool,
-    n: int,
-    word0: StateVector,
+    orbit0: dict[int, Amplitude] | None,
 ) -> KLReport:
     """The report; when correctable, word 0's block is the D matrix.  Its
-    rank comes from the S_n split when ``word0`` is a sum of weight orbits
+    rank comes from the S_n split when word 0 has weight map ``orbit0``
     and the errors allow it, else from ``DMatrix.rank``."""
     d_matrix = rank = None
     if not violations:
@@ -444,7 +449,7 @@ def _report(
         size = len(G.errors) * w
         block = tuple(G.entries[x * size : (x + 1) * size : w] for x in range(0, size, w))
         d_matrix = DMatrix(block, G.errors.labels, G.errors.families)
-        if _orbit_coefficients(word0) is not None:
+        if orbit0 is not None:
             rank = _split_rank(d_matrix, G.errors)
         if rank is None:
             rank = d_matrix.rank()
@@ -456,7 +461,7 @@ def _report(
         strict=strict,
         rank=rank,
         dimension_used=None if rank is None else G.num_words * rank,
-        dimension_total=1 << n,
+        dimension_total=1 << G.errors.n,
         labels=G.errors.labels,
     )
 
@@ -471,7 +476,7 @@ def verify_kl(
     matrix together with its rank and the dimension count 2*rank.
     """
     tol = _resolve_tol(code, tol)
-    G = gram_tensor(code, errors)
+    G, orbit0 = _gram(code.words, errors)
     violations = _violations(G, range(len(code.words)), tol)
     if strict:
         for p, q in product(range(len(errors)), repeat=2):
@@ -480,7 +485,7 @@ def verify_kl(
             d = _excess(v, ref, tol)
             if d is not None:
                 violations.append(Violation("strict", 0, 0, p, q, d.magnitude(), v, ref))
-    return _report(G, violations, tol, strict, code.n, code.words[0])
+    return _report(G, violations, tol, strict, orbit0)
 
 
 def verify_kl_extended(
@@ -502,11 +507,9 @@ def verify_kl_extended(
     if any(c.mode != family[0].mode for c in family):
         raise ValueError("family members must share exact/float mode")
     tol = _resolve_tol(family[0], tol)
-    if errors.n != n:
-        raise ValueError(f"codes on {n} qubits, errors on {errors.n}")
     keys = [(i, m) for m in range(len(family)) for i in range(w)]
-    G = _gram([family[m].words[i] for i, m in keys], errors)
-    return _report(G, _violations(G, keys, tol), tol, False, n, family[0].words[0])
+    G, orbit0 = _gram([family[m].words[i] for i, m in keys], errors)
+    return _report(G, _violations(G, keys, tol), tol, False, orbit0)
 
 
 @dataclass(frozen=True)

@@ -307,6 +307,17 @@ def test_output_is_deterministic(capsys):
             0,
             "338b278ba0966abdf71f53e26bd9a8d3494061d98a2b2c742f0b958c11411c35",
         ),
+        (
+            # ten feasible rows, each through the exact gate
+            "survey --n 13 --max-weights 2",
+            0,
+            "2ef38fcc8ec4a357186edc3d70631cb7c7e7189a23777fb07be55d8b8668d67b",
+        ),
+        (
+            "search --n 16 --support0 0,10 --support1 6,16",
+            0,
+            "3252c58eac76bf266a4a219c80778d9ac491da0b5099569466fb24eb024ca9a6",
+        ),
     ],
 )
 def test_output_matches_golden_digest(capsys, argv, rc, digest):

@@ -322,6 +322,19 @@ def test_families_parameter_changes_the_answer():
         solve_coefficients(pattern, families=("bogus",))
 
 
+def _record_gate_errors(monkeypatch) -> list:
+    """Each error list the exact gate hands to its Gram step, in call order."""
+    gated = []
+    orbit_gram = codesearch._orbit_gram
+
+    def recording(n, maps, errors):
+        gated.append(errors.ops)
+        return orbit_gram(n, maps, errors)
+
+    monkeypatch.setattr(codesearch, "_orbit_gram", recording)
+    return gated
+
+
 @pytest.mark.parametrize(
     "families", [("single_pauli", "single_pauli"), ("bitflip", "single_pauli")]
 )
@@ -330,13 +343,7 @@ def test_repeated_families_use_each_operator_once(monkeypatch, families):
     single_pauli run, and the exact gate sees distinct operators."""
     pattern = SupportPattern(7, {0, 5}, {2, 7})
     reference = solve_coefficients(pattern, ("single_pauli",))
-    gated = []
-
-    def recording(code, errors):
-        gated.append(errors.ops)
-        return verify_kl(code, errors)
-
-    monkeypatch.setattr(codesearch, "verify_kl", recording)
+    gated = _record_gate_errors(monkeypatch)
     result = solve_coefficients(pattern, families)
     assert (result.feasible, result.method, result.squares) == (
         reference.feasible, reference.method, reference.squares
@@ -375,6 +382,60 @@ def test_codes_the_grid_missed_are_found_exactly(n, word0, word1, lead, inner):
     assert result.method == "exact-linear"
     assert result.squares == {0: lead, n: lead, 2: inner, n - 2: inner}
     assert result.residual == 0.0
+
+
+@pytest.mark.parametrize(
+    "n, word0, word1, lead, inner",
+    [
+        (13, {0, 11}, {2, 13}, Fraction(9, 22), Fraction(1, 132)),
+        (20, {0, 12}, {8, 20}, Fraction(1, 6), Fraction(1, 151164)),
+    ],
+    ids=["n13", "n20"],
+)
+def test_gate_builds_no_state(monkeypatch, n, word0, word1, lead, inner):
+    """The exact gate checks the words' weight maps: no orbit sum, state,
+    operator image, inner product, sparse Gram or ``verify_kl``, and no
+    error with a permutation factor."""
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("the exact gate touched a state")
+
+    for module, name in (
+        (codesearch, "orbit_sum"), (qstate, "orbit_sum"),
+        (qstate, "inner_product"), (klverify, "inner_product"),
+        (qstate, "_exact_gram"), (klverify, "_exact_gram"), (klverify, "verify_kl"),
+    ):
+        monkeypatch.setattr(module, name, forbidden)
+    monkeypatch.setattr(StateVector, "__init__", forbidden)
+    monkeypatch.setattr(ErrorOperator, "apply", forbidden)
+    gated = _record_gate_errors(monkeypatch)
+    result = solve_coefficients(SupportPattern(n, word0, word1))
+    assert result.feasible and result.method == "exact-linear"
+    outer, middle = {min(word0), max(word1)}, {max(word0), min(word1)}
+    assert result.squares == {**dict.fromkeys(outer, lead), **dict.fromkeys(middle, inner)}
+    assert gated and not any(op.perm for ops in gated for op in ops)
+
+
+def test_gate_agrees_with_the_sparse_engine(monkeypatch):
+    """Every sign choice on the nonzero squares of every feasible survey row
+    for n = 5..8: the gate's verdict is the sparse engine's on the realized
+    code with the exchanges included."""
+    monkeypatch.setattr(klverify, "_orbit_coefficients", lambda word: None)
+    verdicts = Counter()
+    for n in range(5, 9):
+        errors = basic_error_set(n, ("single_pauli", "exchange"))
+        for row in survey_patterns(n, 3):
+            if not row.feasible:
+                continue
+            weights = sorted(k for k, s in row.squares.items() if s)
+            for signs in product((1, -1), repeat=len(weights)):
+                coeffs = dict(row.coefficients)
+                coeffs.update((k, s * abs(coeffs[k])) for k, s in zip(weights, signs))
+                gate = codesearch._gate(row.pattern, row.families, coeffs, row.squares)
+                code = realize_code(row.pattern, coeffs, row.squares)
+                assert gate == verify_kl(code, errors).correctable
+                verdicts[gate] += 1
+    assert verdicts == {True: 80, False: 80}
 
 
 def test_underdetermined_squares_need_no_linear_program(monkeypatch):
@@ -553,7 +614,7 @@ def test_survey_verdicts_are_exact(monkeypatch, survey):
 
 
 def test_candidate_failing_the_gate_leaves_the_row_undecided(monkeypatch):
-    """A sign choice the full checker rejects certifies nothing: the pinned
+    """A sign choice the exact gate rejects certifies nothing: the pinned
     n=7 code becomes undecided, not infeasible."""
     monkeypatch.setattr(codesearch, "_gate", lambda *args: False)
     result = solve_coefficients(SupportPattern(7, {0, 5}, {2, 7}))

@@ -285,6 +285,25 @@ def test_orbit_code_applies_no_error(ruskai9, full_error_set_9, ruskai9_report, 
     assert report.d_matrix == ruskai9_report.d_matrix
 
 
+def test_orbit_coefficients_are_read_once_per_word(ruskai9, full_error_set_9, monkeypatch):
+    """The report takes word 0's weight map from the Gram step instead of
+    reading the terms again."""
+    calls = []
+    read = klverify._orbit_coefficients
+
+    def counted(word):
+        calls.append(word)
+        return read(word)
+
+    monkeypatch.setattr(klverify, "_orbit_coefficients", counted)
+    report = verify_kl(ruskai9, full_error_set_9)
+    assert report.rank == 28
+    assert len(calls) == 2
+    calls.clear()
+    assert verify_kl_extended([ruskai9], full_error_set_9).rank == 28
+    assert len(calls) == 2
+
+
 def _feasible_survey_codes():
     for n in range(2, 12):
         for max_weights in (2, 3) if n <= 8 else (2,):
