@@ -11,7 +11,7 @@ __all__ = ["rational_rank", "solve_rational", "surd_rank"]
 
 
 def _eliminate(
-    matrix: Sequence[Sequence[Fraction]], ncols: int
+    matrix: Sequence[Sequence[int | Fraction]], ncols: int
 ) -> tuple[list[list[int]], list[int]]:
     """Fraction-free row echelon form of the first ``ncols`` columns.
 
@@ -25,7 +25,7 @@ def _eliminate(
     rows = []
     for r in matrix:
         den = math.lcm(*(x.denominator for x in r))
-        rows.append([int(x * den) for x in r])
+        rows.append([x.numerator * (den // x.denominator) for x in r])
     pivots: list[int] = []
     for col in range(ncols):
         rank = len(pivots)
@@ -47,8 +47,8 @@ def _eliminate(
     return rows, pivots
 
 
-def rational_rank(matrix: Sequence[Sequence[Fraction]]) -> int:
-    """Exact rank of a matrix of Fractions by Gaussian elimination."""
+def rational_rank(matrix: Sequence[Sequence[int | Fraction]]) -> int:
+    """Exact rank of a matrix of ints or Fractions by Gaussian elimination."""
     ncols = len(matrix[0]) if matrix else 0
     return len(_eliminate(matrix, ncols)[1])
 
@@ -99,9 +99,9 @@ def surd_rank(matrix: Sequence[Sequence[Sequence[tuple[int, Fraction, Fraction]]
 
 
 def solve_rational(
-    matrix: Sequence[Sequence[Fraction]], rhs: Sequence[Fraction]
+    matrix: Sequence[Sequence[int | Fraction]], rhs: Sequence[int | Fraction]
 ) -> tuple[str, list[Fraction] | None, list[int]]:
-    """Solve ``A x = b`` exactly.
+    """Solve ``A x = b`` exactly: int or Fraction entries, a Fraction solution.
 
     Returns ``(status, solution, free_columns)`` where status is one of
     ``"unique"``, ``"underdetermined"`` (solution is one particular point

@@ -15,14 +15,15 @@ the system is assembled without building a state.  An atom depends on E
 only through its Pauli class (phase and the sizes of its Y-, X- and
 Z-type supports), so assembly evaluates one atom per class, and the first
 error pair of a class names the constraint it yields; the work per pattern
-does not grow with n.  The module then decides
-feasibility in one exact step: a constraint that is a positive combination
-of squares can force a word to zero (``sign-definite``); otherwise the
-diagonal constraints pin the squared coefficients or leave finitely many
-nonnegative basic solutions, and a finite choice of signs is checked in
-exact surd arithmetic (``exact-linear``).  A row that step leaves open is
-reported ``undecided``, never as infeasible.  Every feasible result has
-exact squares that pass the exact gate (``_gate``), again with no state.
+does not grow with n, a survey's patterns share one class table, and each
+constraint is an integer row.  Feasibility is decided in one exact step:
+a constraint that is a positive combination of squares can force a word
+to zero (``sign-definite``); otherwise the diagonal constraints pin the
+squared coefficients or leave finitely many nonnegative basic solutions,
+and a finite choice of signs is checked in exact surd arithmetic on
+integers (``exact-linear``).  A row that step leaves open is reported
+``undecided``, never as infeasible.  Every feasible result has exact
+squares that pass the exact gate (``_gate``), again with no state.
 """
 
 from __future__ import annotations
@@ -139,11 +140,12 @@ class SupportPattern:
 class _Constraint:
     """A homogeneous quadratic equation sum_ij c_ij x_i x_j = 0.
 
-    ``terms`` maps index pairs (i <= j) into the pattern's variable list;
-    ``origin`` records which Gram condition produced it.
+    ``terms`` holds (i, j, c) over index pairs (i <= j) into the pattern's
+    variable list, a primitive integer row (``_canonical``); ``origin``
+    records which Gram condition produced it.
     """
 
-    terms: tuple[tuple[int, int, Fraction], ...]
+    terms: tuple[tuple[int, int, int], ...]
     origin: str
 
     def is_diagonal(self) -> bool:
@@ -153,7 +155,7 @@ class _Constraint:
         bits = []
         for i, j, c in self.terms:
             mono = f"{names[i]}^2" if i == j else f"{names[i]}*{names[j]}"
-            bits.append(f"{c}*{mono}")
+            bits.append(f"{Fraction(c, self.terms[0][2])}*{mono}")
         return " + ".join(bits) + " = 0"
 
 
@@ -181,65 +183,70 @@ def _family_ops(n: int, families: Sequence[str], top: int) -> list[ErrorOperator
 
 
 def _canonical(terms: dict[tuple[int, int], int]) -> tuple | None:
-    items = tuple(
-        (i, j, c) for (i, j), c in sorted(terms.items()) if c != 0
-    )
+    """The nonzero terms, sorted, as a primitive integer row with a positive
+    first coefficient: one tuple per class of proportional rows."""
+    items = [(i, j, c) for (i, j), c in sorted(terms.items()) if c]
     if not items:
         return None
-    lead = items[0][2]
-    return tuple((i, j, Fraction(c, lead)) for i, j, c in items)
+    g = math.gcd(*(c for _, _, c in items)) * (1 if items[0][2] > 0 else -1)
+    return tuple((i, j, c // g) for i, j, c in items)
+
+
+def _class_table(n: int, families: Sequence[str]) -> dict[tuple, tuple]:
+    """(block, Pauli class) -> (E = p^-1 q, origin, atom memo by (kappa, mu)).
+
+    Of the ordered error pairs (p, q), those with p <= q make the word blocks
+    agree and all make the cross block vanish.  An atom sees E only through
+    its Pauli class (``_pauli_class``), so a class keeps its first pair's E
+    and origin, and shares one memo across both blocks.  Lowering a pair's
+    qubits to 1 and 2 keeps its class and never moves it later.
+    """
+    ops = [IdentityOp(n), *_family_ops(n, families, min(n, 2))]
+    pairs = [(True, p, q) for a, p in enumerate(ops) for q in ops[a:]]
+    pairs += [(False, p, q) for p in ops for q in ops]
+    classes: dict[tuple, tuple] = {}
+    memos: dict[tuple, dict] = {}
+    for block, p, q in pairs:
+        e = p.inverse().compose(q)
+        pauli = _pauli_class(e.phase, e.x_mask, e.z_mask)
+        if (block, pauli) not in classes:
+            classes[block, pauli] = e, (
+                f"word blocks must agree at <{p.label()} w, {q.label()} w>" if block
+                else f"<{p.label()} w0, {q.label()} w1> must vanish"
+            ), memos.setdefault(pauli, {})
+    return classes
 
 
 def _assemble_constraints(
-    pattern: SupportPattern, families: Sequence[str]
+    pattern: SupportPattern, families: Sequence[str], classes: dict | None = None
 ) -> tuple[list[_Constraint], list[str], list[tuple[int, int]]]:
-    """All correctability equations for the pattern, deduplicated.
+    """All correctability equations for the pattern, deduplicated, from
+    ``classes`` (a ``_class_table`` of its own when None).
 
     Returns (constraints, variable names, variable keys) where each key
     is (word, weight) in variable order and names render as a_kappa.
-
-    The equations come from the ordered error pairs (p, q): pairs with
-    p <= q make the two word blocks agree, and all pairs make the cross
-    block vanish.  An atom sees E = p^-1 q only through its Pauli class
-    (``_pauli_class``), so each class is evaluated once, and
-    its first pair in that order names the constraint's origin.  Lowering
-    the qubit indices of a pair to 1 and 2 keeps its class and never
-    moves it later, so that first pair always acts on qubits 1 and 2 only.
     """
-    n = pattern.n
     keys = [(0, k) for k in sorted(pattern.word0)]
     keys += [(1, k) for k in sorted(pattern.word1)]
     index = {key: pos for pos, key in enumerate(keys)}
     names = [f"a_{k}" for _, k in keys]
-    ops = [IdentityOp(n), *_family_ops(n, families, min(n, 2))]
-    pairs = [(True, p, q) for a, p in enumerate(ops) for q in ops[a:]]
-    pairs += [(False, p, q) for p in ops for q in ops]
-
-    classes: dict[tuple, tuple[ErrorOperator, str]] = {}
-    for block, p, q in pairs:
-        e = p.inverse().compose(q)
-        cls = (block, _pauli_class(e.phase, e.x_mask, e.z_mask))
-        if cls not in classes:
-            classes[cls] = e, (
-                f"word blocks must agree at <{p.label()} w, {q.label()} w>" if block
-                else f"<{p.label()} w0, {q.label()} w1> must vanish"
-            )
-
+    classes = _class_table(pattern.n, families) if classes is None else classes
     seen: dict[tuple, _Constraint] = {}
     words = (pattern.word0, pattern.word1)
-    for (block, _), (e, origin) in classes.items():
+    for (block, _), (e, origin, atoms) in classes.items():
         # (row word, column word, sign): the two blocks' difference, or the cross block
         parts = ((0, 0, 1), (1, 1, -1)) if block else ((0, 1, 1),)
-        re_terms: dict[tuple[int, int], int] = {}
-        im_terms: dict[tuple[int, int], int] = {}
+        rows: tuple[dict[tuple[int, int], int], ...] = ({}, {})  # real, imaginary
         for wa, wb, sign in parts:
             for ka in words[wa]:
                 for mu in words[wb]:
                     i, j = sorted((index[(wa, ka)], index[(wb, mu)]))
-                    for dest, value in zip((re_terms, im_terms), _orbit_atom(e, ka, mu)):
+                    if (ka, mu) not in atoms:
+                        atoms[ka, mu] = _orbit_atom(e, ka, mu)
+                    for dest, value in zip(rows, atoms[ka, mu]):
                         if value:
                             dest[i, j] = dest.get((i, j), 0) + sign * value
-        for terms, suffix in ((re_terms, ""), (im_terms, " (imaginary part)")):
+        for terms, suffix in zip(rows, ("", " (imaginary part)")):
             canon = _canonical(terms)
             if canon is not None and canon not in seen:
                 seen[canon] = _Constraint(canon, origin + suffix)
@@ -269,19 +276,14 @@ class SolverResult:
             f"feasible: {verdict}",
             f"method: {self.method}",
         ]
-        if self.coefficients is not None:
-            for k in sorted(self.coefficients):
-                lines.append(f"coefficient a_{k}: {self.coefficients[k]:.12g}")
-        if self.squares is not None:
-            for k in sorted(self.squares):
-                lines.append(f"square a_{k}^2: {self.squares[k]}")
+        coefficients, squares = self.coefficients or {}, self.squares or {}
+        lines += [f"coefficient a_{k}: {coefficients[k]:.12g}" for k in sorted(coefficients)]
+        lines += [f"square a_{k}^2: {squares[k]}" for k in sorted(squares)]
         if self.residual is not None:
             lines.append(f"residual: {self.residual:.3g}")
         if self.certificate is not None:
             lines.append(f"certificate: {self.certificate}")
-        for note in self.notes:
-            lines.append(f"note: {note}")
-        return lines
+        return lines + [f"note: {note}" for note in self.notes]
 
 
 def _exact_maps(
@@ -345,24 +347,18 @@ def _forced_zero_analysis(
     constraints: list[_Constraint], names: list[str], keys: list[tuple[int, int]]
 ) -> str | None:
     """Propagate sign-definite constraints; detect a word forced to zero."""
-    zero: set[int] = set()
-    cause: dict[int, _Constraint] = {}
+    cause: dict[int, _Constraint] = {}  # each variable forced to zero, and why
     changed = True
     while changed:
         changed = False
         for con in constraints:
-            live = [(i, j, c) for i, j, c in con.terms if i not in zero and j not in zero]
-            if not live:
-                continue
-            if all(i == j for i, j, _ in live) and len({c > 0 for _, _, c in live}) == 1:
-                for i, _, _ in live:
-                    if i not in zero:
-                        zero.add(i)
-                        cause[i] = con
-                        changed = True
+            live = [(i, j, c) for i, j, c in con.terms if i not in cause and j not in cause]
+            if live and all(i == j for i, j, _ in live) and len({c > 0 for *_, c in live}) == 1:
+                cause.update((i, con) for i, _, _ in live)
+                changed = True
     for word in (0, 1):
         members = [pos for pos, (w, _) in enumerate(keys) if w == word]
-        if members and all(pos in zero for pos in members):
+        if members and all(pos in cause for pos in members):
             con = cause[members[0]]
             return (
                 f"{con.render(names)} (from: {con.origin}); every term is a "
@@ -378,28 +374,30 @@ def _signs(
     """First sign choice under which every constraint sums to exactly 0.
 
     Each word's first nonzero coefficient is +: flipping a whole word's
-    sign changes no constraint's zero set.  A term c*a_i*a_j is
-    c * sigma_i sigma_j * sqrt(s_i s_j), a rational times sqrt(t) for a
-    squarefree t, and surds of distinct t are linearly independent, so a
-    constraint vanishes exactly when each t-part does.
+    sign changes no constraint's zero set.  With s_i D^2 = u_i^2 t_i over a
+    common denominator D (t_i squarefree, g = gcd(t_i, t_j)), c*a_i*a_j is
+    c u_i u_j g * sigma_i sigma_j sqrt(t_i t_j / g^2) / D^2, and surds of
+    distinct squarefree t are independent, so each t-part must vanish.
     """
     nonzero = [pos for pos in range(len(keys)) if squares[pos]]
     flips = [p for p in nonzero if any(keys[q][0] == keys[p][0] for q in nonzero if q < p)]
+    den = math.lcm(*(squares[pos].denominator for pos in nonzero))
+    split = {pos: squarefree_split(int(squares[pos] * den * den)) for pos in nonzero}
     surds = []
     for con in constraints:
         terms = []
         for i, j, c in con.terms:
-            prod = squares[i] * squares[j]
-            if prod:
-                root, t = squarefree_split(prod.numerator * prod.denominator)
-                terms.append((i, j, c * root / prod.denominator, t))
+            if i in split and j in split:
+                (ui, ti), (uj, tj) = split[i], split[j]
+                g = math.gcd(ti, tj)
+                terms.append((i, j, c * ui * uj * g, ti * tj // (g * g)))
         surds.append(terms)
     for choice in product((1, -1), repeat=len(flips)):
         sign = [1] * len(keys)
         for pos, s in zip(flips, choice):
             sign[pos] = s
         for terms in surds:
-            parts: dict[int, Fraction] = {}
+            parts: dict[int, int] = {}
             for i, j, q, t in terms:
                 parts[t] = parts.get(t, 0) + sign[i] * sign[j] * q
             if any(parts.values()):
@@ -428,12 +426,12 @@ def _solve_exact(
     """
     d = len(keys)
     rows = [
-        [next((c for i, _, c in con.terms if i == pos), Fraction(0)) for pos in range(d)]
+        [next((c for i, _, c in con.terms if i == pos), 0) for pos in range(d)]
         for con in constraints if con.is_diagonal()
     ]
     # fix the free overall scale: word-0 squared norm = 1
-    rows.append([Fraction(math.comb(pattern.n, k) if w == 0 else 0) for w, k in keys])
-    rhs = [Fraction(0)] * (len(rows) - 1) + [Fraction(1)]
+    rows.append([math.comb(pattern.n, k) if w == 0 else 0 for w, k in keys])
+    rhs = [0] * (len(rows) - 1) + [1]
 
     def infeasible(text: str) -> SolverResult:
         return SolverResult(pattern, families, False, "exact-linear", None, None, None, text)
@@ -523,8 +521,12 @@ def solve_coefficients(
         raise CapabilityError(
             f"patterns are limited to {MAX_WEIGHTS_PER_WORD} weights per word"
         )
+    return _solve(pattern, families, _class_table(pattern.n, families))
+
+
+def _solve(pattern: SupportPattern, families: Sequence[str], classes: dict) -> SolverResult:
     fams = tuple(families)
-    constraints, names, keys = _assemble_constraints(pattern, fams)
+    constraints, names, keys = _assemble_constraints(pattern, fams, classes)
     forced = _forced_zero_analysis(constraints, names, keys)
     if forced is not None:
         result = SolverResult(pattern, fams, False, "sign-definite", None, None, None, forced)
@@ -549,7 +551,7 @@ def survey_patterns(
     Patterns pair each weight set K with its mirror {n - kappa}; mirrors
     that overlap K are skipped (they would break word orthogonality), and
     each unordered {K, mirror} pair is visited once.  Results come back
-    in sorted pattern order.
+    in sorted pattern order, solved over one class table for this call.
     """
     if n < 1:
         raise ValueError(f"n must be at least 1, got {n}")
@@ -559,18 +561,16 @@ def survey_patterns(
         raise CapabilityError(
             f"patterns are limited to {MAX_WEIGHTS_PER_WORD} weights per word"
         )
-    seen: set[tuple[int, ...]] = set()
-    patterns: list[SupportPattern] = []
-    for size in range(1, max_weights + 1):
-        for combo in combinations(range(n + 1), size):
-            mirror = tuple(sorted(n - k for k in combo))
-            key = min(combo, mirror)
-            if set(combo) & set(mirror) or key in seen:
-                continue
-            seen.add(key)
-            patterns.append(SupportPattern(n, frozenset(combo), frozenset(mirror)))
-    patterns.sort(key=lambda p: (len(p.word0), tuple(sorted(p.word0))))
-    return [solve_coefficients(p, families) for p in patterns]
+    # combinations come by size, then in lexicographic order: keep K < mirror
+    patterns = [
+        SupportPattern(n, frozenset(combo), frozenset(mirror))
+        for size in range(1, max_weights + 1)
+        for combo in combinations(range(n + 1), size)
+        for mirror in [tuple(n - k for k in reversed(combo))]
+        if combo < mirror and not set(combo) & set(mirror)
+    ]
+    classes = _class_table(n, families)
+    return [_solve(p, families, classes) for p in patterns]
 
 
 def survey_7bit(families: Sequence[str] = ("single_pauli",)) -> list[SolverResult]:

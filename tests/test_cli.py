@@ -318,6 +318,18 @@ def test_output_is_deterministic(capsys):
             0,
             "3252c58eac76bf266a4a219c80778d9ac491da0b5099569466fb24eb024ca9a6",
         ),
+        (
+            # 116 patterns, 45 feasible
+            "survey --n 11 --max-weights 3",
+            0,
+            "f019e319bba17758b450e98ca73a5f050786f65cf16df5f1cce6d3eab0e804cc",
+        ),
+        (
+            # 105 patterns, 46 feasible; 4-weight rows have up to 2^6 sign choices
+            "survey --n 10 --max-weights 4",
+            0,
+            "c5f8faa109b714feec5bbe7ce948efe3ebd2dcf7682ec42d81cd48c9079886d2",
+        ),
     ],
 )
 def test_output_matches_golden_digest(capsys, argv, rc, digest):
@@ -467,6 +479,12 @@ def test_scan_too_large_is_usage_error(tmp_path, capsys):
             "limited to 4 weights per word",
         ),
         (("survey", "--n", "11", "--max-weights", "5"), "limited to 4 weights per word"),
+        (
+            # the pattern checks come before the family check
+            ("survey", "--n", "25", "--families", "bogus"),
+            "qubit count must be between 1 and 24, got 25",
+        ),
+        (("survey", "--n", "7", "--families", "bogus"), "unknown error family 'bogus'"),
         (("verify", "--codefile", "{wide}"), "qubit count 25 out of range 1..24"),
     ],
 )

@@ -8,6 +8,7 @@ from collections import Counter
 from fractions import Fraction
 from itertools import product
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -18,6 +19,7 @@ from exqec.codes import Code
 from exqec.codesearch import (
     MAX_WEIGHTS_PER_WORD,
     SupportPattern,
+    _Constraint,
     _assemble_constraints,
     _orbit_atom,
     bitflip_cross_count,
@@ -30,7 +32,7 @@ from exqec.codesearch import (
 )
 from exqec.errorops import ErrorOperator, IdentityOp, PauliString, basic_error_set
 from exqec.errors import CapabilityError
-from exqec.klverify import verify_kl
+from exqec.klverify import _pauli_class, verify_kl
 from exqec.qstate import StateVector, inner_product, orbit_sum
 
 
@@ -243,6 +245,26 @@ def test_assembly_work_does_not_grow_with_n(monkeypatch):
     # identity and X, Y, Z on qubits 1 and 2: 28 block pairs and 49 cross pairs
     assert small["compose"] == 28 + 49
     assert 0 < small["atom"] < 2 * 7 * 7 * 4
+
+
+def test_survey_evaluates_each_atom_once(monkeypatch):
+    """One survey evaluates each (Pauli class, kappa, mu) atom at most once
+    across all its patterns, and a second survey does the same work again:
+    the class table lives for one call."""
+    calls = Counter()
+    atom = codesearch._orbit_atom
+
+    def counted_atom(e, kappa, mu):
+        calls[_pauli_class(e.phase, e.x_mask, e.z_mask), kappa, mu] += 1
+        return atom(e, kappa, mu)
+
+    monkeypatch.setattr(codesearch, "_orbit_atom", counted_atom)
+    first = survey_patterns(7, 3)
+    once = dict(calls)
+    calls.clear()
+    assert survey_patterns(7, 3) == first
+    assert once and max(once.values()) == 1
+    assert calls == once
 
 
 def test_pattern_search_and_verifier_share_one_atom():
@@ -475,6 +497,75 @@ def test_pinned_squares_without_a_sign_choice_are_infeasible(word1, families, pi
         f"the squares are pinned ({pinned}) and no sign choice makes every "
         "constraint vanish exactly"
     )
+
+
+def reference_signs(constraints, keys, squares):
+    """The Fraction sign check that the integer ``_signs`` replaced: one
+    squarefree split of s_i s_j per term, kept as its reference."""
+    nonzero = [pos for pos in range(len(keys)) if squares[pos]]
+    flips = [p for p in nonzero if any(keys[q][0] == keys[p][0] for q in nonzero if q < p)]
+    surds = []
+    for con in constraints:
+        terms = []
+        for i, j, c in con.terms:
+            prod = squares[i] * squares[j]
+            if prod:
+                root, t = qstate.squarefree_split(prod.numerator * prod.denominator)
+                terms.append((i, j, c * root / prod.denominator, t))
+        surds.append(terms)
+    for choice in product((1, -1), repeat=len(flips)):
+        sign = [1] * len(keys)
+        for pos, s in zip(flips, choice):
+            sign[pos] = s
+        for terms in surds:
+            parts = {}
+            for i, j, q, t in terms:
+                parts[t] = parts.get(t, 0) + sign[i] * sign[j] * q
+            if any(parts.values()):
+                break
+        else:
+            return sign
+    return None
+
+
+_SQUARES = [Fraction(0), Fraction(3, 10), Fraction(1, 30), Fraction(1, 4),
+            Fraction(1, 112), Fraction(2, 7), Fraction(9, 22), Fraction(1, 132)]
+# feasible codes whose last coefficient is negative, and a pinned row whose
+# a_0 a_4 carries sqrt(105) while a_2 a_6 is rational
+_SIGN_ROWS = [
+    (SupportPattern(7, {0, 5}, {2, 7}), ("single_pauli",)),
+    (SupportPattern(10, {0, 8}, {2, 10}), ("single_pauli",)),
+    (SupportPattern(11, {1, 8}, {3, 10}), ("single_pauli",)),
+    (SupportPattern(7, {0, 4}, {2, 6}), ("bitflip", "phase")),
+]
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.one_of(patterns_and_families(), st.sampled_from(_SIGN_ROWS)), st.data())
+def test_integer_signs_match_the_fraction_reference(case, data):
+    """The integer sign check over one common denominator returns the same
+    sign list, or None, as the Fraction check on the rows scaled to a first
+    coefficient of 1, for drawn squares and for the candidate squares the
+    solver itself tries, a feasible row's own among them."""
+    pattern, families = case
+    constraints, _, keys = _assemble_constraints(pattern, families)
+    squares = None
+    if data.draw(st.booleans(), label="solver's squares"):
+        with mock.patch.object(codesearch, "_signs", wraps=codesearch._signs) as spy:
+            solve_coefficients(pattern, families)
+        tried = [call.args[2] for call in spy.call_args_list]
+        if tried:
+            squares = data.draw(st.sampled_from(tried), label="candidate")
+    if squares is None:
+        squares = data.draw(
+            st.lists(st.sampled_from(_SQUARES), min_size=len(keys), max_size=len(keys)),
+            label="squares",
+        )
+    scaled = [
+        _Constraint(tuple((i, j, Fraction(c, con.terms[0][2])) for i, j, c in con.terms), "")
+        for con in constraints
+    ]
+    assert codesearch._signs(constraints, keys, squares) == reference_signs(scaled, keys, squares)
 
 
 _PINNED = re.compile(r"a_(\d+)\^2 = (-?\d+(?:/\d+)?)")

@@ -64,5 +64,17 @@ def test_row_denominators_change_nothing(system, dens):
     )
 
 
+@settings(max_examples=200, deadline=None)
+@given(_system())
+def test_int_and_fraction_entries_agree(system):
+    """The same matrix as ints and as Fractions has one rank and one
+    solution, and the solution's entries are Fractions either way."""
+    matrix, rhs = system
+    assert rational_rank(matrix) == rational_rank(_fractions(matrix))
+    got = solve_rational(matrix, rhs)
+    assert got == solve_rational(_fractions(matrix), [Fraction(b) for b in rhs])
+    assert got[1] is None or all(type(x) is Fraction for x in got[1])
+
+
 def test_rational_rank_of_empty_matrix_is_zero():
     assert rational_rank([]) == 0
