@@ -479,13 +479,13 @@ def test_scan_too_large_is_usage_error(tmp_path, capsys):
             "limited to 4 weights per word",
         ),
         (("survey", "--n", "11", "--max-weights", "5"), "limited to 4 weights per word"),
+        (("verify", "--codefile", "{wide}"), "qubit count 25 out of range 1..24"),
         (
             # the pattern checks come before the family check
             ("survey", "--n", "25", "--families", "bogus"),
             "qubit count must be between 1 and 24, got 25",
         ),
         (("survey", "--n", "7", "--families", "bogus"), "unknown error family 'bogus'"),
-        (("verify", "--codefile", "{wide}"), "qubit count 25 out of range 1..24"),
     ],
 )
 def test_out_of_range_sizes_are_usage_errors(tmp_path, capsys, argv, message):
