@@ -168,12 +168,9 @@ def _parse_mask(text: str, n: int) -> int:
 
 def _emit(lines: list[str], config: RunConfig, title: str) -> None:
     if config.output == "human":
-        print(title)
-        for line in lines:
-            print("  " + line)
-    else:
-        for line in lines:
-            print(line)
+        lines = [title, *("  " + line for line in lines)]
+    if lines:
+        print("\n".join(lines))
 
 
 def _cmd_verify(args, config: RunConfig) -> int:
@@ -193,13 +190,14 @@ def _cmd_dmatrix(args, config: RunConfig) -> int:
     if not report.correctable:
         _emit(report.to_lines(), config, f"dmatrix {code.label}")
         return 1
-    lines = [f"size: {report.d_matrix.size}"]
-    for p, row in enumerate(report.d_matrix.entries):
-        for q, value in enumerate(row):
-            lines.append(
-                f"d[{report.d_matrix.labels[p]},{report.d_matrix.labels[q]}]: {value}"
-            )
-    lines += klverify.d_blocks(report.d_matrix).to_lines()
+    d = report.d_matrix
+    # rendered once per object, not per equal value: 0.0 == -0.0 prints "0" and "-0"
+    values = {id(v): v for row in d.entries for v in row}
+    text = {key: str(v) for key, v in values.items()}
+    lines = [f"size: {d.size}"]
+    for label_p, row in zip(d.labels, d.entries):
+        lines += [f"d[{label_p},{label_q}]: {text[id(v)]}" for label_q, v in zip(d.labels, row)]
+    lines += klverify.d_blocks(d).to_lines()
     _emit(lines, config, f"dmatrix {code.label}")
     return 0
 

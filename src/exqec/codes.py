@@ -34,7 +34,8 @@ from .qstate import (
     Amplitude,
     InnerProductValue,
     StateVector,
-    inner_product,
+    _exact_gram,
+    _float_gram,
     orbit_sum,
     parse_ket,
 )
@@ -91,19 +92,20 @@ class Code:
 
         ``(i, j, value)`` with i < j is a nonzero cross inner product;
         ``(i, i, value)`` is word i's norm when it differs from word 0's.
+        Norms and cross products come from one Gram engine over the words.
         """
         if tol is None:
             tol = 0.0 if self.mode == "exact" else 1e-9
+        which, table = (_exact_gram if self.mode == "exact" else _float_gram)(self.words)
+        gram = [[table[a][b] for b in which] for a in which]
         offenders = []
-        norms = [inner_product(w, w) for w in self.words]
         for i in range(len(self.words)):
             for j in range(i + 1, len(self.words)):
-                v = inner_product(self.words[i], self.words[j])
-                if _nonzero(v, tol):
-                    offenders.append((i, j, v))
-        for i, nv in enumerate(norms[1:], start=1):
-            if _nonzero(nv.sub(norms[0]), tol):
-                offenders.append((i, i, nv))
+                if _nonzero(gram[i][j], tol):
+                    offenders.append((i, j, gram[i][j]))
+        for i in range(1, len(self.words)):
+            if _nonzero(gram[i][i].sub(gram[0][0]), tol):
+                offenders.append((i, i, gram[i][i]))
         return offenders
 
     def validate(self, tol: float | None = None) -> None:

@@ -340,7 +340,7 @@ def _gate(
     n = pattern.n
     maps = _exact_maps(pattern, coefficients, squares)
     errors = ErrorSet(n, (IdentityOp(n), *_family_ops(n, families, n)))
-    return not _violations(GramTensor(errors, 2, _orbit_gram(n, maps, errors)), range(2), 0.0)
+    return not _violations(GramTensor(errors, 2, *_orbit_gram(n, maps, errors)), range(2), 0.0)
 
 
 def _forced_zero_analysis(

@@ -24,9 +24,13 @@ parts P_p, Q_q of the two errors, and the closed-form orbit atom
 phase and the sizes of its Y-, X- and Z-type supports.  The engine
 evaluates each class once and builds no state.  Every other exact code
 takes ``qstate._exact_gram``, which applies each error and sums over
-shared basis states.  For an orbit word 0 and errors whose distinct Pauli
-parts are exactly I and every X_k, Y_k, Z_k, the rank of D comes from the
-S_n split into a 4x4 symmetric block and an (n-1)-fold 3x3 block.
+shared basis states, and float codes take ``qstate._float_gram``.  Each
+engine returns the distinct images' table plus every entry's image index
+(``GramTensor``), so the comparison runs once per pair of error classes,
+errors with equal images on every word.  For an orbit word 0 and errors
+whose distinct Pauli parts are exactly I and every X_k, Y_k, Z_k, the rank
+of D comes from the S_n split into a 4x4 symmetric block and an
+(n-1)-fold 3x3 block.
 
 Recovery construction diagonalizes D in float arithmetic; everything else
 runs exactly when given exact-mode codes.
@@ -44,7 +48,7 @@ import numpy as np
 
 from .codes import Code, shor_code
 from .errorops import ErrorOperator, ErrorSet, ExchangeOp, PauliString, apply
-from .qstate import Amplitude, InnerProductValue, StateVector, _exact_gram, inner_product
+from .qstate import Amplitude, InnerProductValue, StateVector, _exact_gram, _float_gram
 from ._linalg import surd_rank
 
 __all__ = [
@@ -74,18 +78,24 @@ DEFAULT_FLOAT_TOL = 1e-9
 class GramTensor:
     """All inner products ``<e_p C_i | e_q C_j>``; Hermitian by construction.
 
-    ``entries`` is flat over the index ``x = p * num_words + i`` (word index
-    fastest): ``entry(p, i, q, j)`` is ``entries[x * size + y]`` with
-    ``y = q * num_words + j`` and ``size = len(errors) * num_words``.
+    ``which[x]`` is the distinct-image index of ``x = p * num_words + i``
+    (word index fastest) and ``table[a][b] = <image a | image b>``, so
+    ``entry(p, i, q, j)`` is ``table[which[x]][which[y]]``, ``y = q * num_words + j``.
     """
 
     errors: ErrorSet
     num_words: int
-    entries: tuple[InnerProductValue, ...]
+    which: tuple[int, ...]
+    table: tuple[tuple[InnerProductValue, ...], ...]
 
     def entry(self, p: int, i: int, q: int, j: int) -> InnerProductValue:
         w = self.num_words
-        return self.entries[(p * w + i) * len(self.errors) * w + q * w + j]
+        return self.table[self.which[p * w + i]][self.which[q * w + j]]
+
+    @property
+    def entries(self) -> tuple[InnerProductValue, ...]:
+        """Every entry, flat over ``(x, y)`` with ``y`` fastest."""
+        return tuple(self.table[a][b] for a in self.which for b in self.which)
 
 
 def _signed_choices(k: int, minus: int, plus: int) -> int:
@@ -139,10 +149,9 @@ def _orbit_coefficients(word: StateVector) -> dict[int, Amplitude] | None:
     return coeffs
 
 
-def _orbit_gram(
-    n: int, coeffs: Sequence[dict[int, Amplitude]], errors: ErrorSet
-) -> tuple[InnerProductValue, ...]:
-    """The flat Gram entries of orbit words, one atom per Pauli class.
+def _orbit_gram(n: int, coeffs: Sequence[dict[int, Amplitude]], errors: ErrorSet):
+    """``GramTensor``'s ``(which, table)`` of orbit words, one atom per Pauli
+    class; image ``u * w + i`` is word i under the u-th distinct Pauli part.
 
     Permutation factors fix the words and are dropped.  For the Pauli parts
     ``P_u = i**p_u X(x_u) Z(z_u)`` and ``P_v`` of two errors,
@@ -192,7 +201,7 @@ def _orbit_gram(
         return tuple(out)
 
     by_class: dict[tuple[int, int, int, int], tuple[InnerProductValue, ...]] = {}
-    table = []  # table[u][v][i * w + j] = <P_u W_i | P_v W_j>
+    blocks = []  # blocks[u][v][i * w + j] = <P_u W_i | P_v W_j>
     for pu, xu, zu in parts:
         row = []
         for pv, xv, zv in parts:
@@ -202,42 +211,30 @@ def _orbit_gram(
             if cls not in by_class:
                 by_class[cls] = class_values(ErrorOperator(n, x, z, phase))
             row.append(by_class[cls])
-        table.append(row)
+        blocks.append(row)
     w = len(coeffs)
-    rows = {
-        (u, i): [table[u][v][i * w + j] for v in which for j in range(w)]
-        for u in range(len(parts)) for i in range(w)
-    }
-    entries: list[InnerProductValue] = []
-    for u in which:
-        for i in range(w):
-            entries.extend(rows[u, i])
-    return tuple(entries)
+    table = tuple(
+        tuple(values[i * w + j] for values in row for j in range(w))
+        for row in blocks for i in range(w)
+    )
+    return tuple(u * w + i for u in which for i in range(w)), table
 
 
 def _gram(words: Sequence[StateVector], errors: ErrorSet) -> tuple[GramTensor, dict | None]:
     """The Gram tensor and word 0's ``_orbit_coefficients``, read once.
-    Orbit words go to ``_orbit_gram``, which builds no state.  Other
-    exact words have every error applied once, and ``_exact_gram`` sums
-    the images over shared basis states in Python integers; float images
-    take ``inner_product(image_x, image_y)`` for each flat pair ``x <= y``,
-    and ``(y, x)`` holds its conjugate."""
+    Orbit words go to ``_orbit_gram``, which builds no state.  Other words
+    have every error applied once; ``_exact_gram`` sums exact images over
+    shared basis states in Python integers, and ``_float_gram`` takes one
+    ``np.vdot`` per pair of distinct float images."""
     if words[0].n != errors.n:
         raise ValueError(f"code on {words[0].n} qubits, errors on {errors.n}")
     coeffs = [_orbit_coefficients(word) for word in words]
     if all(c is not None for c in coeffs):
-        return GramTensor(errors, len(words), _orbit_gram(words[0].n, coeffs, errors)), coeffs[0]
-    images = [apply(op, word) for op in errors.ops for word in words]
-    if images[0].mode == "exact":
-        return GramTensor(errors, len(words), _exact_gram(images)), coeffs[0]
-    size = len(images)
-    entries: list = [None] * (size * size)
-    for x in range(size):
-        for y in range(x, size):
-            v = inner_product(images[x], images[y])
-            entries[x * size + y] = v
-            entries[y * size + x] = v.conjugate()
-    return GramTensor(errors, len(words), tuple(entries)), coeffs[0]
+        gram = _orbit_gram(words[0].n, coeffs, errors)
+    else:
+        images = [apply(op, word) for op in errors.ops for word in words]
+        gram = (_exact_gram if images[0].mode == "exact" else _float_gram)(images)
+    return GramTensor(errors, len(words), *gram), coeffs[0]
 
 
 def gram_tensor(code: Code, errors: ErrorSet) -> GramTensor:
@@ -363,31 +360,28 @@ def _excess(
 def _violations(G: GramTensor, keys: Sequence, tol: float) -> list[Violation]:
     """``cross_word`` then ``block_mismatch`` violations; ``keys[a]`` names word a.
 
-    Exact entries that are one object (equal images, equal orbit classes)
-    are compared once per ``(value, reference)`` object pair."""
+    Errors whose images match for every word form one class, and each check
+    compares each (class, class) pair once; only a failing pair is expanded
+    to its ``(p, q)`` entries, listed in ``(p, q)`` order."""
     checks = [("cross_word", a, b) for a, b in combinations(range(len(keys)), 2)]
     checks += [("block_mismatch", a, a) for a in range(1, len(keys))]
-    entries, w, N = G.entries, G.num_words, len(G.errors)
-    size = N * w
-    memo: dict[tuple[int, int], InnerProductValue | None] | None = (
-        {} if entries[0].is_exact else None
-    )
+    w, N = G.num_words, len(G.errors)
+    index: dict[tuple[int, ...], int] = {}
+    cls = [index.setdefault(G.which[p * w : (p + 1) * w], len(index)) for p in range(N)]
     out: list[Violation] = []
     for kind, a, b in checks:
-        for p in range(N):
-            # entry(p, a, q, b) and its reference entry(p, 0, q, 0) for every q
-            at, ref_at = (p * w + a) * size + b, p * w * size
-            refs = entries[ref_at : ref_at + size : w] if kind == "block_mismatch" else (None,) * N
-            for q, (v, ref) in enumerate(zip(entries[at : at + size : w], refs)):
-                if memo is None:
-                    d = _excess(v, ref, tol)
-                else:
-                    key = id(v), id(ref)
-                    if key not in memo:
-                        memo[key] = _excess(v, ref, tol)
-                    d = memo[key]
-                if d is not None:
-                    out.append(Violation(kind, keys[a], keys[b], p, q, d.magnitude(), v, ref))
+        bad = {}
+        for (c, left), (e, right) in product(enumerate(index), repeat=2):
+            v = G.table[left[a]][right[b]]
+            ref = G.table[left[0]][right[0]] if kind == "block_mismatch" else None
+            d = _excess(v, ref, tol)
+            if d is not None:
+                bad[c, e] = d.magnitude(), v, ref
+        if bad:
+            out += [
+                Violation(kind, keys[a], keys[b], p, q, *bad[cls[p], cls[q]])
+                for p, q in product(range(N), repeat=2) if (cls[p], cls[q]) in bad
+            ]
     return out
 
 
@@ -440,15 +434,14 @@ def _report(
     strict: bool,
     orbit0: dict[int, Amplitude] | None,
 ) -> KLReport:
-    """The report; when correctable, word 0's block is the D matrix.  Its
-    rank comes from the S_n split when word 0 has weight map ``orbit0``
-    and the errors allow it, else from ``DMatrix.rank``."""
+    """The report; when correctable, word 0's block is the D matrix, one row
+    object per distinct image.  Its rank comes from the S_n split when word 0
+    has weight map ``orbit0`` and the errors allow it, else ``DMatrix.rank``."""
     d_matrix = rank = None
     if not violations:
-        w = G.num_words
-        size = len(G.errors) * w
-        block = tuple(G.entries[x * size : (x + 1) * size : w] for x in range(0, size, w))
-        d_matrix = DMatrix(block, G.errors.labels, G.errors.families)
+        images = G.which[:: G.num_words]
+        rows = {a: tuple(G.table[a][b] for b in images) for a in dict.fromkeys(images)}
+        d_matrix = DMatrix(tuple(rows[a] for a in images), G.errors.labels, G.errors.families)
         if orbit0 is not None:
             rank = _split_rank(d_matrix, G.errors)
         if rank is None:

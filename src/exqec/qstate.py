@@ -12,9 +12,10 @@ Conventions used throughout the package:
   Sums over several radicands do arise in inner products, which get their
   own representation (:class:`InnerProductValue`).
 * Float mode stores a dense ``complex128`` array of length ``2**n``.
-* ``inner_product`` computes one exact pair in ``Fraction`` arithmetic;
-  ``_exact_gram`` computes all pairs of many states at once on Python
-  integers, which cannot overflow, and gives the same values.
+* ``inner_product`` computes one pair.  The Gram engines merge equal states
+  and return ``(which, table)``, ``<x|y> = table[which[x]][which[y]]``:
+  ``_exact_gram`` sums on Python integers, which cannot overflow, and gives
+  ``inner_product``'s values; ``_float_gram`` takes one ``np.vdot`` per pair.
 
 Exact mode is the default everywhere; float mode exists for spectral work
 (recovery operators) and for cross-checking the exact arithmetic.
@@ -22,6 +23,7 @@ Exact mode is the default everywhere; float mode exists for spectral work
 
 from __future__ import annotations
 
+import hashlib
 import itertools
 import math
 from dataclasses import dataclass
@@ -242,6 +244,10 @@ class InnerProductValue:
         if self.parts is None:
             raise ValueError("float-mode value has no exact zero test")
         return not self.parts
+
+    def __hash__(self) -> int:
+        # == compares the float views too, so equal values hash equally
+        return hash(self.float_view)
 
     def magnitude(self) -> float:
         return abs(self.float_view)
@@ -616,8 +622,9 @@ def inner_product(left: StateVector, right: StateVector) -> InnerProductValue:
     return InnerProductValue.exact({r: (v[0], v[1]) for r, v in acc.items()})
 
 
-def _exact_gram(images: Sequence[StateVector]) -> tuple[InnerProductValue, ...]:
-    """All ``<images[x] | images[y]>`` of exact states, flat with ``y`` fastest.
+def _exact_gram(images: Sequence[StateVector]) -> tuple[tuple[int, ...], tuple]:
+    """``(which, table)`` of exact states: ``<images[x] | images[y]>`` is
+    ``table[which[x]][which[y]]``.
 
     Each radicand's amplitudes are scaled to Gaussian integers over one
     common denominator ``L_r`` taken over all images, and identical images
@@ -681,8 +688,32 @@ def _exact_gram(images: Sequence[StateVector]) -> tuple[InnerProductValue, ...]:
     for (u, v), parts in sums.items():
         table[u, v] = InnerProductValue.exact(parts)
         table[v, u] = table[u, v] if u == v else table[u, v].conjugate()
-    zero = InnerProductValue.exact({})
-    return tuple(table.get((a, b), zero) for a in which for b in which)
+    zero, ids = InnerProductValue.exact({}), range(size)
+    return tuple(which), tuple(tuple(table.get((a, b), zero) for b in ids) for a in ids)
+
+
+def _float_gram(images: Sequence[StateVector]) -> tuple[tuple[int, ...], tuple]:
+    """``(which, table)`` of float states, as ``_exact_gram``.  Bit-identical
+    arrays are merged in first-seen order, keyed by a digest of the buffer
+    and confirmed on their ``uint64`` views (an array whose digest collides
+    stays distinct); each distinct pair ``a <= b`` takes one ``np.vdot`` and
+    ``(b, a)`` holds its conjugate."""
+    arrays: list[np.ndarray] = []
+    by_digest: dict[bytes, int] = {}
+    which = []
+    for img in images:
+        bits = img.dense.view(np.uint64)
+        a = by_digest.setdefault(hashlib.blake2b(bits).digest(), len(arrays))
+        if a == len(arrays) or not np.array_equal(arrays[a].view(np.uint64), bits):
+            a = len(arrays)
+            arrays.append(img.dense)
+        which.append(a)
+    table: list[list] = [[None] * len(arrays) for _ in arrays]
+    for a, left in enumerate(arrays):
+        for b in range(a, len(arrays)):
+            v = InnerProductValue.from_complex(np.vdot(left, arrays[b]))
+            table[a][b], table[b][a] = v, v if a == b else v.conjugate()
+    return tuple(which), tuple(map(tuple, table))
 
 
 def apply_permutation(state: StateVector, perm: QubitPermutation) -> StateVector:

@@ -330,6 +330,32 @@ def test_output_is_deterministic(capsys):
             0,
             "c5f8faa109b714feec5bbe7ce948efe3ebd2dcf7682ec42d81cd48c9079886d2",
         ),
+        (
+            # 4,096 float D entries with their rounding noise: the float Gram's bits
+            "--mode float dmatrix --code ruskai9",
+            0,
+            "b543d1016a9c418502c09efd3f1f64036dd22b8398c8a9f4b991b61d73a67ad3",
+        ),
+        (
+            "--mode float verify --code shor9 --errors pauli+exchange",
+            1,
+            "4beb9d1430bbcd7286b9cafb22a58dd28d7f8dab4d55faada25fde7bda739d71",
+        ),
+        (
+            "--mode float gram --code ruskai9 --errors pauli",
+            0,
+            "fa52178b3705bc7a19935296dea9555838bb35a9cbd080eecd0771490240eab0",
+        ),
+        (
+            "--output structured dmatrix --code ruskai9",
+            0,
+            "f9169dc8ff64e996023d5aa0555529658b2f66a124d48c21f302e6c495307e5a",
+        ),
+        (
+            "gram --code ruskai9 --errors pauli+exchange",
+            0,
+            "724701db668a57e2823795b000a86c576f676ae13d88106a22c56da8886977ea",
+        ),
     ],
 )
 def test_output_matches_golden_digest(capsys, argv, rc, digest):

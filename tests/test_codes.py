@@ -4,7 +4,7 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from exqec.codes import (
@@ -19,7 +19,8 @@ from exqec.codes import (
     serialize_code,
 )
 from exqec.errors import CodeParseError, InvalidCodeError
-from exqec.qstate import Amplitude, StateVector, orbit_sum
+from exqec.qstate import Amplitude, StateVector, inner_product, orbit_sum
+from test_klverify import _small_codes
 
 DATA = Path(__file__).parent / "data"
 
@@ -197,6 +198,46 @@ def test_parse_code_validation_toggle():
         parse_code(text)
     code = parse_code(text, validate=False)
     assert code.num_words() == 2
+
+
+def reference_check(code):
+    """``Code.check`` written as one ``inner_product`` per norm and per
+    pair, kept as its reference."""
+    tol = 0.0 if code.mode == "exact" else 1e-9
+
+    def nonzero(v):
+        return not v.is_exact_zero() if tol == 0.0 and v.is_exact else v.magnitude() > tol
+
+    offenders = []
+    norms = [inner_product(w, w) for w in code.words]
+    for i in range(len(code.words)):
+        for j in range(i + 1, len(code.words)):
+            v = inner_product(code.words[i], code.words[j])
+            if nonzero(v):
+                offenders.append((i, j, v))
+    for i, nv in enumerate(norms[1:], start=1):
+        if nonzero(nv.sub(norms[0])):
+            offenders.append((i, i, nv))
+    return offenders
+
+
+def _assert_check_matches_reference(code):
+    got, expected = code.check(), reference_check(code)
+    assert got == expected
+    assert [str(v) for *_, v in got] == [str(v) for *_, v in expected]
+
+
+@settings(max_examples=100, deadline=None)
+@given(_small_codes(), st.booleans())
+def test_check_matches_the_per_pair_loop(code, float_mode):
+    _assert_check_matches_reference(code.to_float() if float_mode else code)
+
+
+@pytest.mark.parametrize("float_mode", [False, True])
+def test_check_matches_the_per_pair_loop_on_an_invalid_file(float_mode):
+    code = parse_code((DATA / "invalid_overlap.code").read_text(), validate=False)
+    assert code.check()
+    _assert_check_matches_reference(code.to_float() if float_mode else code)
 
 
 @pytest.mark.parametrize("name", sorted(BUILTIN_CODES))

@@ -416,15 +416,15 @@ def test_codes_the_grid_missed_are_found_exactly(n, word0, word1, lead, inner):
 )
 def test_gate_builds_no_state(monkeypatch, n, word0, word1, lead, inner):
     """The exact gate checks the words' weight maps: no orbit sum, state,
-    operator image, inner product, sparse Gram or ``verify_kl``, and no
-    error with a permutation factor."""
+    operator image, inner product, sparse or float Gram or ``verify_kl``,
+    and no error with a permutation factor."""
 
     def forbidden(*args, **kwargs):
         raise AssertionError("the exact gate touched a state")
 
     for module, name in (
-        (codesearch, "orbit_sum"), (qstate, "orbit_sum"),
-        (qstate, "inner_product"), (klverify, "inner_product"),
+        (codesearch, "orbit_sum"), (qstate, "orbit_sum"), (qstate, "inner_product"),
+        (qstate, "_float_gram"), (klverify, "_float_gram"),
         (qstate, "_exact_gram"), (klverify, "_exact_gram"), (klverify, "verify_kl"),
     ):
         monkeypatch.setattr(module, name, forbidden)

@@ -12,7 +12,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from exqec import codesearch, klverify, qstate
-from exqec.codes import Code, parse_code, ruskai9_code, serialize_code
+from exqec.codes import BUILTIN_CODES, Code, builtin_code, parse_code, ruskai9_code, serialize_code
 from exqec.errorops import (
     ErrorOperator,
     ErrorSet,
@@ -121,6 +121,79 @@ def test_gram_engine_is_exact_past_2_pow_63():
     errors = basic_error_set(2, families=_PAIR_ERRORS)
     entries, _ = _assert_matches_inner_products(code, errors)
     assert max(abs(re.numerator) for v in entries for _, re, _ in v.parts) >= 2**63
+
+
+def reference_float_gram(images):
+    """The per-pair float loop ``_float_gram`` replaced, kept as its
+    reference: one ``inner_product`` per flat pair ``x <= y``, and ``(y, x)``
+    holds its conjugate."""
+    size = len(images)
+    entries = [None] * (size * size)
+    for x in range(size):
+        for y in range(x, size):
+            v = inner_product(images[x], images[y])
+            entries[x * size + y] = v
+            entries[y * size + x] = v.conjugate()
+    return entries
+
+
+def _assert_float_gram_matches_reference(images):
+    """Equal values and equal printing: ``_float_gram`` takes ``(b, a)`` as
+    the conjugate of ``vdot(a, b)`` where the loop took ``vdot(b, a)``."""
+    which, table = qstate._float_gram(images)
+    got = [table[a][b] for a in which for b in which]
+    expected = reference_float_gram(images)
+    assert got == expected
+    assert [str(v) for v in got] == [str(v) for v in expected]
+
+
+# the explicit 9-qubit operator lists of the CLI golden table
+_GOLDEN_OP_LISTS = (
+    "Y1 Z1, P(2 3 4 5 6 7 8 9 1), X2 E(1,2), Z9 Y9 X9, E(3,4) E(4,5)",
+    "X1 Z2 E(3,4), P(9 8 7 6 5 4 3 2 1), Y5 Y6",
+)
+
+
+@pytest.mark.parametrize("name", sorted(BUILTIN_CODES))
+def test_float_gram_matches_the_per_pair_loop(name):
+    code = builtin_code(name).to_float()
+    error_sets = [basic_error_set(code.n, families=f) for f in (("single_pauli",), _PAIR_ERRORS)]
+    if code.n == 9:
+        error_sets += [ErrorSet.from_ops(9, parse_error_ops(ops, 9)) for ops in _GOLDEN_OP_LISTS]
+    for errors in error_sets:
+        _assert_float_gram_matches_reference(_images(code, errors))
+
+
+@settings(max_examples=100, deadline=None)
+@given(_small_codes())
+def test_float_gram_matches_the_per_pair_loop_on_drawn_codes(code):
+    code = code.to_float()
+    _assert_float_gram_matches_reference(_images(code, basic_error_set(code.n, families=_PAIR_ERRORS)))
+
+
+_SMALL = st.fractions(min_value=-2, max_value=2, max_denominator=2)
+_VALUES = st.one_of(
+    st.dictionaries(st.sampled_from((1, 2, 3)), st.tuples(_SMALL, _SMALL), max_size=2).map(
+        InnerProductValue.exact
+    ),
+    st.builds(complex, st.sampled_from((0.0, -0.0, 0.5)), st.sampled_from((0.0, -0.0, 1.0))).map(
+        InnerProductValue.from_complex
+    ),
+)
+
+
+@given(_VALUES, _VALUES)
+def test_equal_inner_product_values_hash_equally(a, b):
+    """``DMatrix.rank`` dedups rows by hash: equal values, built apart or
+    differing only in the sign of a zero, must hash alike."""
+    again = (
+        InnerProductValue.exact({r: (re, im) for r, re, im in a.parts})
+        if a.is_exact
+        else InnerProductValue.from_complex(a.float_view)
+    )
+    assert again == a and hash(again) == hash(a)
+    if a == b:
+        assert hash(a) == hash(b)
 
 
 def _dense_operator(op) -> np.ndarray:
@@ -279,7 +352,8 @@ def test_orbit_code_applies_no_error(ruskai9, full_error_set_9, ruskai9_report, 
 
     monkeypatch.setattr(ErrorOperator, "apply", forbidden)
     monkeypatch.setattr(klverify, "_exact_gram", forbidden)
-    monkeypatch.setattr(klverify, "inner_product", forbidden)
+    monkeypatch.setattr(klverify, "_float_gram", forbidden)
+    monkeypatch.setattr(qstate, "_float_gram", forbidden)
     report = verify_kl(ruskai9, full_error_set_9)
     assert report.violations == [] and report.rank == 28
     assert report.d_matrix == ruskai9_report.d_matrix
@@ -512,18 +586,23 @@ def test_extended_single_member_violations_match_plain(rep3):
 
 @pytest.mark.parametrize("check", ["plain", "extended"])
 def test_each_hermitian_gram_pair_is_computed_once(rep3, five_qubit, monkeypatch, check):
-    """Exact mode builds each distinct pair's value once, with no per-pair
-    ``inner_product`` call, and equal image pairs share that one object;
-    float mode takes one ``inner_product`` per Hermitian pair."""
-    calls = []
-    real = qstate.inner_product
+    """No mode makes a per-pair ``inner_product`` call.  Exact mode builds
+    each distinct pair's value once; float mode takes one ``np.vdot`` per
+    pair ``a <= b`` of its m distinct image arrays, m(m+1)/2 in all.  In
+    both modes equal image pairs share one value object."""
+    calls, vdots = [], []
+    real, real_vdot = qstate.inner_product, np.vdot
 
     def counted(left, right):
         calls.append(None)
         return real(left, right)
 
-    monkeypatch.setattr(klverify, "inner_product", counted)
+    def counted_vdot(a, b):
+        vdots.append(None)
+        return real_vdot(a, b)
+
     monkeypatch.setattr(qstate, "inner_product", counted)
+    monkeypatch.setattr(qstate.np, "vdot", counted_vdot)
 
     def check_code(code, errors):
         if check == "plain":
@@ -531,34 +610,39 @@ def test_each_hermitian_gram_pair_is_computed_once(rep3, five_qubit, monkeypatch
         else:
             verify_kl_extended([code], errors)
 
-    for code in (rep3, five_qubit):
-        errors = basic_error_set(code.n, families=_PAIR_ERRORS)
-        calls.clear()
-        check_code(code, errors)
-        assert calls == []
+    for exact in (rep3, five_qubit):
+        errors = basic_error_set(exact.n, families=_PAIR_ERRORS)
+        for code in (exact, exact.to_float()):
+            calls.clear()
+            vdots.clear()
+            check_code(code, errors)
+            assert calls == []
+            made = len(vdots)
 
-        images = _images(code, errors)
-        keys = [frozenset(img.terms.items()) for img in images]
-        entries = gram_tensor(code, errors).entries
-        first = {}
-        for x, kx in enumerate(keys):
-            for y, ky in enumerate(keys):
-                a = first.setdefault((kx, ky), x * len(keys) + y)
-                assert entries[a] is entries[x * len(keys) + y]
-        assert len(first) < len(keys) ** 2  # some images do repeat
-
-        check_code(code.to_float(), errors)
-        size = len(images)
-        assert len(calls) == size * (size + 1) // 2
+            images = _images(code, errors)
+            keys = [
+                frozenset(img.terms.items()) if img.mode == "exact" else img.dense.tobytes()
+                for img in images
+            ]
+            entries = gram_tensor(code, errors).entries
+            first = {}
+            for x, kx in enumerate(keys):
+                for y, ky in enumerate(keys):
+                    a = first.setdefault((kx, ky), x * len(keys) + y)
+                    assert entries[a] is entries[x * len(keys) + y]
+            assert len(first) < len(keys) ** 2  # some images do repeat
+            m = len(set(keys))
+            assert made == (0 if code.mode == "exact" else m * (m + 1) // 2)
 
 
 @pytest.mark.parametrize("mode", ["exact", "float"])
 def test_violations_compare_each_exact_object_pair_once(
     shor9, full_error_set_9, monkeypatch, mode
 ):
-    """Exact entries that are one object are compared once per
-    (value, reference) pair; float mode compares entry by entry.  The list
-    equals the plain per-entry loop's."""
+    """Errors whose images match for every word form one class, and each
+    check compares each (class, class) pair once: shor9 has 49 such classes
+    exactly and 55 in float mode, of 64 errors.  The list equals the plain
+    per-entry loop's."""
     code = shor9 if mode == "exact" else shor9.to_float()
     tol = 0.0 if mode == "exact" else DEFAULT_FLOAT_TOL
     G = gram_tensor(code, full_error_set_9)
@@ -576,16 +660,14 @@ def test_violations_compare_each_exact_object_pair_once(
     real = klverify._excess
 
     def counted(v, ref, tol):
-        calls.append((id(v), id(ref)))
+        calls.append(None)
         return real(v, ref, tol)
 
     monkeypatch.setattr(klverify, "_excess", counted)
     found = klverify._violations(G, range(2), tol)
     assert len(found) == 162 and found == plain
-    if mode == "exact":
-        assert len(calls) == len(set(calls)) < 2 * N * N
-    else:
-        assert len(calls) == 2 * N * N
+    classes = {"exact": 49, "float": 55}[mode]
+    assert len(calls) == 2 * classes**2 < 2 * N * N
 
 
 def test_extended_family_with_disjoint_members():
