@@ -12,21 +12,12 @@ from __future__ import annotations
 import argparse
 import math
 import sys
-from dataclasses import dataclass
 from pathlib import Path
 
 from . import codesearch, klverify, stabcheck
 from .codes import BUILTIN_CODES, Code, builtin_code, parse_code
 from .errorops import ErrorSet, PauliString, basic_error_set, parse_error_ops
 from .errors import CodeParseError, ScanTooLarge
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    mode: str = "exact"  # exact | float
-    tolerance: float | None = None  # None: 0 in exact mode, 1e-9 in float
-    output: str = "human"  # human | structured
-    seed: int = 0
 
 
 class _UsageError(Exception):
@@ -120,7 +111,7 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _load_code(args, config: RunConfig) -> Code:
+def _load_code(args) -> Code:
     name = getattr(args, "code", None)
     path = getattr(args, "codefile", None)
     if name:
@@ -134,7 +125,7 @@ def _load_code(args, config: RunConfig) -> Code:
             except OSError as exc:
                 raise _UsageError(f"cannot read code file {path}: {exc}")
             code = parse_code(text)
-    if config.mode == "float":
+    if args.mode == "float":
         code = code.to_float()
     return code
 
@@ -166,29 +157,27 @@ def _parse_mask(text: str, n: int) -> int:
     return value
 
 
-def _emit(lines: list[str], config: RunConfig, title: str) -> None:
-    if config.output == "human":
+def _emit(lines: list[str], args, title: str) -> None:
+    if args.output == "human":
         lines = [title, *("  " + line for line in lines)]
     if lines:
         print("\n".join(lines))
 
 
-def _cmd_verify(args, config: RunConfig) -> int:
-    code = _load_code(args, config)
+def _cmd_verify(args) -> int:
+    code = _load_code(args)
     errors = _load_errors(args.errors, code.n)
-    report = klverify.verify_kl(
-        code, errors, tol=config.tolerance, strict=args.strict
-    )
-    _emit(report.to_lines(), config, f"verify {code.label}")
+    report = klverify.verify_kl(code, errors, tol=args.tol, strict=args.strict)
+    _emit(report.to_lines(), args, f"verify {code.label}")
     return 0 if report.correctable else 1
 
 
-def _cmd_dmatrix(args, config: RunConfig) -> int:
-    code = _load_code(args, config)
+def _cmd_dmatrix(args) -> int:
+    code = _load_code(args)
     errors = _load_errors(args.errors, code.n)
-    report = klverify.verify_kl(code, errors, tol=config.tolerance)
+    report = klverify.verify_kl(code, errors, tol=args.tol)
     if not report.correctable:
-        _emit(report.to_lines(), config, f"dmatrix {code.label}")
+        _emit(report.to_lines(), args, f"dmatrix {code.label}")
         return 1
     d = report.d_matrix
     # rendered once per object, not per equal value: 0.0 == -0.0 prints "0" and "-0"
@@ -198,12 +187,12 @@ def _cmd_dmatrix(args, config: RunConfig) -> int:
     for label_p, row in zip(d.labels, d.entries):
         lines += [f"d[{label_p},{label_q}]: {text[id(v)]}" for label_q, v in zip(d.labels, row)]
     lines += klverify.d_blocks(d).to_lines()
-    _emit(lines, config, f"dmatrix {code.label}")
+    _emit(lines, args, f"dmatrix {code.label}")
     return 0
 
 
-def _cmd_gram(args, config: RunConfig) -> int:
-    code = _load_code(args, config)
+def _cmd_gram(args) -> int:
+    code = _load_code(args)
     errors = _load_errors(args.errors, code.n)
     tensor = klverify.gram_tensor(code, errors)
     lines = []
@@ -215,22 +204,22 @@ def _cmd_gram(args, config: RunConfig) -> int:
                         f"g[{label_p} w{i}, {label_q} w{j}]: "
                         f"{tensor.entry(p, i, q, j)}"
                     )
-    _emit(lines, config, f"gram {code.label}")
+    _emit(lines, args, f"gram {code.label}")
     return 0
 
 
-def _cmd_stab_check(args, config: RunConfig) -> int:
-    code = _load_code(args, config)
+def _cmd_stab_check(args) -> int:
+    code = _load_code(args)
     if args.witness is not None:
         a = _parse_mask(args.witness[0], code.n)
         b = _parse_mask(args.witness[1], code.n)
         witness = stabcheck.eigenvector_witness(
             code, PauliString(code.n, a, b, 0)
         )
-        _emit(witness.to_lines(), config, f"witness {code.label}")
+        _emit(witness.to_lines(), args, f"witness {code.label}")
         return 1 if witness.kind == "stabilizes" else 0
     report = stabcheck.stabilizer_scan(code)
-    _emit(report.to_lines(), config, f"stab-check {code.label}")
+    _emit(report.to_lines(), args, f"stab-check {code.label}")
     return 1 if report.is_nontrivially_stabilized else 0
 
 
@@ -248,16 +237,16 @@ def _parse_families(text: str) -> tuple[str, ...]:
     return fams
 
 
-def _cmd_search(args, config: RunConfig) -> int:
+def _cmd_search(args) -> int:
     pattern = codesearch.SupportPattern(
         args.n, _parse_weights(args.support0), _parse_weights(args.support1)
     )
     result = codesearch.solve_coefficients(pattern, _parse_families(args.families))
-    _emit(result.to_lines(), config, f"search {pattern.describe()}")
+    _emit(result.to_lines(), args, f"search {pattern.describe()}")
     return 0 if result.feasible else 1
 
 
-def _cmd_survey(args, config: RunConfig) -> int:
+def _cmd_survey(args) -> int:
     results = codesearch.survey_patterns(
         args.n, max_weights=args.max_weights, families=_parse_families(args.families)
     )
@@ -267,19 +256,19 @@ def _cmd_survey(args, config: RunConfig) -> int:
         feasible += result.feasible
         lines.extend(result.to_lines())
     lines.append(f"feasible-count: {feasible}")
-    _emit(lines, config, f"survey n={args.n}")
+    _emit(lines, args, f"survey n={args.n}")
     return 0
 
 
-def _cmd_demo_shor(args, config: RunConfig) -> int:
-    report = klverify.shor_exchange_demo(seed=config.seed, samples=args.samples)
-    _emit(report.to_lines(), config, "demo-shor")
+def _cmd_demo_shor(args) -> int:
+    report = klverify.shor_exchange_demo(seed=args.seed, samples=args.samples)
+    _emit(report.to_lines(), args, "demo-shor")
     return 0
 
 
-def _cmd_bounds(args, config: RunConfig) -> int:
+def _cmd_bounds(args) -> int:
     report = klverify.dimension_bound(args.scenario, n=args.n)
-    _emit(report.to_lines(), config, f"bounds {args.scenario}")
+    _emit(report.to_lines(), args, f"bounds {args.scenario}")
     return 0
 
 
@@ -299,20 +288,11 @@ def run(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        config = RunConfig(
-            mode=args.mode,
-            tolerance=args.tol,
-            output=args.output,
-            seed=args.seed,
-        )
-        tol = config.tolerance
+        tol = args.tol
         if tol is not None and not (math.isfinite(tol) and tol >= 0):
             raise _UsageError(f"tolerance must be finite and nonnegative, got {tol}")
-        return _COMMANDS[args.command](args, config)
-    except _UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (CodeParseError, ValueError, ScanTooLarge) as exc:
+        return _COMMANDS[args.command](args)
+    except (_UsageError, CodeParseError, ValueError, ScanTooLarge) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -30,11 +30,13 @@ from typing import Mapping
 from .errors import CodeParseError, DimensionMismatch, InvalidCodeError
 from .qstate import (
     AMP_ONE,
+    DEFAULT_FLOAT_TOL,
     MAX_QUBITS,
     Amplitude,
     InnerProductValue,
     StateVector,
     _exact_gram,
+    _excess,
     _float_gram,
     orbit_sum,
     parse_ket,
@@ -95,16 +97,16 @@ class Code:
         Norms and cross products come from one Gram engine over the words.
         """
         if tol is None:
-            tol = 0.0 if self.mode == "exact" else 1e-9
+            tol = 0.0 if self.mode == "exact" else DEFAULT_FLOAT_TOL
         which, table = (_exact_gram if self.mode == "exact" else _float_gram)(self.words)
         gram = [[table[a][b] for b in which] for a in which]
         offenders = []
         for i in range(len(self.words)):
             for j in range(i + 1, len(self.words)):
-                if _nonzero(gram[i][j], tol):
+                if _excess(gram[i][j], None, tol) is not None:
                     offenders.append((i, j, gram[i][j]))
         for i in range(1, len(self.words)):
-            if _nonzero(gram[i][i].sub(gram[0][0]), tol):
+            if _excess(gram[i][i], gram[0][0], tol) is not None:
                 offenders.append((i, i, gram[i][i]))
         return offenders
 
@@ -116,12 +118,6 @@ class Code:
                 for i, j, v in offenders
             )
             raise InvalidCodeError(f"invalid code: {parts}", offenders)
-
-
-def _nonzero(v: InnerProductValue, tol: float) -> bool:
-    if tol == 0.0 and v.is_exact:
-        return not v.is_exact_zero()
-    return v.magnitude() > tol
 
 
 @dataclass(frozen=True)

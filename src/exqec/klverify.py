@@ -48,7 +48,8 @@ import numpy as np
 
 from .codes import Code, shor_code
 from .errorops import ErrorOperator, ErrorSet, ExchangeOp, PauliString, apply
-from .qstate import Amplitude, InnerProductValue, StateVector, _exact_gram, _float_gram
+from .qstate import DEFAULT_FLOAT_TOL, Amplitude, InnerProductValue, StateVector
+from .qstate import _exact_gram, _excess, _float_gram
 from ._linalg import surd_rank
 
 __all__ = [
@@ -70,9 +71,6 @@ __all__ = [
     "shor_exchange_demo",
     "DEFAULT_FLOAT_TOL",
 ]
-
-DEFAULT_FLOAT_TOL = 1e-9
-
 
 @dataclass(frozen=True)
 class GramTensor:
@@ -343,18 +341,6 @@ def _resolve_tol(code: Code, tol: float | None) -> float:
             raise ValueError(f"tolerance must be finite and nonnegative, got {tol}")
         return tol
     return 0.0 if code.mode == "exact" else DEFAULT_FLOAT_TOL
-
-
-def _excess(
-    v: InnerProductValue, ref: InnerProductValue | None, tol: float
-) -> InnerProductValue | None:
-    """``v - ref`` (``v`` when ``ref`` is None) if it exceeds ``tol``, else None."""
-    if ref is not None and v.is_exact and v.parts == ref.parts:
-        return None  # exact parts are canonical: equal parts, zero difference
-    d = v if ref is None else v.sub(ref)
-    if tol == 0.0 and d.is_exact:
-        return None if d.is_exact_zero() else d
-    return d if d.magnitude() > tol else None
 
 
 def _violations(G: GramTensor, keys: Sequence, tol: float) -> list[Violation]:
@@ -804,10 +790,8 @@ def shor_exchange_demo(seed: int = 0, samples: int = 3) -> ShorExchangeReport:
             op = PauliString.single(9, kind, k)
             for word in (c0, c1):
                 pauli_images.append(op.apply(StateVector.from_dense(9, word)).dense)
-    import scipy.linalg  # its import time is paid only by this demo
-
-    code_basis = scipy.linalg.orth(np.column_stack([c0, c1]))
-    full_basis = scipy.linalg.orth(np.column_stack([c0, c1, *pauli_images]))
+    # the words and every single-Pauli image; lstsq cuts its rank at eps*max(M, N)*s_max
+    span = np.column_stack([c0, c1, *pauli_images])
 
     out = []
     for _ in range(samples):
@@ -831,8 +815,8 @@ def shor_exchange_demo(seed: int = 0, samples: int = 3) -> ShorExchangeReport:
             k for k, z in enumerate(z_overlaps, start=1) if abs(z) > peak - 1e-9
         )
 
-        code_part = code_basis @ (code_basis.conj().T @ image)
-        full_part = full_basis @ (full_basis.conj().T @ image)
+        code_part = c0 * np.vdot(c0, image) + c1 * np.vdot(c1, image)  # c0, c1 orthonormal
+        full_part = span @ np.linalg.lstsq(span, image, rcond=None)[0]
         remainder = image - full_part
         code_fraction = float(np.vdot(code_part, code_part).real)
         single_pauli_fraction = float(

@@ -307,6 +307,22 @@ class InnerProductValue:
         return out
 
 
+#: Comparison tolerance of float mode; exact mode compares with 0.
+DEFAULT_FLOAT_TOL = 1e-9
+
+
+def _excess(
+    v: InnerProductValue, ref: InnerProductValue | None, tol: float
+) -> InnerProductValue | None:
+    """``v - ref`` (``v`` when ``ref`` is None) if it exceeds ``tol``, else None."""
+    if ref is not None and v.is_exact and v.parts == ref.parts:
+        return None  # exact parts are canonical: equal parts, zero difference
+    d = v if ref is None else v.sub(ref)
+    if tol == 0.0 and d.is_exact:
+        return None if d.is_exact_zero() else d
+    return d if d.magnitude() > tol else None
+
+
 @dataclass(frozen=True)
 class BasisState:
     """A single computational basis state ``|b1 ... bn>``."""

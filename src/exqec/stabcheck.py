@@ -92,31 +92,33 @@ def _word_tables(code: Code) -> list[dict[int, Amplitude]]:
     return [dict(w.terms) for w in code.words]
 
 
-def _eigen_exponent(
-    table: dict[int, Amplitude], a: int, b: int, forced: int | None
-) -> int | None:
-    """Exponent m with X(a)Z(b) w = i^m w, or None.
+def _eigen(
+    table: dict[int, Amplitude], a: int, b: int, phase: int = 0, m: int | None = None
+) -> tuple[str | None, int | None]:
+    """Check i^phase X(a)Z(b) w = i^m w for the word w with amplitudes ``table``.
 
-    ``forced`` pins m to a previous word's eigenvalue.  The coefficient
-    of |v + a> in the image is amp(v) * (-1)^(b.v), which must equal
-    i^m * amp(v + a) for every v in the support.
+    Returns ``(None, m)`` when it holds, else ``(kind, component)``: kind
+    ``support`` when component v maps outside the support, ``phase`` when
+    it breaks the eigenvalue.  A given ``m`` pins the eigenvalue to a
+    previous word's.  The coefficient of |v + a> in the image is
+    i^phase amp(v) (-1)^(b.v), which must equal i^m amp(v + a) for every
+    v in the support.
     """
-    m = forced
     for v, amp in table.items():
-        signed = amp.times_i(2 * ((b & v).bit_count() & 1))
+        signed = amp.times_i(phase + 2 * ((b & v).bit_count() & 1))
         target = table.get(v ^ a)
         if target is None:
-            return None
+            return "support", v
         if m is None:
             for cand in range(4):
                 if target.times_i(cand) == signed:
                     m = cand
                     break
             else:
-                return None
+                return "phase", v
         elif target.times_i(m) != signed:
-            return None
-    return m
+            return "phase", v
+    return None, m
 
 
 def stabilizer_scan(code: Code) -> AdditivityReport:
@@ -146,15 +148,13 @@ def stabilizer_scan(code: Code) -> AdditivityReport:
         for a in candidates_a:
             if a == 0 and b == 0:
                 continue
-            m: int | None = None
+            m = None
             for table in tables:
-                m = _eigen_exponent(table, a, b, m)
-                if m is None:
+                kind, m = _eigen(table, a, b, 0, m)
+                if kind is not None:
                     break
-            if m is not None:
-                findings.append(
-                    StabilizerFinding(PauliString(n, a, b, 0), m)
-                )
+            else:
+                findings.append(StabilizerFinding(PauliString(n, a, b, 0), m))
     return AdditivityReport(
         n=n,
         is_nontrivially_stabilized=bool(findings),
@@ -228,25 +228,11 @@ def eigenvector_witness(code: Code, element: PauliString) -> WitnessReport:
     """Pinpoint where an element fails to stabilize the code space."""
     if element.n != code.n:
         raise ValueError(f"element on {element.n} qubits, code on {code.n}")
-    tables = _word_tables(code)
-    a, b = element.x_mask, element.z_mask
-    exponents: list[int] = []
-    for i, table in enumerate(tables):
-        m: int | None = None
-        for v, amp in table.items():
-            signed = amp.times_i(element.phase + 2 * ((b & v).bit_count() & 1))
-            target = table.get(v ^ a)
-            if target is None:
-                return WitnessReport("support", element, word=i, component=v)
-            if m is None:
-                for cand in range(4):
-                    if target.times_i(cand) == signed:
-                        m = cand
-                        break
-                else:
-                    return WitnessReport("phase", element, word=i, component=v)
-            elif target.times_i(m) != signed:
-                return WitnessReport("phase", element, word=i, component=v)
+    exponents = []
+    for i, table in enumerate(_word_tables(code)):
+        kind, m = _eigen(table, element.x_mask, element.z_mask, element.phase)
+        if kind is not None:
+            return WitnessReport(kind, element, word=i, component=m)
         exponents.append(m)
     if len(set(exponents)) > 1:
         return WitnessReport(

@@ -460,15 +460,9 @@ def test_gate_agrees_with_the_sparse_engine(monkeypatch):
     assert verdicts == {True: 80, False: 80}
 
 
-def test_underdetermined_squares_need_no_linear_program(monkeypatch):
+def test_underdetermined_squares_need_no_linear_program():
     """A diagonal system with a free square takes a nonnegative basic
-    solution; the float linear program it replaced is never called."""
-    import scipy.optimize
-
-    def forbidden(*args, **kwargs):
-        raise AssertionError("linprog called")
-
-    monkeypatch.setattr(scipy.optimize, "linprog", forbidden)
+    solution, exactly; the scipy guard below runs the same solve."""
     result = solve_coefficients(SupportPattern(9, {0, 3}, {6, 9}), families=("bitflip",))
     assert result.feasible
     assert result.method == "exact-linear"
@@ -719,13 +713,15 @@ def test_candidate_failing_the_gate_leaves_the_row_undecided(monkeypatch):
 
 
 def test_import_leaves_scipy_optimize_unloaded():
-    """Neither the import nor a solve (feasible, undecided) loads it."""
+    """No scipy module is loaded by the import, by solves (feasible,
+    undecided, underdetermined) or by the Shor exchange demo."""
     code = (
         "import sys, exqec\n"
-        "loaded = 'scipy.optimize' in sys.modules\n"
         "exqec.solve_coefficients(exqec.SupportPattern(7, {0, 5}, {2, 7}))\n"
         "exqec.solve_coefficients(exqec.SupportPattern(5, {0, 1, 3}, {2, 4, 5}))\n"
-        "print(loaded, 'scipy.optimize' in sys.modules)"
+        "exqec.solve_coefficients(exqec.SupportPattern(9, {0, 3}, {6, 9}), ('bitflip',))\n"
+        "exqec.shor_exchange_demo()\n"
+        "print(sorted(m for m in sys.modules if m.partition('.')[0] == 'scipy'))"
     )
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ)
@@ -734,4 +730,4 @@ def test_import_leaves_scipy_optimize_unloaded():
         [sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=120
     )
     assert done.returncode == 0, done.stderr
-    assert done.stdout == "False False\n"
+    assert done.stdout == "[]\n"
