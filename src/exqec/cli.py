@@ -10,6 +10,7 @@ produce byte-identical output; all randomness is seeded.
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import sys
 from pathlib import Path
@@ -24,7 +25,9 @@ class _UsageError(Exception):
     pass
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built on the first ``run`` and reused after."""
     parser = argparse.ArgumentParser(
         prog="exqec",
         description="Exact verification and search for qubit error-correcting "

@@ -35,6 +35,7 @@ from .qstate import (
     Amplitude,
     InnerProductValue,
     StateVector,
+    _add_terms,
     _exact_gram,
     _excess,
     _float_gram,
@@ -325,14 +326,16 @@ def amplitude_token(amp: Amplitude) -> str:
 
 
 _ORBIT_RE = _re.compile(r"orbit\(\s*k\s*=\s*(\d+)\s*\)")
+_WORD_RE = _re.compile(r"word\s+(\d+)\s*:")
 
 
 def parse_code(text: str, validate: bool = True) -> Code:
     """Parse the code file format; raises CodeParseError with line/column."""
     n: int | None = None
     label = ""
-    words: list[StateVector] = []
-    current: StateVector | None = None
+    words: list[dict[int, Amplitude]] = []
+    current: dict[int, Amplitude] | None = None
+    amps: dict[str, Amplitude] = {}  # each distinct coefficient token, parsed once
 
     def fail(msg: str, lineno: int, col: int = 1):
         raise CodeParseError(msg, lineno, col)
@@ -356,15 +359,15 @@ def parse_code(text: str, validate: bool = True) -> Code:
             continue
         if n is None:
             fail("expected a qubits: header first", lineno)
-        m = _re.fullmatch(r"word\s+(\d+)\s*:", line)
+        m = _WORD_RE.fullmatch(line)
         if m:
             if current is not None:
-                if current.is_zero():
+                if not current:
                     fail("previous word has no entries", lineno)
                 words.append(current)
             if int(m.group(1)) != len(words):
                 fail(f"expected 'word {len(words)}:', got 'word {m.group(1)}:'", lineno)
-            current = StateVector.zero(n)
+            current = {}
             continue
         if current is None:
             fail("entry line outside any word block", lineno)
@@ -373,37 +376,35 @@ def parse_code(text: str, validate: bool = True) -> Code:
             fail("entry line needs a coefficient and a ket or orbit term", lineno)
         coeff_tok, ket_tok = parts[0], parts[1].strip()
         try:
-            amp = parse_amplitude(coeff_tok)
+            amp = amps.get(coeff_tok) or amps.setdefault(coeff_tok, parse_amplitude(coeff_tok))
         except ValueError as exc:
             fail(str(exc), lineno)
         om = _ORBIT_RE.fullmatch(ket_tok)
         try:
             if om:
-                term = orbit_sum(n, int(om.group(1))).scaled(amp)
+                kets = orbit_sum(n, int(om.group(1))).terms
             else:
                 basis = parse_ket(ket_tok)
                 if basis.n != n:
-                    fail(
-                        f"ket has {basis.n} bits but the file declares {n} qubits",
-                        lineno,
-                        len(coeff_tok) + 2,
-                    )
-                term = StateVector.basis(n, basis.index, amp)
-            current = current + term
+                    fail(f"ket has {basis.n} bits but the file declares {n} qubits",
+                         lineno, len(coeff_tok) + 2)
+                kets = (basis.index,)
+            if not amp.is_zero():
+                current = _add_terms(current, dict.fromkeys(kets, amp))
         except CodeParseError:
             raise
         except ValueError as exc:
             fail(str(exc), lineno, len(coeff_tok) + 2)
 
     if current is not None:
-        if current.is_zero():
+        if not current:
             fail("last word has no entries", lineno)
         words.append(current)
     if n is None:
         raise CodeParseError("missing qubits: header", 1)
     if not words:
         raise CodeParseError("no word blocks found", 1)
-    code = Code(n, tuple(words), label)
+    code = Code(n, tuple(StateVector.from_terms(n, terms) for terms in words), label)
     if validate:
         code.validate()
     return code

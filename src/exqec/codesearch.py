@@ -334,12 +334,14 @@ def _gate(
 ) -> bool:
     """The correctability condition at tolerance 0 on the words' weight
     maps, one orbit atom per Pauli class, over the identity (the words'
-    orthogonality and equal norms) and the families' single-qubit errors.
+    orthogonality and equal norms) and the families' single-qubit errors on
+    qubits 1..min(n, 2): the words are permutation-invariant, so every pair
+    of single-qubit errors is in the Pauli class of a pair on those qubits.
     Exchanges fix weight-orbit words, so they would only repeat the
     identity's rows and are left out."""
     n = pattern.n
     maps = _exact_maps(pattern, coefficients, squares)
-    errors = ErrorSet(n, (IdentityOp(n), *_family_ops(n, families, n)))
+    errors = ErrorSet(n, (IdentityOp(n), *_family_ops(n, families, min(n, 2))))
     return not _violations(GramTensor(errors, 2, *_orbit_gram(n, maps, errors)), range(2), 0.0)
 
 

@@ -558,11 +558,9 @@ def d_blocks(d_matrix: DMatrix) -> DBlockReport:
         )
         rank = sub.rank()
         total_rank += rank
-        off = 0.0
-        for p in range(a, b):
-            for q in range(d_matrix.size):
-                if not a <= q < b:
-                    off = max(off, d_matrix.entries[p][q].magnitude())
+        # once per value object: equal D rows share their entries
+        outside = {id(v): v for row in d_matrix.entries[a:b] for v in row[:a] + row[b:]}
+        off = max((v.magnitude() for v in outside.values()), default=0.0)
         infos.append(BlockInfo(name, a, b, rank, off))
         global_off = max(global_off, off)
     return DBlockReport(tuple(infos), global_off, total_rank)

@@ -350,13 +350,16 @@ class BasisState:
         return "|" + format(self.index, f"0{self.n}b") + ">"
 
 
+_BITS = frozenset("01")
+
+
 def parse_ket(text: str) -> BasisState:
     """Parse ``"|111 111 000>"`` (spaces between bits are ignored)."""
     s = text.strip()
     if not s.startswith("|") or not s.endswith(">"):
         raise ValueError(f"ket literal must look like |bits>, got {text!r}")
     bits = s[1:-1].replace(" ", "")
-    if not bits or any(c not in "01" for c in bits):
+    if not bits or not set(bits) <= _BITS:
         raise ValueError(f"ket literal may contain only bits 0/1, got {text!r}")
     return BasisState(len(bits), int(bits, 2))
 
@@ -534,18 +537,7 @@ class StateVector:
     def __add__(self, other: "StateVector") -> "StateVector":
         self._binary_check(other)
         if self._terms is not None:
-            big, small = self._terms, other._terms
-            if len(big) < len(small):
-                big, small = small, big
-            merged = dict(big)
-            for idx, amp in small.items():
-                cur = merged.get(idx)
-                total = amp if cur is None else cur + amp
-                if total.is_zero():
-                    merged.pop(idx, None)
-                else:
-                    merged[idx] = total
-            return StateVector(self.n, terms=merged)
+            return StateVector(self.n, terms=_add_terms(dict(self._terms), dict(other._terms)))
         return StateVector(self.n, dense=self._dense + other._dense)
 
     def __sub__(self, other: "StateVector") -> "StateVector":
@@ -599,6 +591,22 @@ class StateVector:
             if abs(z) >= FLOAT_CONVERSION_CUTOFF:
                 arr[idx] = z
         return StateVector(self.n, dense=arr)
+
+
+def _add_terms(acc: dict[int, Amplitude], terms: dict[int, Amplitude]) -> dict[int, Amplitude]:
+    """``acc + terms``, formed in place in the larger map (the smaller one's
+    amplitudes are added on the right); a sum that cancels drops the ket.
+    Both maps are the caller's to change."""
+    if len(acc) < len(terms):
+        acc, terms = terms, acc
+    for idx, amp in terms.items():
+        cur = acc.get(idx)
+        total = amp if cur is None else cur + amp
+        if total.is_zero():
+            acc.pop(idx, None)
+        else:
+            acc[idx] = total
+    return acc
 
 
 def inner_product(left: StateVector, right: StateVector) -> InnerProductValue:

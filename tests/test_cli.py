@@ -13,6 +13,8 @@ from pathlib import Path
 import pytest
 
 from exqec.cli import entry, run
+from exqec.codes import Code, builtin_code, serialize_code
+from exqec.qstate import QubitPermutation, apply_permutation
 
 
 def invoke(capsys, *argv):
@@ -451,6 +453,34 @@ def test_seven_qubit_survey_matches_golden_digest(capsys):
     )
 
 
+@pytest.fixture
+def ruskai9_file(tmp_path):
+    """ruskai9 with its qubits relabelled, written ket by ket."""
+    code = builtin_code("ruskai9")
+    perm = QubitPermutation((4, 9, 2, 7, 1, 6, 3, 8, 5))
+    path = tmp_path / "ruskai9.code"
+    path.write_text(
+        serialize_code(Code(9, tuple(apply_permutation(w, perm) for w in code.words), code.label))
+    )
+    return path
+
+
+@pytest.mark.parametrize(
+    "command, digest",
+    [
+        ("verify", "e24d260cb775c08e03d32c20084a4aad5bc6f78adeb5c05ee7c52f9d9e42b52e"),
+        ("dmatrix", "7f72190ba0eebbbb6ae0c8d6a54f09fbb4a21d24adce909e7c6a878d7ed95e2c"),
+    ],
+)
+def test_codefile_output_matches_golden_digest(capsys, ruskai9_file, command, digest):
+    """The parse path: a 170-line ket-by-ket file prints the pinned bytes."""
+    rc, out, _ = invoke(
+        capsys, command, "--codefile", str(ruskai9_file), "--errors", "pauli+exchange"
+    )
+    assert rc == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
 # --------------------------------------------------------------- exit code 2
 
 
@@ -554,6 +584,24 @@ def test_scan_too_large_is_usage_error(tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
+    "entries, position",
+    [
+        ("1 |00>\nsqrt(2) |00>", "line 4, column 9"),
+        ("sqrt(2) |01>\n1 orbit(k=1)", "line 4, column 3"),
+    ],
+)
+def test_mixed_radicands_on_one_ket_are_usage_errors(tmp_path, capsys, entries, position):
+    path = tmp_path / "mixed.code"
+    path.write_text(f"qubits: 2\nword 0:\n{entries}\n")
+    rc, out, err = invoke(capsys, "verify", "--codefile", str(path))
+    assert (rc, out) == (2, "")
+    assert err == (
+        f"error: {position}: cannot add amplitudes with radicands 1 and 2; "
+        "convert to float mode for mixed surds\n"
+    )
+
+
+@pytest.mark.parametrize(
     "argv, message",
     [
         (("bounds", "--scenario", "single_bit", "--n", "65"), "1..64, got 65"),
@@ -599,6 +647,54 @@ def test_unknown_command_exits_via_argparse(capsys):
     with pytest.raises(SystemExit) as exc:
         run(["frobnicate"])
     assert exc.value.code == 2
+
+
+def _src_env() -> dict[str, str]:
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join([src, *filter(None, [env.get("PYTHONPATH")])])
+    return env
+
+
+def test_parser_is_built_on_the_first_run_and_reused():
+    """Importing the CLI builds no argument parser; two runs build one."""
+    code = (
+        "import argparse, contextlib, io\n"
+        "built = []\n"
+        "init = argparse.ArgumentParser.__init__\n"
+        "def counting(self, *args, **kwargs):\n"
+        "    built.append(kwargs.get('prog'))\n"
+        "    init(self, *args, **kwargs)\n"
+        "argparse.ArgumentParser.__init__ = counting\n"
+        "from exqec import cli\n"
+        "counts = [built.count('exqec')]\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    cli.run(['bounds', '--scenario', 'single_bit'])\n"
+        "    cli.run(['verify', '--code', 'rep3'])\n"
+        "counts.append(built.count('exqec'))\n"
+        "print(counts)"
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=_src_env(), timeout=120
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "[0, 1]\n"
+
+
+def test_usage_error_leaves_the_parser_reusable(capsys):
+    """After an argparse usage error, a valid command in the same process
+    prints what it prints in a fresh one."""
+    argv = ["verify", "--code", "ruskai9", "--errors", "pauli+exchange"]
+    with pytest.raises(SystemExit) as exc:
+        run(argv[:-1])
+    assert exc.value.code == 2
+    assert "argument --errors: expected one argument" in capsys.readouterr().err
+    rc, out, _ = invoke(capsys, *argv)
+    fresh = subprocess.run(
+        [sys.executable, "-m", "exqec", *argv], capture_output=True, env=_src_env(), timeout=120
+    )
+    assert (rc, out.encode()) == (fresh.returncode, fresh.stdout)
+    assert rc == 0 and b"correctable: true" in fresh.stdout
 
 
 # ------------------------------------------------------------ installed entry
@@ -672,11 +768,8 @@ def test_import_leaves_scipy_sparse_unloaded():
         "             '--families', 'bitflip'])\n"
         "print(sorted(m for m in sys.modules if m.partition('.')[0] == 'scipy'))"
     )
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join([src, *filter(None, [env.get("PYTHONPATH")])])
     done = subprocess.run(
-        [sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=120
+        [sys.executable, "-c", code], capture_output=True, text=True, env=_src_env(), timeout=120
     )
     assert done.returncode == 0, done.stderr
     assert done.stdout == "[]\n"

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+from collections import Counter
 from fractions import Fraction
 from pathlib import Path
 
@@ -7,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from exqec import codes
 from exqec.codes import (
     BUILTIN_CODES,
     Code,
@@ -18,8 +20,15 @@ from exqec.codes import (
     perm_invariant_code,
     serialize_code,
 )
-from exqec.errors import CodeParseError, InvalidCodeError
-from exqec.qstate import Amplitude, StateVector, inner_product, orbit_sum
+from exqec.errors import CodeParseError, ExactArithmeticError, InvalidCodeError
+from exqec.qstate import (
+    Amplitude,
+    QubitPermutation,
+    StateVector,
+    apply_permutation,
+    inner_product,
+    orbit_sum,
+)
 from test_klverify import _small_codes
 
 DATA = Path(__file__).parent / "data"
@@ -286,6 +295,120 @@ def test_parse_code_ket_width_column():
         parse_code("qubits: 2\nword 0:\n1/2 |000>")
     assert err.value.line == 3
     assert err.value.column == len("1/2") + 2
+
+
+# ---------------------------------------------------- summing a word's entries
+
+
+def _one_word(n: int, *entries: str) -> str:
+    return f"qubits: {n}\nword 0:\n" + "".join(f"{entry}\n" for entry in entries)
+
+
+def test_parse_code_sums_a_repeated_ket():
+    code = parse_code(_one_word(2, "1 |00>", "1/2 |11>", "1 |00>"))
+    assert list(code.words[0].terms.items()) == [
+        (0b00, Amplitude.make(2)), (0b11, Amplitude.make(Fraction(1, 2)))
+    ]
+
+
+def test_parse_code_drops_a_ket_whose_sum_cancels():
+    code = parse_code(_one_word(2, "1 |00>", "1 |11>", "-1 |00>"))
+    assert code.words[0].terms == {0b11: Amplitude.make(1)}
+    with pytest.raises(CodeParseError) as err:
+        parse_code(_one_word(2, "1 |00>", "-1 |00>"))
+    assert str(err.value) == "line 4, column 1: last word has no entries"
+
+
+def test_parse_code_orbit_adds_to_an_explicit_ket():
+    code = parse_code(_one_word(2, "1 |01>", "1 orbit(k=1)"))
+    assert code.words[0].terms == {0b01: Amplitude.make(2), 0b10: Amplitude.make(1)}
+
+
+@pytest.mark.parametrize(
+    "entries, position, radicands",
+    [
+        (("1 |00>", "sqrt(2) |00>"), "line 4, column 9", "1 and 2"),
+        (("sqrt(2) |01>", "1 orbit(k=1)"), "line 4, column 3", "1 and 2"),
+        (("1 orbit(k=1)", "sqrt(2) |01>"), "line 4, column 9", "1 and 2"),
+        (("1 |00>", "sqrt(2) |01>", "sqrt(3) orbit(k=1)"), "line 5, column 9", "2 and 3"),
+    ],
+)
+def test_parse_code_mixed_radicands_on_one_ket(entries, position, radicands):
+    """The radicands are named in the order ``StateVector`` addition meets
+    them: the larger of the word so far and the new entry comes first."""
+    with pytest.raises(CodeParseError) as err:
+        parse_code(_one_word(2, *entries))
+    assert str(err.value) == (
+        f"{position}: cannot add amplitudes with radicands {radicands}; "
+        "convert to float mode for mixed surds"
+    )
+
+
+def _reference_word(n: int, entries: list[str]) -> StateVector:
+    """A one-word file's word, summed one ``StateVector`` per entry line."""
+    word = StateVector.zero(n)
+    for lineno, entry in enumerate(entries, start=3):
+        token, ket = entry.split(None, 1)
+        amp = parse_amplitude(token)
+        if ket.startswith("orbit"):
+            term = orbit_sum(n, int(ket[len("orbit(k="):-1])).scaled(amp)
+        else:
+            term = StateVector.basis(n, int(ket[1:-1], 2), amp)
+        try:
+            word = word + term
+        except ExactArithmeticError as exc:
+            raise CodeParseError(str(exc), lineno, len(token) + 2)
+    if word.is_zero():
+        raise CodeParseError("last word has no entries", 2 + len(entries))
+    return word
+
+
+@st.composite
+def _entry_lines(draw):
+    n = draw(st.integers(1, 3))
+    token = st.sampled_from(
+        ["1", "-1", "0", "1/2", "i", "-i", "sqrt(2)", "-sqrt(2)", "2*sqrt(2)", "sqrt(3)"]
+    )
+    ket = st.one_of(
+        st.integers(0, (1 << n) - 1).map(lambda idx: "|" + format(idx, f"0{n}b") + ">"),
+        st.integers(0, n).map(lambda k: f"orbit(k={k})"),
+    )
+    entries = draw(st.lists(st.tuples(token, ket).map(" ".join), min_size=1, max_size=8))
+    return n, entries
+
+
+@settings(max_examples=300, deadline=None)
+@given(_entry_lines())
+def test_parse_code_sums_entries_as_state_addition_does(case):
+    """Every entry list gives the word (terms and their order) or the parse
+    error that adding one state per line gives."""
+    n, entries = case
+    try:
+        expected = _reference_word(n, entries)
+    except CodeParseError as exc:
+        with pytest.raises(CodeParseError) as err:
+            parse_code(_one_word(n, *entries))
+        assert str(err.value) == str(exc)
+    else:
+        word = parse_code(_one_word(n, *entries)).words[0]
+        assert list(word.terms.items()) == list(expected.terms.items())
+
+
+def test_parse_code_parses_each_coefficient_token_once(monkeypatch):
+    """170 entry lines of the relabelled ruskai9 file carry two tokens."""
+    ruskai9 = builtin_code("ruskai9")
+    perm = QubitPermutation((4, 9, 2, 7, 1, 6, 3, 8, 5))
+    relabelled = Code(9, tuple(apply_permutation(w, perm) for w in ruskai9.words), "ruskai9")
+    text = serialize_code(relabelled)
+    calls = Counter()
+
+    def counting(token):
+        calls[token] += 1
+        return parse_amplitude(token)
+
+    monkeypatch.setattr(codes, "parse_amplitude", counting)
+    assert parse_code(text).words == relabelled.words
+    assert calls == {"1": 1, "1/14*sqrt(7)": 1}
 
 
 # ----------------------------------------------------------- orbit identity

@@ -30,9 +30,9 @@ from exqec.codesearch import (
     survey_patterns,
     zk_diag,
 )
-from exqec.errorops import ErrorOperator, IdentityOp, PauliString, basic_error_set
+from exqec.errorops import ErrorOperator, ErrorSet, IdentityOp, PauliString, basic_error_set
 from exqec.errors import CapabilityError
-from exqec.klverify import _pauli_class, verify_kl
+from exqec.klverify import GramTensor, _pauli_class, _violations, verify_kl
 from exqec.qstate import StateVector, inner_product, orbit_sum
 
 
@@ -458,6 +458,41 @@ def test_gate_agrees_with_the_sparse_engine(monkeypatch):
                 assert gate == verify_kl(code, errors).correctable
                 verdicts[gate] += 1
     assert verdicts == {True: 80, False: 80}
+
+
+def test_two_qubit_gate_matches_the_full_error_list(monkeypatch):
+    """The gate puts its single-qubit errors on qubits 1..min(n, 2). Every
+    candidate reaching it in the n = 2..11 two-weight and n = 2..8
+    three-weight surveys, under every sign choice, gets the verdict that the
+    identity and X, Y, Z on all n qubits give."""
+    gate = codesearch._gate
+    candidates = []
+
+    def recording(*args):
+        candidates.append(args)
+        return gate(*args)
+
+    monkeypatch.setattr(codesearch, "_gate", recording)
+    for n in range(2, 12):
+        survey_patterns(n, 2)
+    for n in range(2, 9):
+        survey_patterns(n, 3)
+    verdicts = Counter()
+    for pattern, families, coefficients, squares in candidates:
+        n = pattern.n
+        assert families == ("single_pauli",)
+        singles = [ErrorOperator.single(n, kind, k) for kind in "XYZ" for k in range(1, n + 1)]
+        errors = ErrorSet(n, (IdentityOp(n), *singles))
+        weights = sorted(k for k, s in squares.items() if s)
+        for signs in product((1, -1), repeat=len(weights)):
+            coeffs = dict(coefficients)
+            coeffs.update((k, s * abs(coeffs[k])) for k, s in zip(weights, signs))
+            maps = codesearch._exact_maps(pattern, coeffs, squares)
+            tensor = GramTensor(errors, 2, *codesearch._orbit_gram(n, maps, errors))
+            full = not _violations(tensor, range(2), 0.0)
+            assert gate(pattern, families, coeffs, squares) == full
+            verdicts[full] += 1
+    assert verdicts == {True: 232, False: 152}
 
 
 def test_underdetermined_squares_need_no_linear_program():
