@@ -106,15 +106,24 @@ def solve_rational(
     Returns ``(status, solution, free_columns)`` where status is one of
     ``"unique"``, ``"underdetermined"`` (solution is one particular point
     with free columns set to zero) or ``"inconsistent"`` (solution None).
+    Back substitution on ``_eliminate``'s integer rows keeps integer
+    numerators over one common denominator, reduced by gcd after each
+    pivot, and builds one ``Fraction`` per variable at the end.
     """
     ncols = len(matrix[0]) if matrix else 0
     rows, pivots = _eliminate([list(r) + [b] for r, b in zip(matrix, rhs)], ncols)
     if any(row[ncols] != 0 for row in rows[len(pivots):]):
         return "inconsistent", None, []
     free = [c for c in range(ncols) if c not in pivots]
-    solution = [Fraction(0)] * ncols
-    for row, col in reversed(list(zip(rows, pivots))):  # back substitution
-        rest = sum(row[c] * solution[c] for c in range(col + 1, ncols))
-        solution[col] = Fraction(row[ncols] - rest, row[col])
+    den, nums = 1, [0] * ncols  # x[c] = nums[c] / den
+    for row, col in reversed(list(zip(rows, pivots))):
+        pv = row[col]
+        num = row[ncols] * den - sum(row[c] * nums[c] for c in range(col + 1, ncols))
+        nums = [x * abs(pv) for x in nums]
+        nums[col] = num if pv > 0 else -num
+        den *= abs(pv)
+        g = math.gcd(den, *nums)
+        if g > 1:
+            den, nums = den // g, [x // g for x in nums]
     status = "unique" if not free else "underdetermined"
-    return status, solution, free
+    return status, [Fraction(x, den) for x in nums], free

@@ -13,17 +13,21 @@ coefficients.  Every coefficient of those equations is one Gram atom
 errors; it is an exact binomial sum in closed form (``_orbit_atom``), so
 the system is assembled without building a state.  An atom depends on E
 only through its Pauli class (phase and the sizes of its Y-, X- and
-Z-type supports), so assembly evaluates one atom per class, and the first
-error pair of a class names the constraint it yields; the work per pattern
-does not grow with n, a survey's patterns share one class table, and each
-constraint is an integer row.  Feasibility is decided in one exact step:
-a constraint that is a positive combination of squares can force a word
-to zero (``sign-definite``); otherwise the diagonal constraints pin the
-squared coefficients or leave finitely many nonnegative basic solutions,
-and a finite choice of signs is checked in exact surd arithmetic on
-integers (``exact-linear``).  A row that step leaves open is reported
-``undecided``, never as infeasible.  Every feasible result has exact
-squares that pass the exact gate (``_gate``), again with no state.
+Z-type supports), and on the phase only as a factor i**phase, so assembly
+uses one integer atom per phase-free class (10 for the word blocks and 10
+for the cross block with single-qubit Paulis), and the first error pair
+of a class names the constraint it yields; the work per pattern does not
+grow with n, and each constraint is an integer row.  A survey or search
+call keeps one class table and one atom table for all its patterns, and
+the exact gate reads and extends that atom table.  Feasibility is
+decided in one exact step: a constraint that is a positive combination of
+squares can force a word to zero (``sign-definite``); otherwise the
+diagonal constraints pin the squared coefficients or leave finitely many
+nonnegative basic solutions, and a finite choice of signs is checked in
+exact surd arithmetic on integers (``exact-linear``).  A row that step
+leaves open is reported ``undecided``, never as infeasible.  Every
+feasible result has exact squares that pass the exact gate (``_gate``),
+again with no state.
 """
 
 from __future__ import annotations
@@ -192,28 +196,31 @@ def _canonical(terms: dict[tuple[int, int], int]) -> tuple | None:
     return tuple((i, j, c // g) for i, j, c in items)
 
 
-def _class_table(n: int, families: Sequence[str]) -> dict[tuple, tuple]:
-    """(block, Pauli class) -> (E = p^-1 q, origin, atom memo by (kappa, mu)).
+def _class_table(n: int, families: Sequence[str], atoms: dict) -> dict[tuple, tuple]:
+    """(block, phase-free Pauli class) -> (E, origin, the class's memo in
+    ``atoms``): with the single-qubit Paulis, 10 classes per block.
 
     Of the ordered error pairs (p, q), those with p <= q make the word blocks
-    agree and all make the cross block vanish.  An atom sees E only through
-    its Pauli class (``_pauli_class``), so a class keeps its first pair's E
-    and origin, and shares one memo across both blocks.  Lowering a pair's
+    agree and all make the cross block vanish.  An atom sees p^-1 q through
+    its Pauli class (``_pauli_class``) and its phase only as a factor
+    i**phase, so all phase variants of a class yield one integer row, real
+    for an even phase and imaginary for an odd one.  A class keeps its first
+    pair's E without the phase and that pair's origin.  Lowering a pair's
     qubits to 1 and 2 keeps its class and never moves it later.
     """
     ops = [IdentityOp(n), *_family_ops(n, families, min(n, 2))]
     pairs = [(True, p, q) for a, p in enumerate(ops) for q in ops[a:]]
     pairs += [(False, p, q) for p in ops for q in ops]
     classes: dict[tuple, tuple] = {}
-    memos: dict[tuple, dict] = {}
     for block, p, q in pairs:
         e = p.inverse().compose(q)
-        pauli = _pauli_class(e.phase, e.x_mask, e.z_mask)
-        if (block, pauli) not in classes:
-            classes[block, pauli] = e, (
+        phase, *sizes = _pauli_class(e.phase, e.x_mask, e.z_mask)
+        key = (block, *sizes)
+        if key not in classes:
+            classes[key] = ErrorOperator(n, e.x_mask, e.z_mask), (
                 f"word blocks must agree at <{p.label()} w, {q.label()} w>" if block
                 else f"<{p.label()} w0, {q.label()} w1> must vanish"
-            ), memos.setdefault(pauli, {})
+            ) + (" (imaginary part)" if phase % 2 else ""), atoms.setdefault(key[1:], {})
     return classes
 
 
@@ -228,28 +235,31 @@ def _assemble_constraints(
     """
     keys = [(0, k) for k in sorted(pattern.word0)]
     keys += [(1, k) for k in sorted(pattern.word1)]
-    index = {key: pos for pos, key in enumerate(keys)}
     names = [f"a_{k}" for _, k in keys]
-    classes = _class_table(pattern.n, families) if classes is None else classes
+    classes = _class_table(pattern.n, families, {}) if classes is None else classes
+    # (i, j, (kappa, mu), sign) per block: the two word blocks' difference
+    # (True), or the cross block (False)
+    by_word = [[(pos, k) for pos, (w, k) in enumerate(keys) if w == word] for word in (0, 1)]
+    pairs = {
+        True: [
+            (min(i, j), max(i, j), (ka, mu), sign)
+            for word, sign in ((0, 1), (1, -1))
+            for i, ka in by_word[word] for j, mu in by_word[word]
+        ],
+        False: [(i, j, (ka, mu), 1) for i, ka in by_word[0] for j, mu in by_word[1]],
+    }
     seen: dict[tuple, _Constraint] = {}
-    words = (pattern.word0, pattern.word1)
-    for (block, _), (e, origin, atoms) in classes.items():
-        # (row word, column word, sign): the two blocks' difference, or the cross block
-        parts = ((0, 0, 1), (1, 1, -1)) if block else ((0, 1, 1),)
-        rows: tuple[dict[tuple[int, int], int], ...] = ({}, {})  # real, imaginary
-        for wa, wb, sign in parts:
-            for ka in words[wa]:
-                for mu in words[wb]:
-                    i, j = sorted((index[(wa, ka)], index[(wb, mu)]))
-                    if (ka, mu) not in atoms:
-                        atoms[ka, mu] = _orbit_atom(e, ka, mu)
-                    for dest, value in zip(rows, atoms[ka, mu]):
-                        if value:
-                            dest[i, j] = dest.get((i, j), 0) + sign * value
-        for terms, suffix in zip(rows, ("", " (imaginary part)")):
-            canon = _canonical(terms)
-            if canon is not None and canon not in seen:
-                seen[canon] = _Constraint(canon, origin + suffix)
+    for (block, *_), (e, origin, memo) in classes.items():
+        terms: dict[tuple[int, int], int] = {}
+        for i, j, km, sign in pairs[block]:
+            count = memo.get(km)
+            if count is None:
+                count = memo[km] = _orbit_atom(e, *km)[0]
+            if count:
+                terms[i, j] = terms.get((i, j), 0) + sign * count
+        canon = _canonical(terms)
+        if canon is not None and canon not in seen:
+            seen[canon] = _Constraint(canon, origin)
     return list(seen.values()), names, keys
 
 
@@ -331,6 +341,7 @@ def _gate(
     families: Sequence[str],
     coefficients: dict[int, float],
     squares: dict[int, Fraction],
+    atoms: dict | None = None,
 ) -> bool:
     """The correctability condition at tolerance 0 on the words' weight
     maps, one orbit atom per Pauli class, over the identity (the words'
@@ -338,11 +349,13 @@ def _gate(
     qubits 1..min(n, 2): the words are permutation-invariant, so every pair
     of single-qubit errors is in the Pauli class of a pair on those qubits.
     Exchanges fix weight-orbit words, so they would only repeat the
-    identity's rows and are left out."""
+    identity's rows and are left out.  The atoms come from ``atoms``, the
+    call's table that constraint assembly filled (a fresh one when None)."""
     n = pattern.n
     maps = _exact_maps(pattern, coefficients, squares)
     errors = ErrorSet(n, (IdentityOp(n), *_family_ops(n, families, min(n, 2))))
-    return not _violations(GramTensor(errors, 2, *_orbit_gram(n, maps, errors)), range(2), 0.0)
+    gram = _orbit_gram(n, maps, errors, atoms)
+    return not _violations(GramTensor(errors, 2, *gram), range(2), 0.0)
 
 
 def _forced_zero_analysis(
@@ -415,6 +428,7 @@ def _solve_exact(
     names: list[str],
     keys: list[tuple[int, int]],
     families: tuple[str, ...],
+    atoms: dict,
 ) -> SolverResult:
     """Exact path: candidate squares from the diagonal constraints, then signs.
 
@@ -469,7 +483,7 @@ def _solve_exact(
             continue
         squares = {k: cand[pos] for pos, (_, k) in enumerate(keys)}
         coefficients = {k: sign[pos] * math.sqrt(cand[pos]) for pos, (_, k) in enumerate(keys)}
-        if not _gate(pattern, families, coefficients, squares):
+        if not _gate(pattern, families, coefficients, squares, atoms):
             rejected = True
             continue
         unused = {k for k, s in squares.items() if not s}
@@ -523,17 +537,20 @@ def solve_coefficients(
         raise CapabilityError(
             f"patterns are limited to {MAX_WEIGHTS_PER_WORD} weights per word"
         )
-    return _solve(pattern, families, _class_table(pattern.n, families))
+    atoms: dict = {}
+    return _solve(pattern, families, _class_table(pattern.n, families, atoms), atoms)
 
 
-def _solve(pattern: SupportPattern, families: Sequence[str], classes: dict) -> SolverResult:
+def _solve(
+    pattern: SupportPattern, families: Sequence[str], classes: dict, atoms: dict
+) -> SolverResult:
     fams = tuple(families)
     constraints, names, keys = _assemble_constraints(pattern, fams, classes)
     forced = _forced_zero_analysis(constraints, names, keys)
     if forced is not None:
         result = SolverResult(pattern, fams, False, "sign-definite", None, None, None, forced)
     else:
-        result = _solve_exact(pattern, constraints, names, keys, fams)
+        result = _solve_exact(pattern, constraints, names, keys, fams, atoms)
     if "exchange" in fams:
         note = (
             "exchange operators fix weight-orbit words, so they add no "
@@ -553,7 +570,8 @@ def survey_patterns(
     Patterns pair each weight set K with its mirror {n - kappa}; mirrors
     that overlap K are skipped (they would break word orthogonality), and
     each unordered {K, mirror} pair is visited once.  Results come back
-    in sorted pattern order, solved over one class table for this call.
+    in sorted pattern order, solved over one class table and one atom table
+    for this call.
     """
     if n < 1:
         raise ValueError(f"n must be at least 1, got {n}")
@@ -571,8 +589,9 @@ def survey_patterns(
         for mirror in [tuple(n - k for k in reversed(combo))]
         if combo < mirror and not set(combo) & set(mirror)
     ]
-    classes = _class_table(n, families)
-    return [_solve(p, families, classes) for p in patterns]
+    atoms: dict = {}
+    classes = _class_table(n, families, atoms)
+    return [_solve(p, families, classes, atoms) for p in patterns]
 
 
 def survey_7bit(families: Sequence[str] = ("single_pauli",)) -> list[SolverResult]:

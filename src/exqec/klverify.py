@@ -147,7 +147,9 @@ def _orbit_coefficients(word: StateVector) -> dict[int, Amplitude] | None:
     return coeffs
 
 
-def _orbit_gram(n: int, coeffs: Sequence[dict[int, Amplitude]], errors: ErrorSet):
+def _orbit_gram(
+    n: int, coeffs: Sequence[dict[int, Amplitude]], errors: ErrorSet, atoms: dict | None = None
+):
     """``GramTensor``'s ``(which, table)`` of orbit words, one atom per Pauli
     class; image ``u * w + i`` is word i under the u-th distinct Pauli part.
 
@@ -156,12 +158,15 @@ def _orbit_gram(n: int, coeffs: Sequence[dict[int, Amplitude]], errors: ErrorSet
     ``P_u^dagger P_v = i**(p_v - p_u + 2 |x_u & z_u| + 2 |z_u & x_v|)
     X(x_u ^ x_v) Z(z_u ^ z_v)``; each class of that product gets its
     ``(i, j)`` values once as ``sum conj(a_kappa) b_mu atom(kappa, mu)``,
-    and equal values share one object.
+    and equal values share one object.  The atom of ``i**p X(x) Z(z)`` is
+    ``i**p`` times that of ``X(x) Z(z)``, an integer read from ``atoms``
+    (phase-free class -> (kappa, mu) -> atom) or entered there on first use.
     """
+    atoms = {} if atoms is None else atoms
     parts: dict[tuple[int, int, int], int] = {}
     which = [parts.setdefault((op.phase, op.x_mask, op.z_mask), len(parts)) for op in errors.ops]
     # conj(a_kappa) * b_mu per word pair (i, j), grouped by radicand r as
-    # (r, L, [(kappa, mu, re * L, im * L)]) over the group's common denominator
+    # (r, L, [((kappa, mu), re * L, im * L)]) over the group's common denominator
     # L, so the loop over classes adds integers only
     products = []
     for left in coeffs:
@@ -178,21 +183,26 @@ def _orbit_gram(n: int, coeffs: Sequence[dict[int, Amplitude]], errors: ErrorSet
             for r, group in groups.items():
                 den = math.lcm(*(q.denominator for _, _, re, im in group for q in (re, im)))
                 terms.append((r, den, [
-                    (kappa, mu, int(re * den), int(im * den)) for kappa, mu, re, im in group
+                    ((kappa, mu), int(re * den), int(im * den)) for kappa, mu, re, im in group
                 ]))
             products.append(terms)
     shared: dict[tuple, InnerProductValue] = {}
 
-    def class_values(e: ErrorOperator) -> tuple[InnerProductValue, ...]:
+    def class_values(phase: int, x: int, z: int) -> tuple[InnerProductValue, ...]:
+        memo = atoms.setdefault(_pauli_class(0, x, z)[1:], {})
+        e = ErrorOperator(n, x, z, 0)
         out = []
         for terms in products:
             acc = {}
             for r, den, group in terms:
                 sr = si = 0
-                for kappa, mu, re, im in group:
-                    tr, ti = _orbit_atom(e, kappa, mu)
-                    sr += re * tr - im * ti
-                    si += re * ti + im * tr
+                for km, re, im in group:
+                    t = memo.get(km)
+                    if t is None:
+                        t = memo[km] = _orbit_atom(e, *km)[0]
+                    sr += re * t
+                    si += im * t
+                sr, si = ((sr, si), (-si, sr), (-sr, -si), (si, -sr))[phase]  # times i**phase
                 acc[r] = (Fraction(sr, den), Fraction(si, den))
             value = InnerProductValue.exact(acc)
             out.append(shared.setdefault(value.parts, value))
@@ -207,7 +217,7 @@ def _orbit_gram(n: int, coeffs: Sequence[dict[int, Amplitude]], errors: ErrorSet
             x, z = xu ^ xv, zu ^ zv
             cls = _pauli_class(phase, x, z)
             if cls not in by_class:
-                by_class[cls] = class_values(ErrorOperator(n, x, z, phase))
+                by_class[cls] = class_values(phase, x, z)
             row.append(by_class[cls])
         blocks.append(row)
     w = len(coeffs)

@@ -6,7 +6,7 @@ import subprocess
 import sys
 from collections import Counter
 from fractions import Fraction
-from itertools import product
+from itertools import combinations, product
 from pathlib import Path
 from unittest import mock
 
@@ -267,6 +267,118 @@ def test_survey_evaluates_each_atom_once(monkeypatch):
     assert calls == once
 
 
+def phase_keeping_assembly(pattern, families):
+    """Constraint assembly over a class table that keeps every phase: one
+    class per (block, phase, Y, X, Z support sizes), each giving a real and
+    an imaginary row from its first pair's E.  Kept as the reference for
+    the phase-free table; returns the rows and the number of classes."""
+    n = pattern.n
+    ops = [IdentityOp(n), *codesearch._family_ops(n, families, min(n, 2))]
+    pairs = [(True, p, q) for a, p in enumerate(ops) for q in ops[a:]]
+    pairs += [(False, p, q) for p in ops for q in ops]
+    classes = {}
+    for block, p, q in pairs:
+        e = p.inverse().compose(q)
+        cls = (block, _pauli_class(e.phase, e.x_mask, e.z_mask))
+        if cls not in classes:
+            classes[cls] = e, (
+                f"word blocks must agree at <{p.label()} w, {q.label()} w>" if block
+                else f"<{p.label()} w0, {q.label()} w1> must vanish"
+            )
+    keys = [(0, k) for k in sorted(pattern.word0)] + [(1, k) for k in sorted(pattern.word1)]
+    index = {key: pos for pos, key in enumerate(keys)}
+    seen = {}
+    for (block, _), (e, origin) in classes.items():
+        parts = ((0, 0, 1), (1, 1, -1)) if block else ((0, 1, 1),)
+        rows = ({}, {})
+        for wa, wb, sign in parts:
+            for ka in (pattern.word0, pattern.word1)[wa]:
+                for mu in (pattern.word0, pattern.word1)[wb]:
+                    i, j = sorted((index[wa, ka], index[wb, mu]))
+                    for dest, value in zip(rows, _orbit_atom(e, ka, mu)):
+                        dest[i, j] = dest.get((i, j), 0) + sign * value
+        for terms, suffix in zip(rows, ("", " (imaginary part)")):
+            canon = codesearch._canonical(terms)
+            if canon is not None and canon not in seen:
+                seen[canon] = origin + suffix
+    return list(seen.items()), len(classes)
+
+
+def _survey_style_patterns(n, max_weights):
+    """Every complement-dual pattern a survey visits, and each one with a
+    weight dropped from word 0."""
+    for size in range(1, max_weights + 1):
+        for combo in combinations(range(n + 1), size):
+            mirror = tuple(n - k for k in reversed(combo))
+            if combo < mirror and not set(combo) & set(mirror):
+                yield SupportPattern(n, combo, mirror)
+                if size > 1:
+                    yield SupportPattern(n, combo[:-1], mirror)
+
+
+@pytest.mark.parametrize("n", range(2, 10))
+def test_phase_free_classes_match_the_phase_keeping_table(n):
+    """Dropping the phase from the class key leaves every pattern's
+    constraints, their order and their origins as they were; with the
+    single-qubit Paulis the table shrinks from 29 classes to 20."""
+    for families in (("single_pauli",), ("bitflip",), ("phase",), ("bitflip", "phase")):
+        classes = codesearch._class_table(n, families, {})
+        for pattern in _survey_style_patterns(n, 3):
+            constraints, _, _ = _assemble_constraints(pattern, families, classes)
+            reference, size = phase_keeping_assembly(pattern, families)
+            assert [(con.terms, con.origin) for con in constraints] == reference
+        if families == ("single_pauli",):
+            assert (size, len(classes)) == (29, 20)
+
+
+def test_survey_counts_each_phase_free_atom_once(monkeypatch):
+    """One survey, gate included, counts each (phase-free class, kappa, mu)
+    atom at most once: the gate reads the table assembly filled and adds
+    only the weight pairs assembly never needed.  Every entry of the table
+    is the atom counted afresh, and on every candidate and sign choice the
+    gate's verdict with the survey's table is its verdict with a fresh one."""
+    calls, sources = Counter(), Counter()
+    gate, candidates = codesearch._gate, []
+
+    def counting(module):
+        atom = module._orbit_atom
+
+        def counted(e, kappa, mu):
+            assert e.phase == 0
+            calls[_pauli_class(0, e.x_mask, e.z_mask)[1:], kappa, mu] += 1
+            sources[module.__name__] += 1
+            return atom(e, kappa, mu)
+
+        monkeypatch.setattr(module, "_orbit_atom", counted)
+
+    def recording(*args):
+        candidates.append(args)
+        return gate(*args)
+
+    counting(codesearch)
+    counting(klverify)
+    monkeypatch.setattr(codesearch, "_gate", recording)
+    survey_patterns(7, 3)
+    assert calls and max(calls.values()) == 1
+    assert sources["exqec.codesearch"] and sources["exqec.klverify"]
+    atoms = candidates[0][4]
+    assert all(args[4] is atoms for args in candidates)
+    assert sum(len(memo) for memo in atoms.values()) == len(calls)
+    for (y, x, z), memo in atoms.items():
+        e = ErrorOperator(7, (1 << (y + x)) - 1, ((1 << y) - 1) | ((1 << z) - 1) << (y + x))
+        assert all(count == klverify._orbit_atom(e, *km)[0] for km, count in memo.items())
+    verdicts = Counter()
+    for pattern, families, coefficients, squares, shared in candidates:
+        weights = sorted(k for k, s in squares.items() if s)
+        for signs in product((1, -1), repeat=len(weights)):
+            coeffs = dict(coefficients)
+            coeffs.update((k, s * abs(coeffs[k])) for k, s in zip(weights, signs))
+            verdict = gate(pattern, families, coeffs, squares, shared)
+            assert verdict == gate(pattern, families, coeffs, squares)
+            verdicts[verdict] += 1
+    assert verdicts[True] and verdicts[False]
+
+
 def test_pattern_search_and_verifier_share_one_atom():
     assert codesearch._orbit_atom is klverify._orbit_atom
     assert not hasattr(codesearch, "_signed_choices")
@@ -349,9 +461,9 @@ def _record_gate_errors(monkeypatch) -> list:
     gated = []
     orbit_gram = codesearch._orbit_gram
 
-    def recording(n, maps, errors):
+    def recording(n, maps, errors, atoms):
         gated.append(errors.ops)
-        return orbit_gram(n, maps, errors)
+        return orbit_gram(n, maps, errors, atoms)
 
     monkeypatch.setattr(codesearch, "_orbit_gram", recording)
     return gated
@@ -478,7 +590,7 @@ def test_two_qubit_gate_matches_the_full_error_list(monkeypatch):
     for n in range(2, 9):
         survey_patterns(n, 3)
     verdicts = Counter()
-    for pattern, families, coefficients, squares in candidates:
+    for pattern, families, coefficients, squares, _ in candidates:
         n = pattern.n
         assert families == ("single_pauli",)
         singles = [ErrorOperator.single(n, kind, k) for kind in "XYZ" for k in range(1, n + 1)]

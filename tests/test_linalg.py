@@ -78,3 +78,67 @@ def test_int_and_fraction_entries_agree(system):
 
 def test_rational_rank_of_empty_matrix_is_zero():
     assert rational_rank([]) == 0
+
+
+_BIG = st.one_of(st.just(0), st.integers(-3, 3), st.integers(-(10**7), 10**7))
+
+
+@st.composite
+def _binomial_system(draw):
+    """``A x = b`` with binomial-sized entries as Fraction rows: each row
+    over its own denominator, and sometimes a last row that combines two
+    others (its right-hand side nudged or not), so dependent and
+    inconsistent systems come up."""
+    rows, cols = draw(st.integers(1, 8)), draw(st.integers(1, 8))
+    matrix = [draw(st.lists(_BIG, min_size=cols + 1, max_size=cols + 1)) for _ in range(rows)]
+    if rows >= 2 and draw(st.booleans()):
+        f, g = draw(st.integers(-5, 5)), draw(st.integers(-5, 5))
+        nudge = draw(st.sampled_from([0, 0, 1]))
+        combo = [f * a + g * b for a, b in zip(matrix[0], matrix[1])]
+        matrix.append(combo[:-1] + [combo[-1] + nudge])
+    dens = draw(st.lists(st.integers(1, 10**4), min_size=len(matrix), max_size=len(matrix)))
+    fractions = [[Fraction(x, d) for x in row] for row, d in zip(matrix, dens)]
+    return [row[:-1] for row in fractions], [row[-1] for row in fractions]
+
+
+def _fraction_oracle(matrix, rhs):
+    """Plain Fraction Gauss-Jordan elimination, then the pivot columns read
+    off with every free column at zero."""
+    rows = [list(row) + [b] for row, b in zip(matrix, rhs)]
+    ncols = len(matrix[0])
+    pivots = []
+    for col in range(ncols):
+        r = next((r for r in range(len(pivots), len(rows)) if rows[r][col]), None)
+        if r is None:
+            continue
+        top = len(pivots)
+        rows[top], rows[r] = rows[r], rows[top]
+        rows[top] = [x / rows[top][col] for x in rows[top]]
+        for k in range(len(rows)):
+            if k != top and rows[k][col]:
+                f = rows[k][col]
+                rows[k] = [a - f * b for a, b in zip(rows[k], rows[top])]
+        pivots.append(col)
+    if any(row[ncols] for row in rows[len(pivots):]):
+        return "inconsistent", None, []
+    solution = [Fraction(0)] * ncols
+    for row, col in zip(rows, pivots):
+        solution[col] = row[ncols]
+    free = [c for c in range(ncols) if c not in pivots]
+    return ("unique" if not free else "underdetermined"), solution, free
+
+
+@settings(max_examples=300, deadline=None)
+@given(_binomial_system())
+def test_solve_rational_matches_a_fraction_oracle_on_large_entries(system):
+    """Entries up to 10**7 over row denominators up to 10**4 make the
+    numerators share large factors, so the common-denominator back
+    substitution has to reduce by gcd to give the oracle's Fractions."""
+    matrix, rhs = system
+    got = solve_rational(matrix, rhs)
+    assert got == _fraction_oracle(matrix, rhs)
+    status, solution, free = got
+    if solution is not None:
+        assert all(solution[c] == 0 for c in free)
+        for row, b in zip(matrix, rhs):
+            assert sum(a * x for a, x in zip(row, solution)) == b
