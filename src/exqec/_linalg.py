@@ -1,4 +1,5 @@
-"""Tiny exact linear algebra helpers: rational elimination, rank and solve."""
+"""Tiny exact linear algebra helpers: rational elimination, rank and solve,
+and every basic solution of a system from one elimination."""
 
 from __future__ import annotations
 
@@ -7,7 +8,7 @@ from fractions import Fraction
 from itertools import combinations
 from typing import Sequence
 
-__all__ = ["rational_rank", "solve_rational", "surd_rank"]
+__all__ = ["basic_solutions", "rational_rank", "solve_rational", "surd_rank"]
 
 
 def _eliminate(
@@ -98,6 +99,28 @@ def surd_rank(matrix: Sequence[Sequence[Sequence[tuple[int, Fraction, Fraction]]
     return rational_rank(rows) // deg
 
 
+def _reduced(
+    matrix: Sequence[Sequence[int | Fraction]], rhs: Sequence[int | Fraction]
+) -> tuple[list[list[int]], list[int]] | None:
+    """Integer reduced echelon form of ``[A | b]`` from one ``_eliminate``:
+    the pivot rows, each zero in every other pivot column, and their pivot
+    columns; None when ``A x = b`` is inconsistent."""
+    ncols = len(matrix[0]) if matrix else 0
+    rows, pivots = _eliminate([list(r) + [b] for r, b in zip(matrix, rhs)], ncols)
+    if any(row[ncols] for row in rows[len(pivots):]):
+        return None
+    rows = rows[:len(pivots)]
+    for i in reversed(range(len(pivots))):
+        top, col = rows[i], pivots[i]
+        for j in range(i):
+            f = rows[j][col]
+            if f:
+                row = [top[col] * a - f * b for a, b in zip(rows[j], top)]
+                g = math.gcd(*row)
+                rows[j] = [x // g for x in row] if g > 1 else row
+    return rows, pivots
+
+
 def solve_rational(
     matrix: Sequence[Sequence[int | Fraction]], rhs: Sequence[int | Fraction]
 ) -> tuple[str, list[Fraction] | None, list[int]]:
@@ -106,24 +129,72 @@ def solve_rational(
     Returns ``(status, solution, free_columns)`` where status is one of
     ``"unique"``, ``"underdetermined"`` (solution is one particular point
     with free columns set to zero) or ``"inconsistent"`` (solution None).
-    Back substitution on ``_eliminate``'s integer rows keeps integer
-    numerators over one common denominator, reduced by gcd after each
-    pivot, and builds one ``Fraction`` per variable at the end.
+    Each pivot variable is read off its row of ``_reduced``.
     """
     ncols = len(matrix[0]) if matrix else 0
-    rows, pivots = _eliminate([list(r) + [b] for r, b in zip(matrix, rhs)], ncols)
-    if any(row[ncols] != 0 for row in rows[len(pivots):]):
+    reduced = _reduced(matrix, rhs)
+    if reduced is None:
         return "inconsistent", None, []
+    solution = [Fraction(0)] * ncols
+    for row, col in zip(*reduced):
+        solution[col] = Fraction(row[ncols], row[col])
+    free = [c for c in range(ncols) if c not in reduced[1]]
+    return ("unique" if not free else "underdetermined"), solution, free
+
+
+def _bareiss(rows: list[list[int]]) -> tuple[list[int], int] | None:
+    """Fraction-free Gauss-Jordan (every division exact) on a square integer
+    system ``[M | c]``: ``(y, det)`` with ``M y = det c`` and ``det`` = ±det M,
+    or None when M is singular."""
+    prev = 1
+    for k in range(len(rows)):
+        pivot = next((r for r in range(k, len(rows)) if rows[r][k]), None)
+        if pivot is None:
+            return None
+        rows[k], rows[pivot] = rows[pivot], rows[k]
+        top = rows[k]
+        for r, row in enumerate(rows):
+            if r != k:
+                rows[r] = [(top[k] * a - row[k] * b) // prev for a, b in zip(row, top)]
+        prev = top[k]
+    return [row[-1] for row in rows], prev
+
+
+def basic_solutions(
+    matrix: Sequence[Sequence[int | Fraction]], rhs: Sequence[int | Fraction]
+) -> tuple[list[int], list[tuple[list[int], int]]] | None:
+    """Every basic solution of ``A x = b`` from one elimination.
+
+    None when the system is inconsistent; else the free columns and, for
+    each ``combinations(range(ncols), rank)`` column subset that is a basis,
+    in that order, the solution with every other column zero as integer
+    numerators over one positive denominator.  The ``_reduced`` rows whose
+    pivot a subset drops must be met by its kept free columns alone: that
+    square system (at most ``len(free)`` rows) goes to ``_bareiss``, and is
+    singular exactly when the subset is not a basis.  Each kept pivot is
+    then read off its own row.
+    """
+    ncols = len(matrix[0]) if matrix else 0
+    reduced = _reduced(matrix, rhs)
+    if reduced is None:
+        return None
+    rows, pivots = reduced
     free = [c for c in range(ncols) if c not in pivots]
-    den, nums = 1, [0] * ncols  # x[c] = nums[c] / den
-    for row, col in reversed(list(zip(rows, pivots))):
-        pv = row[col]
-        num = row[ncols] * den - sum(row[c] * nums[c] for c in range(col + 1, ncols))
-        nums = [x * abs(pv) for x in nums]
-        nums[col] = num if pv > 0 else -num
-        den *= abs(pv)
-        g = math.gcd(den, *nums)
-        if g > 1:
-            den, nums = den // g, [x // g for x in nums]
-    status = "unique" if not free else "underdetermined"
-    return status, [Fraction(x, den) for x in nums], free
+    solutions = []
+    for kept in combinations(range(ncols), len(pivots)):
+        cols = [c for c in kept if c in free]
+        dropped = [row for row, p in zip(rows, pivots) if p not in kept]
+        solved = _bareiss([[row[c] for c in cols] + [row[ncols]] for row in dropped])
+        if solved is None:
+            continue
+        y, det = solved  # x_c = y_c / det on the kept free columns
+        held = [(row, p) for row, p in zip(rows, pivots) if p in kept]
+        den = abs(det) * math.lcm(*(row[p] for row, p in held))
+        nums = [0] * ncols
+        for c, yc in zip(cols, y):
+            nums[c] = yc * den // det
+        for row, p in held:  # row[p] x_p = b - sum row[c] x_c
+            num = row[ncols] * det - sum(row[c] * yc for c, yc in zip(cols, y))
+            nums[p] = num * den // (row[p] * det)
+        solutions.append((nums, den))
+    return free, solutions

@@ -23,8 +23,9 @@ the exact gate reads and extends that atom table.  Feasibility is
 decided in one exact step: a constraint that is a positive combination of
 squares can force a word to zero (``sign-definite``); otherwise the
 diagonal constraints pin the squared coefficients or leave finitely many
-nonnegative basic solutions, and a finite choice of signs is checked in
-exact surd arithmetic on integers (``exact-linear``).  A row that step
+nonnegative basic solutions, all read from one elimination, and a finite
+choice of signs is checked in exact surd arithmetic on integers
+(``exact-linear``).  A row that step
 leaves open is reported ``undecided``, never as infeasible.  Every
 feasible result has exact squares that pass the exact gate (``_gate``),
 again with no state.
@@ -40,7 +41,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from ._linalg import solve_rational
+from ._linalg import basic_solutions
 from .codes import Code, PermInvariantSpec, perm_invariant_code
 from .errors import CapabilityError
 from .errorops import ErrorOperator, ErrorSet, IdentityOp
@@ -434,11 +435,14 @@ def _solve_exact(
 
     The diagonal constraints and the word-0 norm are linear in the squares
     s_i = a_i^2.  Their unique solution, or else each nonnegative basic
-    solution (len(free) squares set to zero), is a candidate; the first
-    candidate with a sign choice that zeroes every constraint exactly and
-    passes the exact gate is the code.  Without one the row is infeasible
-    when that is proved (inconsistent system, no nonnegative candidate, or
-    pinned squares without a sign choice) and undecided otherwise.
+    solution (len(free) squares set to zero), is a candidate.  All basic
+    solutions come from one elimination (``basic_solutions``); each is
+    tested for nonnegativity on its integer numerators, and only a
+    candidate becomes Fractions.  The first candidate with a sign choice
+    that zeroes every constraint exactly and passes the exact gate is the
+    code.  Without one the row is infeasible when that is proved
+    (inconsistent system, no nonnegative candidate, or pinned squares
+    without a sign choice) and undecided otherwise.
     """
     d = len(keys)
     rows = [
@@ -455,24 +459,25 @@ def _solve_exact(
     def undecided(text: str) -> SolverResult:
         return SolverResult(pattern, families, False, "undecided", None, None, None, None, (text,))
 
-    status, solution, free = solve_rational(rows, rhs)
-    if status == "inconsistent":
+    system = basic_solutions(rows, rhs)
+    if system is None:
         return infeasible(
             "the linear system in the squared coefficients is inconsistent "
             "(exact elimination)"
         )
-    candidates = []
-    if status == "unique":
-        negative = next((pos for pos, s in enumerate(solution) if s < 0), None)
+    free, basics = system
+    if not free:
+        [(nums, den)] = basics
+        negative = next((pos for pos, x in enumerate(nums) if x < 0), None)
         if negative is not None:
             return infeasible(
-                f"unique exact solution needs {names[negative]}^2 = {solution[negative]} < 0"
+                f"unique exact solution needs {names[negative]}^2 = "
+                f"{Fraction(nums[negative], den)} < 0"
             )
-        candidates.append(solution)
-    for kept in combinations(range(d), d - len(free)) if free else ():
-        found, part, _ = solve_rational([[row[p] for p in kept] for row in rows], rhs)
-        if found == "unique" and min(part) >= 0:
-            basic = [part[kept.index(p)] if p in kept else Fraction(0) for p in range(d)]
+    candidates = []
+    for nums, den in basics:
+        if min(nums) >= 0:
+            basic = [Fraction(x, den) for x in nums]
             if basic not in candidates:
                 candidates.append(basic)
 
@@ -505,8 +510,8 @@ def _solve_exact(
             "every basic solution of the linear system in the squared "
             "coefficients has a negative square (exact elimination)"
         )
-    if status == "unique":
-        pinned = ", ".join(f"{names[pos]}^2 = {s}" for pos, s in enumerate(solution))
+    if not free:
+        pinned = ", ".join(f"{names[pos]}^2 = {s}" for pos, s in enumerate(candidates[0]))
         return infeasible(
             f"the squares are pinned ({pinned}) and no sign choice makes every "
             "constraint vanish exactly"

@@ -532,6 +532,29 @@ class DBlockReport:
         return lines
 
 
+def _two_value_rank(entries: tuple[tuple[InnerProductValue, ...], ...]) -> int | None:
+    """Exact rank of an m x m block, m >= 2, with one value ``a`` on the
+    diagonal and one value ``b`` off it; None for any other block.
+
+    The block is ``(a - b) I + b J``, whose eigenvalues are ``a - b``
+    (m - 1 times) and ``a + (m - 1) b`` (once), so its rank is read off
+    two 1 x 1 ``surd_rank`` calls.  Entries are compared by value.
+    """
+    m = len(entries)
+    if m < 2:
+        return None
+    a, b = entries[0][0], entries[0][1]
+    if not (a.is_exact and b.is_exact) or any(
+        row != (b,) * p + (a,) + (b,) * (m - 1 - p) for p, row in enumerate(entries)
+    ):
+        return None
+
+    def nonzero(scale: int) -> int:  # the rank of [a + scale * b]
+        return surd_rank([[[*a.parts, *((r, scale * re, scale * im) for r, re, im in b.parts)]]])
+
+    return (m - 1) * nonzero(-1) + nonzero(m - 1)
+
+
 def d_blocks(d_matrix: DMatrix) -> DBlockReport:
     """Split D into named family blocks (identity+exchange, X, Y, Z).
 
@@ -561,12 +584,10 @@ def d_blocks(d_matrix: DMatrix) -> DBlockReport:
     total_rank = 0
     global_off = 0.0
     for name, a, b in merged:
-        sub = DMatrix(
-            tuple(tuple(row[a:b]) for row in d_matrix.entries[a:b]),
-            d_matrix.labels[a:b],
-            d_matrix.families[a:b],
-        )
-        rank = sub.rank()
+        entries = tuple(tuple(row[a:b]) for row in d_matrix.entries[a:b])
+        rank = _two_value_rank(entries)
+        if rank is None:
+            rank = DMatrix(entries, d_matrix.labels[a:b], d_matrix.families[a:b]).rank()
         total_rank += rank
         # once per value object: equal D rows share their entries
         outside = {id(v): v for row in d_matrix.entries[a:b] for v in row[:a] + row[b:]}

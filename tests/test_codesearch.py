@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from exqec import codesearch, klverify, qstate
+from exqec import _linalg, codesearch, klverify, qstate
 from exqec.codes import Code
 from exqec.codesearch import (
     MAX_WEIGHTS_PER_WORD,
@@ -813,6 +813,47 @@ def test_seven_qubit_survey_finds_the_discovery():
         assert all(r.squares[k] == 0 for k in extras)
         assert any("smaller pattern n=7 weights {0,5} / {2,7}" in note
                    for note in r.notes) == bool(extras)
+
+
+def test_survey_eliminates_once_per_exact_pattern(monkeypatch):
+    """Each pattern that reaches ``_solve_exact`` takes all its basic
+    solutions from one ``_eliminate`` call, not one per column subset."""
+    calls = Counter()
+
+    def counted(name, module):
+        original = getattr(module, name)
+
+        def wrapper(*args):
+            calls[name] += 1
+            return original(*args)
+
+        monkeypatch.setattr(module, name, wrapper)
+
+    counted("_eliminate", _linalg)
+    counted("_solve_exact", codesearch)
+    survey_patterns(7, 3)
+    assert calls == {"_eliminate": 18, "_solve_exact": 18}
+
+
+def test_two_weight_region_up_to_24_qubits():
+    """The observed two-weight region (not a proof): for n = 2..24 the
+    pattern {a, b} / {n-b, n-a}, a < b, is feasible exactly when
+    2b >= n + 3 and a + b <= n - 2, so T(floor((n-5)/2)) rows are feasible
+    (T(k) = k(k+1)/2, 0 for k < 1); no row is undecided and no
+    single-weight row is feasible."""
+    for n in range(2, 25):
+        feasible = 0
+        for r in survey_patterns(n, 2):
+            assert r.method != "undecided", r.pattern.describe()
+            if len(r.pattern.word0) == 1:
+                assert not r.feasible, r.pattern.describe()
+                continue
+            a, b = sorted(r.pattern.word0)
+            assert r.pattern.word1 == {n - b, n - a}
+            assert r.feasible == (2 * b >= n + 3 and a + b <= n - 2), r.pattern.describe()
+            feasible += r.feasible
+        k = max((n - 5) // 2, 0)
+        assert feasible == k * (k + 1) // 2, n
 
 
 def test_survey_pairs_each_pattern_with_its_mirror():

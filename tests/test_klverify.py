@@ -472,6 +472,34 @@ def test_dual_orbit_d_blocks(ruskai9_report):
     assert any("block 0: indices 0..36" in line for line in rep.to_lines())
 
 
+def test_two_value_blocks_take_the_closed_form(ruskai9_report, five_qubit, monkeypatch):
+    """Every X/Y/Z block of ruskai9 and of five-qubit, and ruskai9's
+    identity+exchange block, has one diagonal and one off-diagonal value:
+    its closed-form rank equals ``DMatrix.rank`` of the block, and
+    ``d_blocks`` ranks them without calling ``DMatrix.rank``."""
+    five_report = verify_kl(five_qubit, basic_error_set(5))
+    blocks = {}
+    for name, report in (("ruskai9", ruskai9_report), ("five-qubit", five_report)):
+        d = report.d_matrix
+        blocks[name] = [
+            (b.name, b.rank, DMatrix(
+                tuple(tuple(row[b.start:b.stop]) for row in d.entries[b.start:b.stop]),
+                d.labels[b.start:b.stop], d.families[b.start:b.stop],
+            ).rank())
+            for b in d_blocks(d).blocks
+        ]
+    assert blocks == {
+        "ruskai9": [("0", 1, 1), ("X", 9, 9), ("Y", 9, 9), ("Z", 9, 9)],
+        "five-qubit": [("0", 1, 1), ("X", 5, 5), ("Y", 5, 5), ("Z", 5, 5)],
+    }
+
+    def forbidden(self, tol=DEFAULT_FLOAT_TOL):
+        raise AssertionError("a two-value block was ranked by elimination")
+
+    monkeypatch.setattr(DMatrix, "rank", forbidden)
+    assert d_blocks(ruskai9_report.d_matrix).total_rank == 28
+
+
 def test_dual_orbit_strict_form_fails(ruskai9, pauli_error_set_9):
     rep = verify_kl(ruskai9, pauli_error_set_9, strict=True)
     assert not rep.correctable
@@ -899,3 +927,36 @@ def test_exact_d_matrix_rank_matches_numpy(matrix):
     )
     d = DMatrix(entries, ("I",) * len(entries), ("identity",) * len(entries))
     assert d.rank() == np.linalg.matrix_rank(d.to_float())
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(2, 6), _FIELD, _FIELD, st.sampled_from(["free", "equal", "cancel"]))
+def test_two_value_rank_matches_dmatrix_rank(m, a, b, relation):
+    """(a - b) I + b J over Q(i, sqrt 2, sqrt 3), with a == b and
+    a + (m - 1) b == 0 drawn on purpose."""
+    if relation == "equal":
+        a = b
+    elif relation == "cancel":
+        a = {r: (-(m - 1) * x, -(m - 1) * y) for r, (x, y) in b.items()}
+    a, b = (
+        InnerProductValue.exact({r: (Fraction(x), Fraction(y)) for r, (x, y) in v.items()})
+        for v in (a, b)
+    )
+    entries = tuple(tuple(a if p == q else b for q in range(m)) for p in range(m))
+    expected = DMatrix(entries, ("I",) * m, ("identity",) * m).rank()
+    assert klverify._two_value_rank(entries) == expected
+    if relation == "equal":
+        assert expected == (1 if b.parts else 0)
+    elif relation == "cancel":
+        assert expected == (m - 1 if b.parts else 0)
+
+
+def test_two_value_rank_leaves_other_blocks_to_elimination():
+    one = InnerProductValue.exact_rational(1)
+    two = InnerProductValue.exact_rational(2)
+    zero = InnerProductValue.exact_rational(0)
+    assert klverify._two_value_rank(((one,),)) is None
+    assert klverify._two_value_rank(((one, zero), (zero, two))) is None
+    assert klverify._two_value_rank(((one, zero), (two, one))) is None
+    floats = InnerProductValue.from_complex(1.0), InnerProductValue.from_complex(0.5)
+    assert klverify._two_value_rank((floats, floats[::-1])) is None

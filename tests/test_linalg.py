@@ -1,12 +1,13 @@
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import combinations
 
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from exqec._linalg import rational_rank, solve_rational
+from exqec._linalg import basic_solutions, rational_rank, solve_rational
 
 
 @st.composite
@@ -142,3 +143,58 @@ def test_solve_rational_matches_a_fraction_oracle_on_large_entries(system):
         assert all(solution[c] == 0 for c in free)
         for row, b in zip(matrix, rhs):
             assert sum(a * x for a, x in zip(row, solution)) == b
+
+
+@st.composite
+def _basis_system(draw):
+    """``A x = b`` with up to 8 columns: random rows, then sometimes a
+    repeated row, a combination of two rows (its right-hand side nudged or
+    not) or zero columns, so rank-deficient, repeated-row and inconsistent
+    systems all come up."""
+    rows, cols = draw(st.integers(1, 6)), draw(st.integers(1, 8))
+    entry = st.one_of(st.just(0), st.integers(-4, 4), st.integers(-(10**4), 10**4))
+    matrix = [draw(st.lists(entry, min_size=cols + 1, max_size=cols + 1)) for _ in range(rows)]
+    if draw(st.booleans()):
+        matrix.append(list(draw(st.sampled_from(matrix))))
+    if rows >= 2 and draw(st.booleans()):
+        f, g = draw(st.integers(-3, 3)), draw(st.integers(-3, 3))
+        combo = [f * a + g * b for a, b in zip(matrix[0], matrix[1])]
+        matrix.append(combo[:-1] + [combo[-1] + draw(st.sampled_from([0, 0, 1]))])
+    for c in draw(st.lists(st.integers(0, cols - 1), max_size=3)):
+        for row in matrix:
+            row[c] = 0
+    return [row[:-1] for row in matrix], [row[-1] for row in matrix]
+
+
+def _per_subset_oracle(matrix, rhs):
+    """The basic solutions from one ``solve_rational`` per column subset: each
+    ``rank``-subset whose system has a unique solution, that solution with
+    every other column at zero."""
+    status, _, free = solve_rational(matrix, rhs)
+    if status == "inconsistent":
+        return None
+    d = len(matrix[0])
+    basics = []
+    for kept in combinations(range(d), d - len(free)):
+        found, part, _ = solve_rational([[row[p] for p in kept] for row in matrix], rhs)
+        if found == "unique":
+            basics.append([part[kept.index(p)] if p in kept else Fraction(0) for p in range(d)])
+    return free, basics
+
+
+@settings(max_examples=400, deadline=None)
+@given(_basis_system())
+def test_basic_solutions_match_one_solve_per_column_subset(system):
+    matrix, rhs = system
+    got = basic_solutions(matrix, rhs)
+    want = _per_subset_oracle(matrix, rhs)
+    if want is None:
+        assert got is None
+        return
+    free, basics = got
+    assert free == want[0]
+    assert all(den > 0 for _, den in basics)
+    assert [[Fraction(x, den) for x in nums] for nums, den in basics] == want[1]
+    for nums, den in basics:
+        for row, b in zip(matrix, rhs):
+            assert sum(a * x for a, x in zip(row, nums)) == b * den
