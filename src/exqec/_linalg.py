@@ -54,34 +54,25 @@ def rational_rank(matrix: Sequence[Sequence[int | Fraction]]) -> int:
     return len(_eliminate(matrix, ncols)[1])
 
 
-def _prime_factors(r: int) -> set[int]:
-    primes, p = set(), 2
-    while p * p <= r:
-        while r % p == 0:
-            primes.add(p)
-            r //= p
-        p += 1
-    return primes | ({r} if r > 1 else set())
-
-
 def surd_rank(matrix: Sequence[Sequence[Sequence[tuple[int, Fraction, Fraction]]]]) -> int:
     """Exact rank of a matrix whose entries are sums of ``(re + im*i) sqrt(r)``.
 
     Each entry is a sequence of ``(r, re, im)`` terms with squarefree r.  The
-    entries lie in K = Q(i, sqrt(p) for each prime p dividing some r), with
-    i left out when every ``im`` is 0; its basis is ``i**a sqrt(t)`` for t
-    a product of those primes.  Multiplying by an entry is a Q-linear map
-    of K, so the matrix acts on K**cols as a rational matrix ``deg`` times
+    entries lie in K = Q(i, sqrt(r) for each such r), with i left out when
+    every ``im`` is 0.  Its basis is ``i**a sqrt(t)``, t running over the
+    closure of {1} and the radicands under ``r s / gcd(r, s)**2``: surds of
+    distinct squarefree t are independent, and that closure holds every
+    product of two of them.  Multiplying by an entry is a Q-linear map of
+    K, so the matrix acts on K**cols as a rational matrix ``deg`` times
     larger (its regular representation), whose rank is ``deg`` times the
     rank over K.  A rational matrix has ``deg`` 1.
     """
     terms = [part for row in matrix for entry in row for part in entry]
-    primes = sorted(set().union(*map(_prime_factors, {r for r, _, _ in terms})))
+    closure = {1}
+    for r in {r for r, _, _ in terms}:
+        closure |= {r * t // math.gcd(r, t) ** 2 for t in closure}
     units = range(2 if any(im for _, _, im in terms) else 1)
-    basis = [
-        (math.prod(c), a) for a in units
-        for k in range(len(primes) + 1) for c in combinations(primes, k)
-    ]
+    basis = [(t, a) for a in units for t in sorted(closure)]
     index = {b: pos for pos, b in enumerate(basis)}
     deg, ncols = len(basis), len(matrix[0]) if matrix else 0
     rows = [[Fraction(0)] * (deg * ncols) for _ in range(deg * len(matrix))]
@@ -92,7 +83,10 @@ def surd_rank(matrix: Sequence[Sequence[Sequence[tuple[int, Fraction, Fraction]]
                 for r, re, im in entry:  # (re + im i) sqrt(r) * i**a sqrt(t)
                     g = math.gcd(r, t)
                     u = r * t // (g * g)
-                    re, im = (-im * g, re * g) if a else (re * g, im * g)
+                    if g > 1:
+                        re, im = re * g, im * g
+                    if a:
+                        re, im = -im, re
                     rows[p * deg + index[(u, 0)]][col] += re
                     if im:
                         rows[p * deg + index[(u, 1)]][col] += im

@@ -385,20 +385,20 @@ def _forced_zero_analysis(
 
 
 def _signs(
-    constraints: list[_Constraint], keys: list[tuple[int, int]], squares: list[Fraction]
+    constraints: list[_Constraint], keys: list[tuple[int, int]], nums: Sequence[int], den: int
 ) -> list[int] | None:
-    """First sign choice under which every constraint sums to exactly 0.
+    """First sign choice under which every constraint sums to exactly 0, for
+    the squares ``s_i = nums[i] / den``.
 
     Each word's first nonzero coefficient is +: flipping a whole word's
-    sign changes no constraint's zero set.  With s_i D^2 = u_i^2 t_i over a
-    common denominator D (t_i squarefree, g = gcd(t_i, t_j)), c*a_i*a_j is
-    c u_i u_j g * sigma_i sigma_j sqrt(t_i t_j / g^2) / D^2, and surds of
-    distinct squarefree t are independent, so each t-part must vanish.
+    sign changes no constraint's zero set.  With ``nums[i] den = u_i^2 t_i``
+    (t_i squarefree, g = gcd(t_i, t_j)), c*a_i*a_j is c u_i u_j g *
+    sigma_i sigma_j sqrt(t_i t_j / g^2) / den^2, and surds of distinct
+    squarefree t are independent, so each t-part must vanish.
     """
-    nonzero = [pos for pos in range(len(keys)) if squares[pos]]
+    nonzero = [pos for pos, x in enumerate(nums) if x]
     flips = [p for p in nonzero if any(keys[q][0] == keys[p][0] for q in nonzero if q < p)]
-    den = math.lcm(*(squares[pos].denominator for pos in nonzero))
-    split = {pos: squarefree_split(int(squares[pos] * den * den)) for pos in nonzero}
+    split = {pos: squarefree_split(nums[pos] * den) for pos in nonzero}
     surds = []
     for con in constraints:
         terms = []
@@ -437,12 +437,13 @@ def _solve_exact(
     s_i = a_i^2.  Their unique solution, or else each nonnegative basic
     solution (len(free) squares set to zero), is a candidate.  All basic
     solutions come from one elimination (``basic_solutions``); each is
-    tested for nonnegativity on its integer numerators, and only a
-    candidate becomes Fractions.  The first candidate with a sign choice
-    that zeroes every constraint exactly and passes the exact gate is the
-    code.  Without one the row is infeasible when that is proved
-    (inconsistent system, no nonnegative candidate, or pinned squares
-    without a sign choice) and undecided otherwise.
+    tested for nonnegativity on its integer numerators, and a candidate
+    stays integers over one denominator, in lowest terms, through the sign
+    check; only a code's squares become Fractions.  The first candidate
+    with a sign choice that zeroes every constraint exactly and passes the
+    exact gate is the code.  Without one the row is infeasible when that
+    is proved (inconsistent system, no nonnegative candidate, or pinned
+    squares without a sign choice) and undecided otherwise.
     """
     d = len(keys)
     rows = [
@@ -474,20 +475,19 @@ def _solve_exact(
                 f"unique exact solution needs {names[negative]}^2 = "
                 f"{Fraction(nums[negative], den)} < 0"
             )
-    candidates = []
+    candidates: dict[tuple[tuple[int, ...], int], None] = {}  # lowest terms, first seen first
     for nums, den in basics:
         if min(nums) >= 0:
-            basic = [Fraction(x, den) for x in nums]
-            if basic not in candidates:
-                candidates.append(basic)
+            g = math.gcd(den, *nums)
+            candidates[tuple(x // g for x in nums), den // g] = None
 
     rejected = False
-    for cand in candidates:
-        sign = _signs(constraints, keys, cand)
+    for nums, den in candidates:
+        sign = _signs(constraints, keys, nums, den)
         if sign is None:
             continue
-        squares = {k: cand[pos] for pos, (_, k) in enumerate(keys)}
-        coefficients = {k: sign[pos] * math.sqrt(cand[pos]) for pos, (_, k) in enumerate(keys)}
+        squares = {k: Fraction(nums[pos], den) for pos, (_, k) in enumerate(keys)}
+        coefficients = {k: sign[pos] * math.sqrt(squares[k]) for pos, (_, k) in enumerate(keys)}
         if not _gate(pattern, families, coefficients, squares, atoms):
             rejected = True
             continue
@@ -511,7 +511,8 @@ def _solve_exact(
             "coefficients has a negative square (exact elimination)"
         )
     if not free:
-        pinned = ", ".join(f"{names[pos]}^2 = {s}" for pos, s in enumerate(candidates[0]))
+        [(nums, den)] = candidates
+        pinned = ", ".join(f"{name}^2 = {Fraction(x, den)}" for name, x in zip(names, nums))
         return infeasible(
             f"the squares are pinned ({pinned}) and no sign choice makes every "
             "constraint vanish exactly"

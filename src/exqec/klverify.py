@@ -27,10 +27,10 @@ takes ``qstate._exact_gram``, which applies each error and sums over
 shared basis states, and float codes take ``qstate._float_gram``.  Each
 engine returns the distinct images' table plus every entry's image index
 (``GramTensor``), so the comparison runs once per pair of error classes,
-errors with equal images on every word.  For an orbit word 0 and errors
-whose distinct Pauli parts are exactly I and every X_k, Y_k, Z_k, the rank
-of D comes from the S_n split into a 4x4 symmetric block and an
-(n-1)-fold 3x3 block.
+errors with equal images on every word.  ``DMatrix.rank`` takes the S_n
+split (``_split_rank``) whenever D's own entries have its shape, as for an
+orbit code under I and every X_k, Y_k, Z_k: a 4x4 symmetric block and an
+(n-1)-fold 3x3 block.  Every ``d_blocks`` block is ranked the same way.
 
 Recovery construction diagonalizes D in float arithmetic; everything else
 runs exactly when given exact-mode codes.
@@ -41,7 +41,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations, product
+from itertools import chain, combinations, groupby, product
 from typing import Sequence
 
 import numpy as np
@@ -228,12 +228,11 @@ def _orbit_gram(
     return tuple(u * w + i for u in which for i in range(w)), table
 
 
-def _gram(words: Sequence[StateVector], errors: ErrorSet) -> tuple[GramTensor, dict | None]:
-    """The Gram tensor and word 0's ``_orbit_coefficients``, read once.
-    Orbit words go to ``_orbit_gram``, which builds no state.  Other words
-    have every error applied once; ``_exact_gram`` sums exact images over
-    shared basis states in Python integers, and ``_float_gram`` takes one
-    ``np.vdot`` per pair of distinct float images."""
+def _gram(words: Sequence[StateVector], errors: ErrorSet) -> GramTensor:
+    """The Gram tensor.  Orbit words go to ``_orbit_gram``, which builds no
+    state.  Other words have every error applied once; ``_exact_gram`` sums
+    exact images over shared basis states in Python integers, and
+    ``_float_gram`` takes one ``np.vdot`` per pair of distinct float images."""
     if words[0].n != errors.n:
         raise ValueError(f"code on {words[0].n} qubits, errors on {errors.n}")
     coeffs = [_orbit_coefficients(word) for word in words]
@@ -242,11 +241,11 @@ def _gram(words: Sequence[StateVector], errors: ErrorSet) -> tuple[GramTensor, d
     else:
         images = [apply(op, word) for op in errors.ops for word in words]
         gram = (_exact_gram if images[0].mode == "exact" else _float_gram)(images)
-    return GramTensor(errors, len(words), *gram), coeffs[0]
+    return GramTensor(errors, len(words), *gram)
 
 
 def gram_tensor(code: Code, errors: ErrorSet) -> GramTensor:
-    return _gram(code.words, errors)[0]
+    return _gram(code.words, errors)
 
 
 @dataclass(frozen=True)
@@ -302,10 +301,14 @@ class DMatrix:
     def rank(self, tol: float = DEFAULT_FLOAT_TOL) -> int:
         """Exact rank over the field of the exact entries, else float rank.
 
-        Repeated rows and columns (errors with equal images, such as the
-        exchanges on a permutation-invariant code) add no rank and are
-        dropped before ``surd_rank``.
+        An exact D with the shape of the S_n split (``_split_rank``) is
+        ranked through it.  Otherwise repeated rows and columns (errors with
+        equal images, such as the exchanges on a permutation-invariant code)
+        add no rank and are dropped before ``surd_rank``.
         """
+        split = _split_rank(self.entries, self.families)
+        if split is not None:
+            return split
         if not all(v.is_exact for row in self.entries for v in row):
             m = self.to_float()
             return int(np.linalg.matrix_rank(m, tol=tol * max(1.0, float(np.abs(m).max()))))
@@ -381,67 +384,102 @@ def _violations(G: GramTensor, keys: Sequence, tol: float) -> list[Violation]:
     return out
 
 
-def _split_rank(d_matrix: DMatrix, errors: ErrorSet) -> int | None:
-    """rank D through the S_n split, for a D of a permutation-invariant word
-    whose errors' distinct Pauli parts are exactly I and every X_k, Y_k,
-    Z_k; None for any other error set.
+def _family_runs(families: Sequence[str]) -> list[tuple[str, int, int]]:
+    """Each run of one family as ``(name, start, stop)``, the identity and
+    any exchanges right after it merged into the run "0"; ValueError when a
+    family comes back after another."""
+    runs: list[tuple[str, int, int]] = []
+    for name, group in groupby(families):
+        start = runs[-1][2] if runs else 0
+        runs.append((name, start, start + len(list(group))))
+    seen = [name for name, _, _ in runs]
+    if len(set(seen)) != len(seen):
+        raise ValueError(f"error families are not contiguous: {seen}")
+    merged: list[tuple[str, int, int]] = []
+    for name, a, b in runs:
+        if name == "exchange" and merged and merged[-1][0] == "0":
+            merged[-1] = ("0", merged[-1][1], b)
+        else:
+            merged.append(("0" if name == "identity" else name, a, b))
+    return merged
 
-    Errors with equal Pauli parts have equal rows and columns.  Within the
-    X/Y/Z blocks D is ``A`` on the diagonal and ``B`` off it, and the
-    identity row ``c^H`` does not depend on the qubit.  The sum-zero
-    vectors of each kind carry ``A - B`` n-1 times; the symmetric ones,
-    with the identity row scaled by sqrt(n) and its column by 1/sqrt(n),
-    carry ``M_sym = [[<w|w>, n c^H], [c, A + (n-1) B]]``.
+
+def _split_rank(
+    entries: tuple[tuple[InnerProductValue, ...], ...], families: Sequence[str]
+) -> int | None:
+    """Exact rank of a square D through the S_n split, read off its entries;
+    None when they lack the split's shape.
+
+    The shape, over ``_family_runs``: every row of a leading run "0"
+    (identity plus any exchanges) equals row 0, which is constant on each
+    run; the other runs share one length n; row k of run K is constant
+    ``c_K`` on the leading run and reads ``B_KL ... A_KL ... B_KL`` in run
+    L, with ``A_KL`` at its own position k.  Such a D commutes with
+    permuting the positions of every run at once: its leading rows and
+    columns repeat, the sum-zero vectors of each run carry ``A - B`` n-1
+    times, and the run sums carry ``M_sym = [[d_00, n r_L], [c_K, A_KL +
+    (n-1) B_KL]]``, ``r_L`` being row 0 on run L.  Whole rows are compared
+    as tuples, and the values that fill them must be exact.
     """
-    n = errors.n
-
-    def part(op: ErrorOperator) -> tuple[int, int, int]:
-        return op.phase, op.x_mask, op.z_mask
-
-    first: dict[tuple[int, int, int], int] = {}
-    for p, op in enumerate(errors.ops):
-        first.setdefault(part(op), p)
-    singles = [[part(ErrorOperator.single(n, kind, k)) for k in range(1, n + 1)] for kind in "XYZ"]
-    if set(first) != {(0, 0, 0)}.union(*singles):
+    size = len(entries)
+    if len(families) != size or any(len(row) != size for row in entries):
         return None
-    ident = first[0, 0, 0]
+    try:
+        runs = _family_runs(families)
+    except ValueError:
+        return None
+    head = runs.pop(0)[2] if runs and runs[0][0] == "0" else 0
+    starts = [a for _, a, _ in runs]
+    n = runs[0][2] - starts[0] if runs else 1
+    if any(b - a != n for _, a, b in runs):
+        return None
+    # (c_K, [(A_KL, B_KL) per run L]) per run K; row 0 leads with A = B = r_L
+    reps = [
+        (entries[s][0], [(entries[s][t], entries[s][t + (n > 1)]) for t in starts])
+        for s in starts
+    ]
+    if head:
+        reps.insert(0, (entries[0][0], [(entries[0][t],) * 2 for t in starts]))
+    if not all(v.is_exact for c, ab in reps for v in (c, *chain(*ab))):
+        return None
 
-    def d(p: int, q: int, scale: int = 1) -> list[tuple[int, Fraction, Fraction]]:
-        return [(r, scale * re, scale * im) for r, re, im in d_matrix.entries[p][q].parts]
+    def rows(c: InnerProductValue, ab: list, count: int) -> list[tuple[InnerProductValue, ...]]:
+        # row k of a run takes, in each run L, the k-th window of B..B A B..B
+        spans = [(b,) * (n - 1) + (a,) + (b,) * (n - 1) for a, b in ab]
+        return [
+            sum((t[n - 1 - k : 2 * n - 1 - k] for t in spans), (c,) * head) for k in range(count)
+        ]
 
-    one = [first[kind[0]] for kind in singles]
-    two = [first[kind[1]] for kind in singles] if n > 1 else []
-    sym = [[d(ident, ident), *(d(ident, t, n) for t in one)]]
-    sym += [[d(s, ident), *(d(s, t) for t in one)] for s in one]
-    for row, s in zip(sym[1:], one):
-        for col, t in enumerate(two, start=1):
-            row[col] += d(s, t, n - 1)
-    rank = surd_rank(sym)
-    if two:
-        diff = [[d(s, t) + d(s, t2, -1) for t, t2 in zip(one, two)] for s in one]
-        rank += (n - 1) * surd_rank(diff)
+    expected = rows(*reps[0], 1) * head if head else []
+    for rep in reps[head > 0:]:
+        expected += rows(*rep, n)
+    if entries != tuple(expected):
+        return None
+
+    def scaled(v: InnerProductValue, k: int) -> list[tuple[int, Fraction, Fraction]]:
+        return [(r, k * re, k * im) for r, re, im in v.parts]
+
+    rank = surd_rank([
+        [c.parts] * (head > 0) + [[*a.parts, *scaled(b, n - 1)] for a, b in ab] for c, ab in reps
+    ])
+    if n > 1:
+        rank += (n - 1) * surd_rank([
+            [[*a.parts, *scaled(b, -1)] for a, b in ab] for _, ab in reps[head > 0:]
+        ])
     return rank
 
 
 def _report(
-    G: GramTensor,
-    violations: list[Violation],
-    tol: float,
-    strict: bool,
-    orbit0: dict[int, Amplitude] | None,
+    G: GramTensor, violations: list[Violation], tol: float, strict: bool
 ) -> KLReport:
     """The report; when correctable, word 0's block is the D matrix, one row
-    object per distinct image.  Its rank comes from the S_n split when word 0
-    has weight map ``orbit0`` and the errors allow it, else ``DMatrix.rank``."""
+    object per distinct image, ranked by ``DMatrix.rank``."""
     d_matrix = rank = None
     if not violations:
         images = G.which[:: G.num_words]
         rows = {a: tuple(G.table[a][b] for b in images) for a in dict.fromkeys(images)}
         d_matrix = DMatrix(tuple(rows[a] for a in images), G.errors.labels, G.errors.families)
-        if orbit0 is not None:
-            rank = _split_rank(d_matrix, G.errors)
-        if rank is None:
-            rank = d_matrix.rank()
+        rank = d_matrix.rank()
     return KLReport(
         correctable=not violations,
         d_matrix=d_matrix,
@@ -465,7 +503,7 @@ def verify_kl(
     matrix together with its rank and the dimension count 2*rank.
     """
     tol = _resolve_tol(code, tol)
-    G, orbit0 = _gram(code.words, errors)
+    G = _gram(code.words, errors)
     violations = _violations(G, range(len(code.words)), tol)
     if strict:
         for p, q in product(range(len(errors)), repeat=2):
@@ -474,7 +512,7 @@ def verify_kl(
             d = _excess(v, ref, tol)
             if d is not None:
                 violations.append(Violation("strict", 0, 0, p, q, d.magnitude(), v, ref))
-    return _report(G, violations, tol, strict, orbit0)
+    return _report(G, violations, tol, strict)
 
 
 def verify_kl_extended(
@@ -497,8 +535,8 @@ def verify_kl_extended(
         raise ValueError("family members must share exact/float mode")
     tol = _resolve_tol(family[0], tol)
     keys = [(i, m) for m in range(len(family)) for i in range(w)]
-    G, orbit0 = _gram([family[m].words[i] for i, m in keys], errors)
-    return _report(G, _violations(G, keys, tol), tol, False, orbit0)
+    G = _gram([family[m].words[i] for i, m in keys], errors)
+    return _report(G, _violations(G, keys, tol), tol, False)
 
 
 @dataclass(frozen=True)
@@ -532,62 +570,18 @@ class DBlockReport:
         return lines
 
 
-def _two_value_rank(entries: tuple[tuple[InnerProductValue, ...], ...]) -> int | None:
-    """Exact rank of an m x m block, m >= 2, with one value ``a`` on the
-    diagonal and one value ``b`` off it; None for any other block.
-
-    The block is ``(a - b) I + b J``, whose eigenvalues are ``a - b``
-    (m - 1 times) and ``a + (m - 1) b`` (once), so its rank is read off
-    two 1 x 1 ``surd_rank`` calls.  Entries are compared by value.
-    """
-    m = len(entries)
-    if m < 2:
-        return None
-    a, b = entries[0][0], entries[0][1]
-    if not (a.is_exact and b.is_exact) or any(
-        row != (b,) * p + (a,) + (b,) * (m - 1 - p) for p, row in enumerate(entries)
-    ):
-        return None
-
-    def nonzero(scale: int) -> int:  # the rank of [a + scale * b]
-        return surd_rank([[[*a.parts, *((r, scale * re, scale * im) for r, re, im in b.parts)]]])
-
-    return (m - 1) * nonzero(-1) + nonzero(m - 1)
-
-
 def d_blocks(d_matrix: DMatrix) -> DBlockReport:
     """Split D into named family blocks (identity+exchange, X, Y, Z).
 
     Requires a family-ordered error set: identity first, any exchange
     operators immediately after it, then each Pauli family contiguously.
     """
-    fams = list(d_matrix.families)
-    runs: list[tuple[str, int, int]] = []
-    start = 0
-    for idx in range(1, len(fams) + 1):
-        if idx == len(fams) or fams[idx] != fams[start]:
-            runs.append((fams[start], start, idx))
-            start = idx
-    seen = [r[0] for r in runs]
-    if len(set(seen)) != len(seen):
-        raise ValueError(f"error families are not contiguous: {seen}")
-    # identity (+ exchange when present) merge into the single block "0"
-    merged: list[tuple[str, int, int]] = []
-    for name, a, b in runs:
-        if name == "exchange" and merged and merged[-1][0] == "0":
-            merged[-1] = ("0", merged[-1][1], b)
-        elif name == "identity":
-            merged.append(("0", a, b))
-        else:
-            merged.append((name, a, b))
     infos = []
     total_rank = 0
     global_off = 0.0
-    for name, a, b in merged:
+    for name, a, b in _family_runs(d_matrix.families):
         entries = tuple(tuple(row[a:b]) for row in d_matrix.entries[a:b])
-        rank = _two_value_rank(entries)
-        if rank is None:
-            rank = DMatrix(entries, d_matrix.labels[a:b], d_matrix.families[a:b]).rank()
+        rank = DMatrix(entries, d_matrix.labels[a:b], d_matrix.families[a:b]).rank()
         total_rank += rank
         # once per value object: equal D rows share their entries
         outside = {id(v): v for row in d_matrix.entries[a:b] for v in row[:a] + row[b:]}

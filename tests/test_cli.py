@@ -429,6 +429,25 @@ def test_output_is_deterministic(capsys):
             1,
             "341543003a134f599bc0896b3119a680adde4e92406f396d3a221db234eac38c",
         ),
+        (
+            # D is the identity+exchange run alone: rank 1
+            "verify --code ruskai9 --errors identity+exchange",
+            0,
+            "0ce61875ae80a49340bf1bc812ec74d93ece1aa9f74ef21be517399cd5a21cc3",
+        ),
+        (
+            # a non-orbit code whose D has the split's shape: rank 16
+            "verify --code five-qubit --errors pauli",
+            0,
+            "b83ec1aeeeeec1e5cc923305d2caf0eb5da1833b767f6799e8bdb1917ac783c9",
+        ),
+        (
+            # interleaved families, so no split: rank 28 by elimination
+            'verify --code ruskai9 --errors "X1, Y1, Z1, X2, Y2, Z2, X3, Y3, Z3, X4, Y4, Z4, '
+            'X5, Y5, Z5, X6, Y6, Z6, X7, Y7, Z7, X8, Y8, Z8, X9, Y9, Z9"',
+            0,
+            "e24d260cb775c08e03d32c20084a4aad5bc6f78adeb5c05ee7c52f9d9e42b52e",
+        ),
     ],
 )
 def test_output_matches_golden_digest(capsys, argv, rc, digest):

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import math
 import os
 import re
 import subprocess
@@ -694,19 +695,22 @@ def test_integer_signs_match_the_fraction_reference(case, data):
     if data.draw(st.booleans(), label="solver's squares"):
         with mock.patch.object(codesearch, "_signs", wraps=codesearch._signs) as spy:
             solve_coefficients(pattern, families)
-        tried = [call.args[2] for call in spy.call_args_list]
+        tried = [call.args[2:] for call in spy.call_args_list]
         if tried:
-            squares = data.draw(st.sampled_from(tried), label="candidate")
+            nums, den = data.draw(st.sampled_from(tried), label="candidate")
+            squares = [Fraction(x, den) for x in nums]
     if squares is None:
         squares = data.draw(
             st.lists(st.sampled_from(_SQUARES), min_size=len(keys), max_size=len(keys)),
             label="squares",
         )
+        den = math.lcm(*(s.denominator for s in squares))
+        nums = [int(s * den) for s in squares]
     scaled = [
         _Constraint(tuple((i, j, Fraction(c, con.terms[0][2])) for i, j, c in con.terms), "")
         for con in constraints
     ]
-    assert codesearch._signs(constraints, keys, squares) == reference_signs(scaled, keys, squares)
+    assert codesearch._signs(constraints, keys, nums, den) == reference_signs(scaled, keys, squares)
 
 
 _PINNED = re.compile(r"a_(\d+)\^2 = (-?\d+(?:/\d+)?)")

@@ -12,6 +12,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from exqec import codesearch, klverify, qstate
+from exqec._linalg import surd_rank
 from exqec.codes import BUILTIN_CODES, Code, builtin_code, parse_code, ruskai9_code, serialize_code
 from exqec.errorops import (
     ErrorOperator,
@@ -386,10 +387,16 @@ def _feasible_survey_codes():
                     yield codesearch.realize_code(row.pattern, row.coefficients, row.squares)
 
 
+def _distinct_rank(d):
+    """``surd_rank`` of D's distinct rows and columns: the elimination oracle."""
+    columns = dict.fromkeys(zip(*dict.fromkeys(d.entries)))
+    return surd_rank([[v.parts for v in col] for col in columns])
+
+
 def test_split_rank_equals_the_rank_of_the_distinct_rows(ruskai9, full_error_set_9):
-    """The S_n split gives 3n + 1 wherever the full exact rank does:
-    ruskai9, and every feasible survey row up to n = 11, whose first is
-    the n=7 code {0,5}/{2,7}."""
+    """The S_n split gives 3n + 1 wherever elimination on the distinct rows
+    does: ruskai9, and every feasible survey row up to n = 11, whose first
+    is the n=7 code {0,5}/{2,7}."""
     survey = list(_feasible_survey_codes())
     assert len(survey) == 24
     assert klverify._orbit_coefficients(survey[0].words[0]) == {
@@ -399,8 +406,9 @@ def test_split_rank_equals_the_rank_of_the_distinct_rows(ruskai9, full_error_set
         errors = basic_error_set(code.n, families=_PAIR_ERRORS)
         report = verify_kl(code, errors)
         assert report.correctable
-        split = klverify._split_rank(report.d_matrix, errors)
-        assert split == report.rank == report.d_matrix.rank() == 3 * code.n + 1
+        d = report.d_matrix
+        split = klverify._split_rank(d.entries, d.families)
+        assert split == report.rank == _distinct_rank(d) == 3 * code.n + 1
 
 
 @pytest.mark.parametrize(
@@ -412,16 +420,17 @@ def test_split_rank_equals_the_rank_of_the_distinct_rows(ruskai9, full_error_set
     ],
 )
 def test_split_rank_needs_exactly_the_single_qubit_paulis(ops):
-    """Any other set of distinct Pauli parts falls back to ``surd_rank``
-    on the distinct rows."""
+    """Any other set of distinct Pauli parts leaves runs of unequal length,
+    so the rank falls back to ``surd_rank`` on the distinct rows."""
     code = parse_code("qubits: 4\nword 0:\n1 orbit(k=0)\n1/sqrt(6) orbit(k=2)\n")
     errors = ErrorSet.from_ops(4, parse_error_ops(ops, 4))
     report = verify_kl(code, errors)
     assert report.correctable
-    assert klverify._split_rank(report.d_matrix, errors) is None
-    assert report.rank == report.d_matrix.rank()
-    full = verify_kl(code, basic_error_set(4))
-    assert klverify._split_rank(full.d_matrix, basic_error_set(4)) == full.rank
+    d = report.d_matrix
+    assert klverify._split_rank(d.entries, d.families) is None
+    assert report.rank == d.rank() == _distinct_rank(d)
+    full = verify_kl(code, basic_error_set(4)).d_matrix
+    assert klverify._split_rank(full.entries, full.families) == full.rank() == _distinct_rank(full)
 
 
 # -------------------------------------------------- dual-orbit code passes KL
@@ -475,17 +484,16 @@ def test_dual_orbit_d_blocks(ruskai9_report):
 def test_two_value_blocks_take_the_closed_form(ruskai9_report, five_qubit, monkeypatch):
     """Every X/Y/Z block of ruskai9 and of five-qubit, and ruskai9's
     identity+exchange block, has one diagonal and one off-diagonal value:
-    its closed-form rank equals ``DMatrix.rank`` of the block, and
-    ``d_blocks`` ranks them without calling ``DMatrix.rank``."""
+    its closed-form rank equals ``surd_rank`` of the whole block, and
+    ``d_blocks`` ranks them with no ``surd_rank`` call larger than 1x1."""
     five_report = verify_kl(five_qubit, basic_error_set(5))
     blocks = {}
     for name, report in (("ruskai9", ruskai9_report), ("five-qubit", five_report)):
         d = report.d_matrix
         blocks[name] = [
-            (b.name, b.rank, DMatrix(
-                tuple(tuple(row[b.start:b.stop]) for row in d.entries[b.start:b.stop]),
-                d.labels[b.start:b.stop], d.families[b.start:b.stop],
-            ).rank())
+            (b.name, b.rank, surd_rank(
+                [[v.parts for v in row[b.start:b.stop]] for row in d.entries[b.start:b.stop]]
+            ))
             for b in d_blocks(d).blocks
         ]
     assert blocks == {
@@ -493,10 +501,13 @@ def test_two_value_blocks_take_the_closed_form(ruskai9_report, five_qubit, monke
         "five-qubit": [("0", 1, 1), ("X", 5, 5), ("Y", 5, 5), ("Z", 5, 5)],
     }
 
-    def forbidden(self, tol=DEFAULT_FLOAT_TOL):
-        raise AssertionError("a two-value block was ranked by elimination")
+    def one_by_one(matrix):
+        assert len(matrix) <= 1 and all(len(row) <= 1 for row in matrix), (
+            "a two-value block was ranked by elimination"
+        )
+        return surd_rank(matrix)
 
-    monkeypatch.setattr(DMatrix, "rank", forbidden)
+    monkeypatch.setattr(klverify, "surd_rank", one_by_one)
     assert d_blocks(ruskai9_report.d_matrix).total_rank == 28
 
 
@@ -882,6 +893,11 @@ _FIELD = st.dictionaries(
 )
 
 
+def _exact(v):
+    """A ``_FIELD`` draw as an exact value."""
+    return InnerProductValue.exact({r: (Fraction(a), Fraction(b)) for r, (a, b) in v.items()})
+
+
 def _field_product(x, y):
     """(sum (a + b i) sqrt r) * (sum (c + d i) sqrt s) as the same kind of dict."""
     out = {}
@@ -918,13 +934,7 @@ def _low_rank_matrices(draw):
 @settings(max_examples=200, deadline=None)
 @given(_low_rank_matrices())
 def test_exact_d_matrix_rank_matches_numpy(matrix):
-    entries = tuple(
-        tuple(
-            InnerProductValue.exact({r: (Fraction(a), Fraction(b)) for r, (a, b) in v.items()})
-            for v in row
-        )
-        for row in matrix
-    )
+    entries = tuple(tuple(_exact(v) for v in row) for row in matrix)
     d = DMatrix(entries, ("I",) * len(entries), ("identity",) * len(entries))
     assert d.rank() == np.linalg.matrix_rank(d.to_float())
 
@@ -938,13 +948,10 @@ def test_two_value_rank_matches_dmatrix_rank(m, a, b, relation):
         a = b
     elif relation == "cancel":
         a = {r: (-(m - 1) * x, -(m - 1) * y) for r, (x, y) in b.items()}
-    a, b = (
-        InnerProductValue.exact({r: (Fraction(x), Fraction(y)) for r, (x, y) in v.items()})
-        for v in (a, b)
-    )
+    a, b = _exact(a), _exact(b)
     entries = tuple(tuple(a if p == q else b for q in range(m)) for p in range(m))
-    expected = DMatrix(entries, ("I",) * m, ("identity",) * m).rank()
-    assert klverify._two_value_rank(entries) == expected
+    expected = surd_rank([[v.parts for v in row] for row in entries])
+    assert klverify._split_rank(entries, ("X",) * m) == expected
     if relation == "equal":
         assert expected == (1 if b.parts else 0)
     elif relation == "cancel":
@@ -952,11 +959,95 @@ def test_two_value_rank_matches_dmatrix_rank(m, a, b, relation):
 
 
 def test_two_value_rank_leaves_other_blocks_to_elimination():
+    """A one-run split takes a 1x1 block, and no block with two diagonal
+    values, two off-diagonal values or float entries."""
     one = InnerProductValue.exact_rational(1)
     two = InnerProductValue.exact_rational(2)
     zero = InnerProductValue.exact_rational(0)
-    assert klverify._two_value_rank(((one,),)) is None
-    assert klverify._two_value_rank(((one, zero), (zero, two))) is None
-    assert klverify._two_value_rank(((one, zero), (two, one))) is None
+    assert klverify._split_rank(((one,),), ("X",)) == 1
+    assert klverify._split_rank(((zero,),), ("X",)) == 0
+    assert klverify._split_rank(((one, zero), (zero, two)), ("X",) * 2) is None
+    assert klverify._split_rank(((one, zero), (two, one)), ("X",) * 2) is None
     floats = InnerProductValue.from_complex(1.0), InnerProductValue.from_complex(0.5)
-    assert klverify._two_value_rank((floats, floats[::-1])) is None
+    assert klverify._split_rank((floats, floats[::-1]), ("X",) * 2) is None
+
+
+@st.composite
+def _split_shaped(draw):
+    """D with the S_n split's shape over Q(i, sqrt 2, sqrt 3): an optional
+    leading identity run with 0-2 exchanges, then 1-3 runs of one length n,
+    every value drawn from a pool of three so that ties and rank drops come
+    up; and the same D with one entry replaced, or None."""
+    pool = [_exact(v) for v in draw(st.lists(_FIELD, min_size=3, max_size=3))]
+    pick = st.sampled_from(pool)
+    head = draw(st.sampled_from([0, 1, 2, 3]))
+    m, n = draw(st.integers(1, 3)), draw(st.integers(1, 6))
+    families = ("identity", "exchange", "exchange")[:head] + tuple(
+        kind for kind in "XYZ"[:m] for _ in range(n)
+    )
+    row0 = (draw(pick),) * head + tuple(v for v in (draw(pick) for _ in range(m)) for _ in range(n))
+    rows = [row0] * head
+    for _ in range(m):
+        c, ab = draw(pick), [(draw(pick), draw(pick)) for _ in range(m)]
+        rows += [
+            (c,) * head + tuple(v for a, b in ab for v in (b,) * k + (a,) + (b,) * (n - 1 - k))
+            for k in range(n)
+        ]
+    perturbed = None
+    if draw(st.booleans()):
+        p, q = draw(st.integers(0, len(rows) - 1)), draw(st.integers(0, len(rows) - 1))
+        new = draw(st.sampled_from(pool + [InnerProductValue.exact_rational(5)]))
+        perturbed = tuple(
+            tuple(new if (i, j) == (p, q) else v for j, v in enumerate(row))
+            for i, row in enumerate(rows)
+        )
+    return families, tuple(rows), perturbed
+
+
+@settings(max_examples=150, deadline=None)
+@given(_split_shaped())
+def test_split_rank_matches_elimination_of_the_full_matrix(case):
+    """``DMatrix.rank`` of an S_n-shaped D, which takes the split, and of the
+    same D with one entry changed, equals ``surd_rank`` of the whole matrix."""
+    families, entries, perturbed = case
+    assert klverify._split_rank(entries, families) is not None
+    for d in (entries, perturbed) if perturbed else (entries,):
+        full = surd_rank([[v.parts for v in row] for row in d])
+        assert DMatrix(d, families, families).rank() == full
+
+
+@settings(max_examples=50, deadline=None)
+@given(_low_rank_matrices())
+def test_split_rank_declines_non_square_and_float_matrices(matrix):
+    entries = tuple(tuple(_exact(v) for v in row) for row in matrix)
+    rows, cols = len(entries), len(entries[0])
+    if rows != cols:
+        assert klverify._split_rank(entries, ("X",) * rows) is None
+        assert klverify._split_rank(entries, ("X",) * cols) is None
+    floats = tuple(
+        tuple(InnerProductValue.from_complex(v.float_view) for v in row) for row in entries
+    )
+    assert klverify._split_rank(floats, ("X",) * rows) is None
+
+
+def test_split_rank_declines_the_float_d_of_ruskai9(ruskai9, full_error_set_9):
+    d = verify_kl(ruskai9.to_float(), full_error_set_9).d_matrix
+    assert klverify._split_rank(d.entries, d.families) is None
+    assert d.rank() == 28
+
+
+def test_ruskai9_rank_takes_the_split(ruskai9, full_error_set_9, monkeypatch):
+    """``verify_kl`` and every ``d_blocks`` block rank ruskai9's D with no
+    ``surd_rank`` call on more than 4 rows: a shape check that misses falls
+    back to elimination on the 28 distinct rows and still gives 28."""
+    sizes = []
+
+    def recorded(matrix):
+        sizes.append(len(matrix))
+        return surd_rank(matrix)
+
+    monkeypatch.setattr(klverify, "surd_rank", recorded)
+    report = verify_kl(ruskai9, full_error_set_9)
+    assert report.rank == 28
+    assert d_blocks(report.d_matrix).total_rank == 28
+    assert sizes and max(sizes) <= 4
