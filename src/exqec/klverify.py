@@ -385,16 +385,13 @@ def _violations(G: GramTensor, keys: Sequence, tol: float) -> list[Violation]:
 
 
 def _family_runs(families: Sequence[str]) -> list[tuple[str, int, int]]:
-    """Each run of one family as ``(name, start, stop)``, the identity and
-    any exchanges right after it merged into the run "0"; ValueError when a
-    family comes back after another."""
+    """Each maximal run of one family as ``(name, start, stop)``, the
+    identity and any exchanges right after it merged into the run "0"; a
+    family that comes back after another opens a new run."""
     runs: list[tuple[str, int, int]] = []
     for name, group in groupby(families):
         start = runs[-1][2] if runs else 0
         runs.append((name, start, start + len(list(group))))
-    seen = [name for name, _, _ in runs]
-    if len(set(seen)) != len(seen):
-        raise ValueError(f"error families are not contiguous: {seen}")
     merged: list[tuple[str, int, int]] = []
     for name, a, b in runs:
         if name == "exchange" and merged and merged[-1][0] == "0":
@@ -424,10 +421,9 @@ def _split_rank(
     size = len(entries)
     if len(families) != size or any(len(row) != size for row in entries):
         return None
-    try:
-        runs = _family_runs(families)
-    except ValueError:
-        return None
+    runs = _family_runs(families)
+    if len({name for name, _, _ in runs}) != len(runs):
+        return None  # a family comes back after another
     head = runs.pop(0)[2] if runs and runs[0][0] == "0" else 0
     starts = [a for _, a, _ in runs]
     n = runs[0][2] - starts[0] if runs else 1
@@ -573,8 +569,11 @@ class DBlockReport:
 def d_blocks(d_matrix: DMatrix) -> DBlockReport:
     """Split D into named family blocks (identity+exchange, X, Y, Z).
 
-    Requires a family-ordered error set: identity first, any exchange
-    operators immediately after it, then each Pauli family contiguously.
+    One block per maximal run of a family (``_family_runs``): a
+    family-ordered error set (identity first, any exchange operators
+    immediately after it, then each Pauli family contiguously) gives one
+    block per family, and a family that comes back after another, as in
+    ``X1, Y1, Z1, X2, ...``, opens a new block.
     """
     infos = []
     total_rank = 0

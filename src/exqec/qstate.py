@@ -658,8 +658,9 @@ def _exact_gram(images: Sequence[StateVector]) -> tuple[tuple[int, ...], tuple]:
     one integer sum per ``(u, v, r, s)``; Python integers cannot overflow.
     A sum ``p`` then becomes ``p * g / (L_r * L_s)`` at radicand
     ``r * s / g**2``, ``g = gcd(r, s)``, which is exact for squarefree
-    radicands.  Each distinct pair's value is built once and shared;
-    ``(v, u)`` holds the conjugate of ``(u, v)``.
+    radicands.  Pairs with the same nonzero sums share one value, built
+    once, and equal values share one object; ``(v, u)`` holds the
+    conjugate of ``(u, v)``.
     """
     scale: dict[int, int] = {}
     for img in images:
@@ -696,23 +697,37 @@ def _exact_gram(images: Sequence[StateVector]) -> tuple[tuple[int, ...], tuple]:
                 else:
                     slot[0] += ar * br + ai * bi
                     slot[1] += ar * bi - ai * br
-    radicand = list(scale)
-    sums: dict[tuple[int, int], dict[int, list[Fraction]]] = {}
+    # each pair's nonzero sums, sorted, key its value and the conjugate, built
+    # once per key; equal values share one object
+    sums: dict[int, list[tuple[int, int, int]]] = {}
     for key, (re, im) in acc.items():
         if re or im:
-            key, l = divmod(key, nr)
-            key, k = divmod(key, nr)
-            r, s = radicand[k], radicand[l]
-            g, den = math.gcd(r, s), scale[r] * scale[s]
-            parts = sums.setdefault(divmod(key, size), {})
-            slot = parts.setdefault(r * s // (g * g), [_ZERO, _ZERO])
-            slot[0] += Fraction(re * g, den)
-            slot[1] += Fraction(im * g, den)
+            pair, kl = divmod(key, nr * nr)
+            sums.setdefault(pair, []).append((kl, re, im))
+    radicand = list(scale)
+    zero = InnerProductValue.exact({})
+    shared = {zero.parts: zero}
+    built: dict[tuple, tuple[InnerProductValue, InnerProductValue]] = {}
     table: dict[tuple[int, int], InnerProductValue] = {}
-    for (u, v), parts in sums.items():
-        table[u, v] = InnerProductValue.exact(parts)
-        table[v, u] = table[u, v] if u == v else table[u, v].conjugate()
-    zero, ids = InnerProductValue.exact({}), range(size)
+    for pair, terms in sums.items():
+        key = tuple(sorted(terms))
+        values = built.get(key)
+        if values is None:
+            parts: dict[int, list[Fraction]] = {}
+            for kl, re, im in key:
+                r, s = radicand[kl // nr], radicand[kl % nr]
+                g, den = math.gcd(r, s), scale[r] * scale[s]
+                slot = parts.setdefault(r * s // (g * g), [_ZERO, _ZERO])
+                slot[0] += Fraction(re * g, den)
+                slot[1] += Fraction(im * g, den)
+            value = InnerProductValue.exact(parts)
+            values = built[key] = tuple(
+                shared.setdefault(x.parts, x) for x in (value, value.conjugate())
+            )
+        u, v = divmod(pair, size)
+        table[u, v] = values[0]
+        table[v, u] = values[0] if u == v else values[1]
+    ids = range(size)
     return tuple(which), tuple(tuple(table.get((a, b), zero) for b in ids) for a in ids)
 
 

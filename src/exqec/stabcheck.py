@@ -4,7 +4,11 @@ A code is additive (a stabilizer code) when its code space is a joint
 eigenspace of a nontrivial abelian subgroup of the Pauli group.  Since
 scalar prefactors do not change eigenspaces, it is enough to scan the
 4^n phase-free representatives X(a)Z(b) and ask for a single eigenvalue
-common to every codeword.  The scan is exact and exhaustive.
+common to every codeword.  The scan is exact and exhaustive, but it tests
+no class on its own.  Only an a that maps every word's support onto itself
+can work, and for such an a the eigen-equation is linear in b over GF(2):
+the valid b form an affine GF(2) space, which one elimination on integer
+bitmasks lists, each with its eigenvalue.
 
 The common-eigenvalue requirement matters.  For the 9-qubit
 permutation-invariant code the all-Z string Z(1...1) fixes word 0 but
@@ -29,7 +33,6 @@ from itertools import combinations
 from .codes import Code
 from .errors import ScanTooLarge
 from .errorops import PauliString
-from .qstate import Amplitude
 from ._linalg import rational_rank
 
 __all__ = [
@@ -86,48 +89,133 @@ class AdditivityReport:
         return lines
 
 
-def _word_tables(code: Code) -> list[dict[int, Amplitude]]:
+def _word_tables(code: Code) -> list[dict[int, tuple[int, int]]]:
+    """Each word as ``{v: (orbit, e)}`` with amp(v) = i^e * rep(orbit).
+
+    ``rep`` is the one product of amp(v) with a power of i that has a
+    positive real part and a nonnegative imaginary part, and ``orbit``
+    numbers the distinct reps of the code.  So amp(v) = i^k amp(u) for
+    some k exactly when v and u share an orbit, and then k = e(v) - e(u)
+    mod 4: this is how both the scan and ``eigenvector_witness`` read the
+    eigen-equation.
+    """
     if code.mode != "exact":
         raise ValueError("stabilizer scan requires an exact-mode code")
-    return [dict(w.terms) for w in code.words]
+    orbits: dict[tuple[int, ...], int] = {}
+    tables = []
+    for word in code.words:
+        table = {}
+        for v, amp in word.terms.items():
+            # re = xn / xd and im = yn / yd in lowest terms; rep = i^-e (re + i im)
+            xn, xd, yn, yd = amp.re.numerator, amp.re.denominator, amp.im.numerator, amp.im.denominator
+            if xn > 0 and yn >= 0:
+                e, rep = 0, (xn, xd, yn, yd)
+            elif yn > 0:  # re <= 0
+                e, rep = 1, (yn, yd, -xn, xd)
+            elif xn < 0:  # im <= 0
+                e, rep = 2, (-xn, xd, -yn, yd)
+            else:  # re >= 0 > im
+                e, rep = 3, (-yn, yd, xn, xd)
+            table[v] = (orbits.setdefault((*rep, amp.radicand), len(orbits)), e)
+        tables.append(table)
+    return tables
 
 
 def _eigen(
-    table: dict[int, Amplitude], a: int, b: int, phase: int = 0, m: int | None = None
+    table: dict[int, tuple[int, int]], a: int, b: int, phase: int = 0, m: int | None = None
 ) -> tuple[str | None, int | None]:
-    """Check i^phase X(a)Z(b) w = i^m w for the word w with amplitudes ``table``.
+    """Check i^phase X(a)Z(b) w = i^m w for the word w of ``_word_tables``.
 
     Returns ``(None, m)`` when it holds, else ``(kind, component)``: kind
     ``support`` when component v maps outside the support, ``phase`` when
     it breaks the eigenvalue.  A given ``m`` pins the eigenvalue to a
     previous word's.  The coefficient of |v + a> in the image is
     i^phase amp(v) (-1)^(b.v), which must equal i^m amp(v + a) for every
-    v in the support.
+    v in the support: with amp(v) = i^k(v) amp(v + a), that is
+    m = phase + k(v) + 2 (b.v) mod 4.
     """
-    for v, amp in table.items():
-        signed = amp.times_i(phase + 2 * ((b & v).bit_count() & 1))
+    for v, (orbit, e) in table.items():
         target = table.get(v ^ a)
         if target is None:
             return "support", v
+        if target[0] != orbit:
+            return "phase", v
+        mv = (phase + e - target[1] + 2 * (b & v).bit_count()) & 3
         if m is None:
-            for cand in range(4):
-                if target.times_i(cand) == signed:
-                    m = cand
-                    break
-            else:
-                return "phase", v
-        elif target.times_i(m) != signed:
+            m = mv
+        elif mv != m:
             return "phase", v
     return None, m
+
+
+def _equations(
+    tables: list[dict[int, tuple[int, int]]], a: int, v0: int
+) -> tuple[int, set[tuple[int, int]]] | None:
+    """``(k(v0), rows)`` for the candidate ``a``: one row ``(v + v0, (k(v) -
+    k(v0)) / 2)`` per component v of every word, where amp(v) = i^k(v)
+    amp(v + a).  None when some v + a leaves its word's support, some k(v)
+    does not exist, or k(v) and k(v0) differ in parity.
+    """
+    orbit0, e0 = tables[0][v0]
+    orbit, e = tables[0][v0 ^ a]
+    if orbit != orbit0:
+        return None
+    k0 = (e0 - e) & 3
+    rows = set()
+    for table in tables:
+        for v, (orbit, e) in table.items():
+            target = table.get(v ^ a)
+            if target is None or target[0] != orbit:
+                return None
+            k = (e - target[1] - k0) & 3
+            if k & 1:
+                return None
+            rows.add((v ^ v0, k >> 1))
+    return k0, rows
+
+
+def _solutions(rows: set[tuple[int, int]], n: int) -> list[int]:
+    """Every b in GF(2)^n with parity(b & mask) == rhs for each row ``(mask, rhs)``.
+
+    Gauss-Jordan on int bitmasks, then the particular solution (free bits
+    0) plus the span of the null-space basis, one vector per free bit.
+    """
+    pivots: dict[int, tuple[int, int]] = {}  # pivot bit -> reduced (mask, rhs)
+    for mask, rhs in rows:
+        for bit, (pm, pr) in pivots.items():
+            if mask >> bit & 1:
+                mask ^= pm
+                rhs ^= pr
+        if not mask:
+            if rhs:
+                return []
+            continue
+        bit = mask.bit_length() - 1
+        for other, (pm, pr) in pivots.items():
+            if pm >> bit & 1:
+                pivots[other] = (pm ^ mask, pr ^ rhs)
+        pivots[bit] = (mask, rhs)
+    out = [sum(1 << bit for bit, (_, rhs) in pivots.items() if rhs)]
+    for free in range(n):
+        if free not in pivots:
+            vec = (1 << free) | sum(1 << bit for bit, (pm, _) in pivots.items() if pm >> free & 1)
+            out += [s ^ vec for s in out]
+    return out
 
 
 def stabilizer_scan(code: Code) -> AdditivityReport:
     """Scan all X(a)Z(b) classes for common-eigenvalue stabilizers.
 
-    Exact and exhaustive over 4^n pairs; the identity class (0, 0) is
-    excluded from findings.  The a-candidates are pruned by word-0
-    support stability (a pure optimization: any a moving the support off
-    itself fails the eigen-equation on a missing coefficient anyway).
+    Exact and exhaustive over the 4^n pairs; the identity class (0, 0) is
+    excluded from findings.  The a-candidates are those that keep word 0's
+    support onto itself (any other a fails the eigen-equation on a missing
+    coefficient).  For each candidate, every component v of every word
+    must have v + a in its word's support and amp(v) = i^k(v) amp(v + a);
+    then X(a)Z(b) has the common eigenvalue i^m exactly when
+    m = k(v) + 2 (b.v) mod 4 for all v.  With v0 word 0's first component
+    that asks k(v) = k(v0) mod 2 and b.(v + v0) = (k(v) - k(v0)) / 2 over
+    GF(2), and gives m = k(v0) + 2 (b.v0) mod 4, so the valid b of each a
+    form an affine space, solved for rather than enumerated.
     """
     n = code.n
     if n > MAX_SCAN_QUBITS:
@@ -136,29 +224,21 @@ def stabilizer_scan(code: Code) -> AdditivityReport:
             f"classes; the limit is {MAX_SCAN_QUBITS} qubits"
         )
     tables = _word_tables(code)
-    supp0 = set(tables[0])
-    anchor = next(iter(supp0))
-    candidates_a = sorted(
-        a
-        for a in {anchor ^ v for v in supp0}
-        if all(v ^ a in supp0 for v in supp0)
-    )
-    findings: list[StabilizerFinding] = []
-    for b in range(1 << n):
-        for a in candidates_a:
-            if a == 0 and b == 0:
-                continue
-            m = None
-            for table in tables:
-                kind, m = _eigen(table, a, b, 0, m)
-                if kind is not None:
-                    break
-            else:
-                findings.append(StabilizerFinding(PauliString(n, a, b, 0), m))
+    supp0 = tables[0]
+    v0 = next(iter(supp0))
+    candidates_a = {a for a in {v0 ^ v for v in supp0} if all(v ^ a in supp0 for v in supp0)}
+    found: list[tuple[int, int, int]] = []  # (b, a, m)
+    for a in candidates_a:
+        system = _equations(tables, a, v0)
+        if system is not None:
+            k0, rows = system
+            found += [(b, a, (k0 + 2 * (b & v0).bit_count()) & 3) for b in _solutions(rows, n) if a or b]
+    found.sort()
+    findings = tuple(StabilizerFinding(PauliString(n, a, b, 0), m) for b, a, m in found)
     return AdditivityReport(
         n=n,
         is_nontrivially_stabilized=bool(findings),
-        findings=tuple(findings),
+        findings=findings,
         scanned=4**n,
     )
 

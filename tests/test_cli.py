@@ -97,6 +97,25 @@ def test_dmatrix_output(capsys):
     assert rc == 1
 
 
+@pytest.mark.parametrize("name, n, rank", [("five-qubit", 5, 16), ("ruskai9", 9, 28)])
+def test_dmatrix_with_interleaved_families(capsys, name, n, rank):
+    """An operator list in qubit order (X1, Y1, Z1, X2, ...) gives one block
+    per run of a family, and the D rows print as ``verify`` finds them."""
+    ops = ", ".join(f"{p}{k}" for k in range(1, n + 1) for p in "XYZ")
+    rc, out, _ = invoke(capsys, "verify", "--code", name, "--errors", ops)
+    assert rc == 0
+    assert f"  rank: {rank}\n" in out
+    rc, out, _ = invoke(capsys, "dmatrix", "--code", name, "--errors", ops)
+    assert rc == 0
+    size = 3 * n + 1
+    assert f"  size: {size}\n" in out
+    assert sum(line.startswith("  d[") for line in out.splitlines()) == size * size
+    assert "  d[X1,X1]: " in out and f"  d[Z{n},Z{n}]: " in out
+    blocks = [line.split(":")[0] for line in out.splitlines() if line.startswith("  block ")]
+    assert blocks == ["  block 0"] + [f"  block {p}" for _ in range(n) for p in "XYZ"]
+    assert f"  total rank: {size}\n" in out
+
+
 def test_gram_output(capsys):
     rc, out, _ = invoke(capsys, "gram", "--code", "rep3", "--errors", "identity")
     assert rc == 0

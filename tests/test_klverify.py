@@ -124,6 +124,20 @@ def test_gram_engine_is_exact_past_2_pow_63():
     assert max(abs(re.numerator) for v in entries for _, re, _ in v.parts) >= 2**63
 
 
+def test_exact_gram_builds_each_distinct_value_once(shor9):
+    """shor9 under ``pauli+exchange``: 5 distinct values fill the 98x98
+    table of distinct images, as 5 objects, and each entry is still the
+    per-pair ``inner_product``."""
+    images = _images(shor9, basic_error_set(9, families=_PAIR_ERRORS))
+    which, table = qstate._exact_gram(images)
+    assert len(table) == 98
+    assert len({id(v) for row in table for v in row}) == 5
+    first = {a: x for x, a in reversed(list(enumerate(which)))}
+    for a, x in first.items():
+        for b, y in first.items():
+            assert table[a][b] == inner_product(images[x], images[y])
+
+
 def reference_float_gram(images):
     """The per-pair float loop ``_float_gram`` replaced, kept as its
     reference: one ``inner_product`` per flat pair ``x <= y``, and ``(y, x)``
@@ -431,6 +445,19 @@ def test_split_rank_needs_exactly_the_single_qubit_paulis(ops):
     assert report.rank == d.rank() == _distinct_rank(d)
     full = verify_kl(code, basic_error_set(4)).d_matrix
     assert klverify._split_rank(full.entries, full.families) == full.rank() == _distinct_rank(full)
+
+
+def test_split_rank_declines_a_family_that_comes_back(five_qubit):
+    """``_family_runs`` gives each maximal run, so an operator list in qubit
+    order has one run per operator; ``_split_rank`` then declines, and D is
+    ranked by elimination."""
+    ops = ", ".join(f"{p}{k}" for k in range(1, 6) for p in "XYZ")
+    d = verify_kl(five_qubit, ErrorSet.from_ops(5, parse_error_ops(ops, 5))).d_matrix
+    assert klverify._family_runs(d.families) == [
+        (name, k, k + 1) for k, name in enumerate("0" + "XYZ" * 5)
+    ]
+    assert klverify._split_rank(d.entries, d.families) is None
+    assert d.rank() == _distinct_rank(d) == 16
 
 
 # -------------------------------------------------- dual-orbit code passes KL

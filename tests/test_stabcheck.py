@@ -3,11 +3,14 @@ from __future__ import annotations
 from collections import Counter
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from exqec import stabcheck
 from exqec.codes import Code
 from exqec.errorops import PauliString
 from exqec.errors import ScanTooLarge
-from exqec.qstate import StateVector
+from exqec.qstate import Amplitude, StateVector
 from exqec.stabcheck import (
     MAX_SCAN_QUBITS,
     eigenvector_witness,
@@ -79,6 +82,83 @@ def test_cyclic_stabilizer_code_scan(five_qubit):
     assert all(stabilizes_directly(five_qubit, f) for f in rep.findings)
     letters = {f.element.to_letters().lstrip("-") for f in rep.findings}
     assert {"XZZXI", "IXZZX", "XIXZZ", "ZXIXZ"} <= letters
+
+
+_AMPS = (
+    Amplitude.make(1), Amplitude.make(-1), Amplitude.make(0, 1), Amplitude.make(0, -1),
+    Amplitude.make(2), Amplitude.make(1, 0, 2),
+)
+
+
+@st.composite
+def _coset_codes(draw):
+    """One or two words on n <= 4 qubits, each supported on a coset c + S
+    of a GF(2) subspace S, amplitudes from {+-1, +-i, 2, sqrt(2)}: either
+    drawn per component, or one amplitude times i^|t & v| (-1)^(s.v) so
+    that a word is often a stabilizer state.  Two words may share S, s
+    and t, which makes the X-type findings common to both likely."""
+    n = draw(st.integers(1, 4))
+    mask = st.integers(0, (1 << n) - 1)
+
+    def space():
+        span = {0}
+        for g in draw(st.lists(mask, max_size=n)):
+            span |= {v ^ g for v in span}
+        return span, draw(mask), draw(mask)
+
+    shared = space() if draw(st.booleans()) else None
+    words = []
+    for _ in range(draw(st.integers(1, 2))):
+        span, s, t = shared or space()
+        c = draw(mask)
+        support = sorted(c ^ v for v in span)
+        if shared is None and draw(st.booleans()):
+            amps = draw(st.lists(st.sampled_from(_AMPS), min_size=len(support), max_size=len(support)))
+        else:
+            base = draw(st.sampled_from(_AMPS))
+            amps = [base.times_i((t & v).bit_count() + 2 * (s & v).bit_count()) for v in support]
+        words.append(StateVector.from_terms(n, dict(zip(support, amps))))
+    return Code(n, tuple(words))
+
+
+def brute_force_findings(code):
+    """Every X(a)Z(b) applied to every word and compared exactly with
+    i^m times the word, in (b, a) order, identity excluded."""
+    n, found = code.n, []
+    for b in range(1 << n):
+        for a in range(1 << n):
+            if a or b:
+                element = PauliString(n, a, b, 0)
+                for m in range(4):
+                    finding = stabcheck.StabilizerFinding(element, m)
+                    if stabilizes_directly(code, finding):
+                        found.append(finding)
+    return found
+
+
+@settings(max_examples=200, deadline=None)
+@given(_coset_codes())
+def test_scan_matches_brute_force(code):
+    assert list(stabilizer_scan(code).findings) == brute_force_findings(code)
+
+
+def test_scan_solves_for_b_instead_of_testing_each_class(shor9, monkeypatch):
+    """The scan never runs the per-class eigen-equation: it sets up one
+    GF(2) system per support-stable a, at most one per word-0 component."""
+    systems = []
+    real = stabcheck._equations
+
+    def counted(tables, a, v0):
+        systems.append(a)
+        return real(tables, a, v0)
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("stabilizer_scan tested a class with _eigen")
+
+    monkeypatch.setattr(stabcheck, "_eigen", forbidden)
+    monkeypatch.setattr(stabcheck, "_equations", counted)
+    assert len(stabilizer_scan(shor9).findings) == 255
+    assert 0 < len(systems) <= len(shor9.words[0].terms)
 
 
 def test_scan_guards():
