@@ -27,6 +27,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping
 
+import numpy as np
+
 from .errors import CodeParseError, DimensionMismatch, InvalidCodeError
 from .qstate import (
     AMP_ONE,
@@ -99,8 +101,12 @@ class Code:
         """
         if tol is None:
             tol = 0.0 if self.mode == "exact" else DEFAULT_FLOAT_TOL
-        which, table = (_exact_gram if self.mode == "exact" else _float_gram)(self.words)
-        gram = [[table[a][b] for b in which] for a in which]
+        if self.mode == "exact":
+            which, table = _exact_gram(self.words)
+            gram = [[table[a][b] for b in which] for a in which]
+        else:
+            which, table = _float_gram(np.array([w.dense for w in self.words]))
+            gram = [[InnerProductValue.from_complex(table[a, b]) for b in which] for a in which]
         offenders = []
         for i in range(len(self.words)):
             for j in range(i + 1, len(self.words)):

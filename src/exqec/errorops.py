@@ -29,7 +29,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .errors import DimensionMismatch
-from .qstate import QubitPermutation, StateVector, apply_permutation
+from .qstate import QubitPermutation, StateVector, _source_indices, apply_permutation
 
 __all__ = [
     "PauliString",
@@ -41,6 +41,7 @@ __all__ = [
     "ErrorSet",
     "apply",
     "basic_error_set",
+    "dense_images",
     "qubit_mask",
     "parse_error_ops",
 ]
@@ -166,21 +167,17 @@ class ErrorOperator:
     def apply(self, state: StateVector) -> StateVector:
         if self.n != state.n:
             raise DimensionMismatch("operator and state sizes differ")
+        if state.mode == "float":
+            return StateVector(self.n, dense=dense_images((self,), state.dense[None])[0])
         if self.perm:
             state = apply_permutation(state, QubitPermutation(self.perm))
         if not (self.x_mask or self.z_mask or self.phase):
             return state
-        if state.mode == "exact":
-            out = {}
-            for idx, amp in state.terms.items():
-                e = self.phase + 2 * ((self.z_mask & idx).bit_count() & 1)
-                out[idx ^ self.x_mask] = amp.times_i(e)
-            return StateVector.from_terms(self.n, out)
-        idx = np.arange(1 << self.n, dtype=np.uint64)
-        signs = 1.0 - 2.0 * _parity_u64(idx & np.uint64(self.z_mask))
-        out = np.empty_like(state.dense)
-        out[idx ^ np.uint64(self.x_mask)] = (1j**self.phase) * signs * state.dense
-        return StateVector.from_dense(self.n, out)
+        out = {}
+        for idx, amp in state.terms.items():
+            e = self.phase + 2 * ((self.z_mask & idx).bit_count() & 1)
+            out[idx ^ self.x_mask] = amp.times_i(e)
+        return StateVector.from_terms(self.n, out)
 
     def to_letters(self) -> str:
         """Display form of the Pauli factor, e.g. ``"-iXYZII"``."""
@@ -265,6 +262,37 @@ def Composition(ops: Iterable[ErrorOperator]) -> ErrorOperator:
 def apply(op: ErrorOperator, state: StateVector) -> StateVector:
     """Apply an error operator to a state."""
     return op.apply(state)
+
+
+def dense_images(ops: Sequence[ErrorOperator], words: np.ndarray) -> np.ndarray:
+    """Every image ``op * word`` of the float words given as the rows of
+    ``words``, as row ``p * len(words) + i`` of one array (word index fastest).
+
+    Operator p reads each word at one gather index per basis state w,
+    ``perm^-1(w xor x_mask)``; unless it is a bare permutation it then
+    takes ``(1j**phase) * signs * gathered``, ``signs`` being
+    ``(-1)**parity(z_mask & (w xor x_mask))`` and ``1j**phase`` the Python
+    scalar, so the result is the same bits whatever operators share the call.
+    """
+    ops = tuple(ops)
+    n, size = ops[0].n, words.shape[1]
+    idx = np.arange(size, dtype=np.int32)
+    perms = {perm: k for k, perm in enumerate(dict.fromkeys(op.perm for op in ops if op.perm), 1)}
+    source = np.vstack([idx, _source_indices(n, list(perms))]) if perms else idx[None]
+    source = source[[perms.get(op.perm, 0) for op in ops]]
+    # perm^-1 is linear over xor: perm^-1(w xor x) = perm^-1(w) xor perm^-1(x)
+    x = np.array([op.x_mask for op in ops])
+    gather = source ^ source[np.arange(len(ops)), x][:, None]
+    out = np.empty((len(ops), len(words), size), dtype=np.complex128)
+    for i, word in enumerate(words):
+        out[:, i] = word[gather]
+    pauli = [p for p, op in enumerate(ops) if op.x_mask or op.z_mask or op.phase]
+    if pauli:
+        z = np.array([ops[p].z_mask for p in pauli])[:, None]
+        signs = 1.0 - 2.0 * _parity_u64((idx ^ x[pauli, None]) & z)
+        for p, sign in zip(pauli, signs):
+            np.multiply((1j ** ops[p].phase) * sign, out[p], out=out[p])
+    return out.reshape(len(ops) * len(words), size)
 
 
 _ATOM = _re.compile(

@@ -24,10 +24,14 @@ parts P_p, Q_q of the two errors, and the closed-form orbit atom
 phase and the sizes of its Y-, X- and Z-type supports.  The engine
 evaluates each class once and builds no state.  Every other exact code
 takes ``qstate._exact_gram``, which applies each error and sums over
-shared basis states, and float codes take ``qstate._float_gram``.  Each
-engine returns the distinct images' table plus every entry's image index
-(``GramTensor``), so the comparison runs once per pair of error classes,
-errors with equal images on every word.  ``DMatrix.rank`` takes the S_n
+shared basis states.  Float codes have their images built as the rows of
+one array (``errorops.dense_images``) and take ``qstate._float_gram``,
+whose table is a complex array: the comparison runs on its sub-arrays, D
+is ranked from it, and a float value becomes an ``InnerProductValue`` only
+when it is printed or read.  Each engine returns the distinct images'
+table plus every entry's image index (``GramTensor``), so the comparison,
+the strict check included, runs once per pair of error classes, errors
+with equal images on every word.  ``DMatrix.rank`` takes the S_n
 split (``_split_rank``) whenever D's own entries have its shape, as for an
 orbit code under I and every X_k, Y_k, Z_k: a 4x4 symmetric block and an
 (n-1)-fold 3x3 block.  Every ``d_blocks`` block is ranked the same way.
@@ -41,13 +45,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain, combinations, groupby, product
+from itertools import chain, combinations, count, groupby, product
 from typing import Sequence
 
 import numpy as np
 
 from .codes import Code, shor_code
-from .errorops import ErrorOperator, ErrorSet, ExchangeOp, PauliString, apply
+from .errorops import ErrorOperator, ErrorSet, ExchangeOp, PauliString, apply, dense_images
 from .qstate import DEFAULT_FLOAT_TOL, Amplitude, InnerProductValue, StateVector
 from .qstate import _exact_gram, _excess, _float_gram
 from ._linalg import surd_rank
@@ -79,21 +83,41 @@ class GramTensor:
     ``which[x]`` is the distinct-image index of ``x = p * num_words + i``
     (word index fastest) and ``table[a][b] = <image a | image b>``, so
     ``entry(p, i, q, j)`` is ``table[which[x]][which[y]]``, ``y = q * num_words + j``.
+    Exact words give a table of ``InnerProductValue`` rows; float words a
+    complex128 array, whose values become ``InnerProductValue``s only when
+    ``entry`` or ``entries`` reads them.
     """
 
     errors: ErrorSet
     num_words: int
     which: tuple[int, ...]
-    table: tuple[tuple[InnerProductValue, ...], ...]
+    table: tuple[tuple[InnerProductValue, ...], ...] | np.ndarray
 
     def entry(self, p: int, i: int, q: int, j: int) -> InnerProductValue:
         w = self.num_words
-        return self.table[self.which[p * w + i]][self.which[q * w + j]]
+        a, b = self.which[p * w + i], self.which[q * w + j]
+        if isinstance(self.table, np.ndarray):
+            return InnerProductValue.from_complex(self.table[a, b])
+        return self.table[a][b]
+
+    def __eq__(self, other):
+        if not isinstance(other, GramTensor):
+            return NotImplemented
+        same = (self.errors, self.num_words, self.which) == (
+            other.errors, other.num_words, other.which
+        )
+        if isinstance(self.table, np.ndarray) or isinstance(other.table, np.ndarray):
+            return same and np.array_equal(self.table, other.table)
+        return same and self.table == other.table
 
     @property
     def entries(self) -> tuple[InnerProductValue, ...]:
-        """Every entry, flat over ``(x, y)`` with ``y`` fastest."""
-        return tuple(self.table[a][b] for a in self.which for b in self.which)
+        """Every entry, flat over ``(x, y)`` with ``y`` fastest; equal image
+        pairs share one value object."""
+        table = self.table
+        if isinstance(table, np.ndarray):
+            table = [list(map(InnerProductValue.from_complex, row)) for row in table.tolist()]
+        return tuple(table[a][b] for a in self.which for b in self.which)
 
 
 def _signed_choices(k: int, minus: int, plus: int) -> int:
@@ -231,16 +255,18 @@ def _orbit_gram(
 def _gram(words: Sequence[StateVector], errors: ErrorSet) -> GramTensor:
     """The Gram tensor.  Orbit words go to ``_orbit_gram``, which builds no
     state.  Other words have every error applied once; ``_exact_gram`` sums
-    exact images over shared basis states in Python integers, and
-    ``_float_gram`` takes one ``np.vdot`` per pair of distinct float images."""
+    exact images over shared basis states in Python integers.  Float images
+    are the rows of one array (``dense_images``), and ``_float_gram`` takes
+    one ``np.vdot`` per pair of distinct rows into a complex array."""
     if words[0].n != errors.n:
         raise ValueError(f"code on {words[0].n} qubits, errors on {errors.n}")
     coeffs = [_orbit_coefficients(word) for word in words]
     if all(c is not None for c in coeffs):
         gram = _orbit_gram(words[0].n, coeffs, errors)
+    elif words[0].mode == "exact":
+        gram = _exact_gram([apply(op, word) for op in errors.ops for word in words])
     else:
-        images = [apply(op, word) for op in errors.ops for word in words]
-        gram = (_exact_gram if images[0].mode == "exact" else _float_gram)(images)
+        gram = _float_gram(dense_images(errors.ops, np.array([w.dense for w in words])))
     return GramTensor(errors, len(words), *gram)
 
 
@@ -281,19 +307,68 @@ class Violation:
         return f"strict condition fails at d[{lp},{lq}] = {self.value}"
 
 
-@dataclass(frozen=True)
-class DMatrix:
-    """The common word block ``d_pq`` with the error labels that index it."""
+def _rows(table, images: Sequence[int]) -> tuple[tuple[InnerProductValue, ...], ...]:
+    """Rows ``table[a][b]`` over ``images``; equal images share one row object."""
+    rows = {a: tuple(table[a][b] for b in images) for a in dict.fromkeys(images)}
+    return tuple(rows[a] for a in images)
 
-    entries: tuple[tuple[InnerProductValue, ...], ...]
-    labels: tuple[str, ...]
-    families: tuple[str, ...]
+
+class DMatrix:
+    """The common word block ``d_pq`` with the error labels that index it.
+
+    A float D read off a Gram array (``over``) keeps that array and builds
+    ``entries`` only when they are read: one ``InnerProductValue`` per
+    distinct pair of error images.
+    """
+
+    def __init__(
+        self,
+        entries: tuple[tuple[InnerProductValue, ...], ...] | None,
+        labels: tuple[str, ...],
+        families: tuple[str, ...],
+    ):
+        self._entries = entries
+        self._array = None  # a float D's (Gram array, image of each error)
+        self.labels = labels
+        self.families = families
+
+    @classmethod
+    def over(cls, table, images: Sequence[int], labels, families) -> "DMatrix":
+        """D of the errors whose images are ``images``, read off a Gram table."""
+        if not isinstance(table, np.ndarray):
+            return cls(_rows(table, images), labels, families)
+        d = cls(None, labels, families)
+        d._array = table, images
+        return d
+
+    @property
+    def entries(self) -> tuple[tuple[InnerProductValue, ...], ...]:
+        if self._entries is None:
+            table, images = self._array
+            distinct = list(dict.fromkeys(images))
+            sub = table[np.ix_(distinct, distinct)].tolist()
+            values = {
+                a: dict(zip(distinct, map(InnerProductValue.from_complex, row)))
+                for a, row in zip(distinct, sub)
+            }
+            self._entries = _rows(values, images)
+        return self._entries
 
     @property
     def size(self) -> int:
-        return len(self.entries)
+        return len(self._array[1]) if self._entries is None else len(self._entries)
+
+    def __eq__(self, other):
+        if not isinstance(other, DMatrix):
+            return NotImplemented
+        return (self.entries, self.labels, self.families) == (
+            other.entries, other.labels, other.families
+        )
 
     def to_float(self) -> np.ndarray:
+        if self._entries is None:
+            table, images = self._array
+            return table[np.ix_(images, images)]
         return np.array(
             [[v.float_view for v in row] for row in self.entries], dtype=np.complex128
         )
@@ -304,16 +379,18 @@ class DMatrix:
         An exact D with the shape of the S_n split (``_split_rank``) is
         ranked through it.  Otherwise repeated rows and columns (errors with
         equal images, such as the exchanges on a permutation-invariant code)
-        add no rank and are dropped before ``surd_rank``.
+        add no rank and are dropped before ``surd_rank``.  A float D read
+        off a Gram array is ranked from the array.
         """
-        split = _split_rank(self.entries, self.families)
-        if split is not None:
-            return split
-        if not all(v.is_exact for row in self.entries for v in row):
-            m = self.to_float()
-            return int(np.linalg.matrix_rank(m, tol=tol * max(1.0, float(np.abs(m).max()))))
-        columns = dict.fromkeys(zip(*dict.fromkeys(self.entries)))
-        return surd_rank([[v.parts for v in col] for col in columns])
+        if self._entries is not None:
+            split = _split_rank(self._entries, self.families)
+            if split is not None:
+                return split
+            if all(v.is_exact for row in self._entries for v in row):
+                columns = dict.fromkeys(zip(*dict.fromkeys(self._entries)))
+                return surd_rank([[v.parts for v in col] for col in columns])
+        m = self.to_float()
+        return int(np.linalg.matrix_rank(m, tol=tol * max(1.0, float(np.abs(m).max()))))
 
 
 @dataclass
@@ -356,31 +433,90 @@ def _resolve_tol(code: Code, tol: float | None) -> float:
     return 0.0 if code.mode == "exact" else DEFAULT_FLOAT_TOL
 
 
-def _violations(G: GramTensor, keys: Sequence, tol: float) -> list[Violation]:
-    """``cross_word`` then ``block_mismatch`` violations; ``keys[a]`` names word a.
+def _mismatches(
+    G: GramTensor, left: Sequence[int], right: Sequence[int], ref, tol: float, grid: bool = True
+) -> dict[tuple[int, ...], tuple]:
+    """Where the Gram value at the image pairs from ``left`` and ``right``
+    differs by more than ``tol`` from the value at the pairs from ``ref``,
+    a ``(left, right)`` pair of the same form (zero when None):
+    key -> (magnitude of the difference, value, reference value).
+
+    With ``grid`` the pairs are ``(left[c], right[e])`` keyed ``(c, e)``,
+    else ``(left[c], right[c])`` keyed ``(c,)``.  Exact values go through
+    ``_excess`` pair by pair.  A float array is compared in one
+    ``np.abs(V - R) > tol``, and only failing pairs get their values built,
+    each magnitude being Python's ``abs`` of the complex difference.
+    """
+    table = G.table
+    if isinstance(table, np.ndarray):
+
+        def at(rows, cols):
+            return table[np.ix_(rows, cols) if grid else (rows, cols)]
+
+        v = at(left, right)
+        r = None if ref is None else at(*ref)
+        diff = v if r is None else v - r
+        return {
+            key: (
+                abs(complex(diff[key])),
+                InnerProductValue.from_complex(v[key]),
+                None if r is None else InnerProductValue.from_complex(r[key]),
+            )
+            for key in map(tuple, np.argwhere(np.abs(diff) > tol).tolist())
+        }
+    ref_left, ref_right = ref or (left, right)  # read only when ref is given
+    out = {}
+    if grid:
+        for c, a, ra in zip(count(), left, ref_left):
+            row, ref_row = table[a], table[ra]
+            for e, b, rb in zip(count(), right, ref_right):
+                v, r = row[b], ref_row[rb] if ref else None
+                d = _excess(v, r, tol)
+                if d is not None:
+                    out[c, e] = d.magnitude(), v, r
+        return out
+    for c, a, b, ra, rb in zip(count(), left, right, ref_left, ref_right):
+        v, r = table[a][b], table[ra][rb] if ref else None
+        d = _excess(v, r, tol)
+        if d is not None:
+            out[c,] = d.magnitude(), v, r
+    return out
+
+
+def _violations(
+    G: GramTensor, keys: Sequence, tol: float, strict: bool = False
+) -> list[Violation]:
+    """``cross_word`` then ``block_mismatch`` then, when ``strict``,
+    ``strict`` violations; ``keys[a]`` names word a.
 
     Errors whose images match for every word form one class, and each check
-    compares each (class, class) pair once; only a failing pair is expanded
-    to its ``(p, q)`` entries, listed in ``(p, q)`` order."""
+    compares each (class, class) pair once through ``_mismatches``; only a
+    failing pair is expanded to its ``(p, q)`` entries, listed in ``(p, q)``
+    order.  The strict check compares word 0's block with 0 between two
+    errors and each ``d_pp`` with ``d_00``."""
     checks = [("cross_word", a, b) for a, b in combinations(range(len(keys)), 2)]
     checks += [("block_mismatch", a, a) for a in range(1, len(keys))]
     w, N = G.num_words, len(G.errors)
     index: dict[tuple[int, ...], int] = {}
     cls = [index.setdefault(G.which[p * w : (p + 1) * w], len(index)) for p in range(N)]
+    images = [[img[a] for img in index] for a in range(w)]  # word a's image per class
     out: list[Violation] = []
     for kind, a, b in checks:
-        bad = {}
-        for (c, left), (e, right) in product(enumerate(index), repeat=2):
-            v = G.table[left[a]][right[b]]
-            ref = G.table[left[0]][right[0]] if kind == "block_mismatch" else None
-            d = _excess(v, ref, tol)
-            if d is not None:
-                bad[c, e] = d.magnitude(), v, ref
+        ref = (images[0], images[0]) if kind == "block_mismatch" else None
+        bad = _mismatches(G, images[a], images[b], ref, tol)
         if bad:
             out += [
                 Violation(kind, keys[a], keys[b], p, q, *bad[cls[p], cls[q]])
                 for p, q in product(range(N), repeat=2) if (cls[p], cls[q]) in bad
             ]
+    if strict:
+        off = _mismatches(G, images[0], images[0], None, tol)
+        d00 = [G.which[0]] * len(index)
+        diag = _mismatches(G, images[0], images[0], (d00, d00), tol, grid=False)
+        for p, q in product(range(N), repeat=2):
+            bad = diag.get((cls[p],)) if p == q else off.get((cls[p], cls[q]))
+            if bad is not None:
+                out.append(Violation("strict", keys[0], keys[0], p, q, *bad))
     return out
 
 
@@ -473,8 +609,7 @@ def _report(
     d_matrix = rank = None
     if not violations:
         images = G.which[:: G.num_words]
-        rows = {a: tuple(G.table[a][b] for b in images) for a in dict.fromkeys(images)}
-        d_matrix = DMatrix(tuple(rows[a] for a in images), G.errors.labels, G.errors.families)
+        d_matrix = DMatrix.over(G.table, images, G.errors.labels, G.errors.families)
         rank = d_matrix.rank()
     return KLReport(
         correctable=not violations,
@@ -500,15 +635,7 @@ def verify_kl(
     """
     tol = _resolve_tol(code, tol)
     G = _gram(code.words, errors)
-    violations = _violations(G, range(len(code.words)), tol)
-    if strict:
-        for p, q in product(range(len(errors)), repeat=2):
-            v = G.entry(p, 0, q, 0)
-            ref = G.entry(0, 0, 0, 0) if p == q else None
-            d = _excess(v, ref, tol)
-            if d is not None:
-                violations.append(Violation("strict", 0, 0, p, q, d.magnitude(), v, ref))
-    return _report(G, violations, tol, strict)
+    return _report(G, _violations(G, range(len(code.words)), tol, strict), tol, strict)
 
 
 def verify_kl_extended(
@@ -659,8 +786,8 @@ def build_recovery(
     keep = [r for r in range(len(lam)) if lam[r] > tol * scale]
     if not keep:
         raise ArithmeticError("D matrix has no usable eigenvalues")
-    words_f = [w.to_float().dense for w in code.words]
-    image_f = [[apply(op, w.to_float()).dense for w in code.words] for op in errors.ops]
+    words_f = np.array([w.to_float().dense for w in code.words])
+    image_f = dense_images(errors.ops, words_f).reshape(len(errors), len(words_f), -1)
     basis = np.empty((len(keep), len(words_f), 1 << code.n), dtype=np.complex128)
     for out_r, r in enumerate(keep):
         for i in range(len(words_f)):
@@ -806,12 +933,8 @@ def shor_exchange_demo(seed: int = 0, samples: int = 3) -> ShorExchangeReport:
     c1 = code.words[1].dense / np.linalg.norm(code.words[1].dense)
     exchange = ExchangeOp(9, 3, 4)
 
-    pauli_images = []
-    for kind in "XYZ":
-        for k in range(1, 10):
-            op = PauliString.single(9, kind, k)
-            for word in (c0, c1):
-                pauli_images.append(op.apply(StateVector.from_dense(9, word)).dense)
+    singles = [PauliString.single(9, kind, k) for kind in "XYZ" for k in range(1, 10)]
+    pauli_images = dense_images(singles, np.array([c0, c1]))
     # the words and every single-Pauli image; lstsq cuts its rank at eps*max(M, N)*s_max
     span = np.column_stack([c0, c1, *pauli_images])
 
@@ -827,11 +950,8 @@ def shor_exchange_demo(seed: int = 0, samples: int = 3) -> ShorExchangeReport:
         image = exchange.apply(StateVector.from_dense(9, psi)).dense
 
         psi_coeff = complex(np.vdot(psi, image))
-        z_overlaps = []
-        for k in range(1, 10):
-            zk = PauliString.single(9, "Z", k)
-            ztw = zk.apply(StateVector.from_dense(9, twisted)).dense
-            z_overlaps.append(complex(np.vdot(ztw, image)))
+        z_images = dense_images(singles[18:], twisted[None])  # Z1..Z9
+        z_overlaps = [complex(np.vdot(ztw, image)) for ztw in z_images]
         peak = max(abs(z) for z in z_overlaps)
         detected = tuple(
             k for k, z in enumerate(z_overlaps, start=1) if abs(z) > peak - 1e-9

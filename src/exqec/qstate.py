@@ -15,7 +15,8 @@ Conventions used throughout the package:
 * ``inner_product`` computes one pair.  The Gram engines merge equal states
   and return ``(which, table)``, ``<x|y> = table[which[x]][which[y]]``:
   ``_exact_gram`` sums on Python integers, which cannot overflow, and gives
-  ``inner_product``'s values; ``_float_gram`` takes one ``np.vdot`` per pair.
+  ``inner_product``'s values; ``_float_gram`` takes the states as the rows
+  of one array, one ``np.vdot`` per pair, and returns a complex array.
 
 Exact mode is the default everywhere; float mode exists for spectral work
 (recovery operators) and for cross-checking the exact arithmetic.
@@ -23,9 +24,9 @@ Exact mode is the default everywhere; float mode exists for spectral work
 
 from __future__ import annotations
 
-import hashlib
 import itertools
 import math
+import zlib
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
@@ -731,28 +732,47 @@ def _exact_gram(images: Sequence[StateVector]) -> tuple[tuple[int, ...], tuple]:
     return tuple(which), tuple(tuple(table.get((a, b), zero) for b in ids) for a in ids)
 
 
-def _float_gram(images: Sequence[StateVector]) -> tuple[tuple[int, ...], tuple]:
-    """``(which, table)`` of float states, as ``_exact_gram``.  Bit-identical
-    arrays are merged in first-seen order, keyed by a digest of the buffer
-    and confirmed on their ``uint64`` views (an array whose digest collides
-    stays distinct); each distinct pair ``a <= b`` takes one ``np.vdot`` and
-    ``(b, a)`` holds its conjugate."""
-    arrays: list[np.ndarray] = []
-    by_digest: dict[bytes, int] = {}
+def _float_gram(rows: np.ndarray) -> tuple[tuple[int, ...], np.ndarray]:
+    """``(which, table)`` of float states, the rows of one array, as
+    ``_exact_gram`` but with ``table`` a complex128 array.  Bit-identical
+    rows are merged in first-seen order: rows are bucketed by the CRC-32 of
+    their bytes and compared on their ``uint64`` views within a bucket.
+    Each distinct pair ``a <= b`` takes one ``np.vdot`` and ``(b, a)`` holds
+    its conjugate.  Values become ``InnerProductValue``s only where a caller
+    reads them."""
+    bits = rows.view(np.uint64)
+    keep: list[int] = []  # the row of each distinct image
+    by_crc: dict[int, list[int]] = {}
     which = []
-    for img in images:
-        bits = img.dense.view(np.uint64)
-        a = by_digest.setdefault(hashlib.blake2b(bits).digest(), len(arrays))
-        if a == len(arrays) or not np.array_equal(arrays[a].view(np.uint64), bits):
-            a = len(arrays)
-            arrays.append(img.dense)
+    for x, row in enumerate(bits):
+        bucket = by_crc.setdefault(zlib.crc32(row), [])
+        a = next((a for a in bucket if np.array_equal(bits[keep[a]], row)), None)
+        if a is None:
+            a = len(keep)
+            keep.append(x)
+            bucket.append(a)
         which.append(a)
-    table: list[list] = [[None] * len(arrays) for _ in arrays]
-    for a, left in enumerate(arrays):
-        for b in range(a, len(arrays)):
-            v = InnerProductValue.from_complex(np.vdot(left, arrays[b]))
-            table[a][b], table[b][a] = v, v if a == b else v.conjugate()
-    return tuple(which), tuple(map(tuple, table))
+    distinct = [rows[x] for x in keep]
+    m = len(distinct)
+    table = np.empty((m, m), dtype=np.complex128)
+    for a, left in enumerate(distinct):
+        table[a, a:] = [np.vdot(left, right) for right in distinct[a:]]
+    lower = np.tril_indices(m, -1)
+    table[lower] = table.T[lower].conj()
+    return tuple(which), table
+
+
+def _source_indices(n: int, images: Sequence[tuple[int, ...]]) -> np.ndarray:
+    """Row k holds, for every basis index w, the index that the qubit
+    permutation ``images[k]`` carries to w, so a dense state relabelled by
+    it is ``dense[rows[k]]``: qubit j of the source is qubit ``image[j-1]``
+    of w.  Indices below ``2**MAX_QUBITS`` fit in ``int32``."""
+    idx = np.arange(1 << n, dtype=np.int32)
+    shifts = n - np.array(images, dtype=np.int32).reshape(len(images), n)
+    out = np.zeros((len(images), 1 << n), dtype=np.int32)
+    for j in range(n):
+        out |= ((idx >> shifts[:, j : j + 1]) & 1) << (n - 1 - j)
+    return out
 
 
 def apply_permutation(state: StateVector, perm: QubitPermutation) -> StateVector:
@@ -765,14 +785,7 @@ def apply_permutation(state: StateVector, perm: QubitPermutation) -> StateVector
         return StateVector(
             state.n, terms={perm.apply_index(i): a for i, a in state.terms.items()}
         )
-    n = state.n
-    idx = np.arange(1 << n, dtype=np.int64)
-    target = np.zeros_like(idx)
-    for j, dest in enumerate(perm.image, start=1):
-        target |= ((idx >> (n - j)) & 1) << (n - dest)
-    out = np.empty_like(state.dense)
-    out[target] = state.dense[idx]
-    return StateVector(n, dense=out)
+    return StateVector(state.n, dense=state.dense[_source_indices(state.n, [perm.image])[0]])
 
 
 def orbit_sum(n: int, weight: int) -> StateVector:

@@ -313,6 +313,17 @@ def test_output_is_deterministic(capsys):
             "d7ee3de328f30ec96f77be9d3a341059c7437a7a944e06b1919b88800b9c56d5",
         ),
         (
+            "--mode float gram --code rep3 --errors pauli",
+            0,
+            "5bae147ae5c2fbc4bb19043f288a415a5c3189378164a8d7a5e9e7af3546a415",
+        ),
+        (
+            # 216 strict violations
+            "--mode float verify --code ruskai9 --errors pauli --strict",
+            1,
+            "6e2d801313813f1b768e5615ce99be4e9e8352a7220a6fe23156def74f99aa7e",
+        ),
+        (
             # prints 8.44e-17, which moves with any change in float rounding
             "demo-shor",
             0,

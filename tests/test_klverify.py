@@ -21,6 +21,7 @@ from exqec.errorops import (
     PauliString,
     apply,
     basic_error_set,
+    dense_images,
     parse_error_ops,
 )
 from exqec.klverify import (
@@ -155,8 +156,9 @@ def reference_float_gram(images):
 def _assert_float_gram_matches_reference(images):
     """Equal values and equal printing: ``_float_gram`` takes ``(b, a)`` as
     the conjugate of ``vdot(a, b)`` where the loop took ``vdot(b, a)``."""
-    which, table = qstate._float_gram(images)
-    got = [table[a][b] for a in which for b in which]
+    which, table = qstate._float_gram(np.array([img.dense for img in images]))
+    assert table.dtype == np.complex128
+    got = [InnerProductValue.from_complex(table[a, b]) for a in which for b in which]
     expected = reference_float_gram(images)
     assert got == expected
     assert [str(v) for v in got] == [str(v) for v in expected]
@@ -184,6 +186,132 @@ def test_float_gram_matches_the_per_pair_loop(name):
 def test_float_gram_matches_the_per_pair_loop_on_drawn_codes(code):
     code = code.to_float()
     _assert_float_gram_matches_reference(_images(code, basic_error_set(code.n, families=_PAIR_ERRORS)))
+
+
+def reference_dense_apply(op, dense):
+    """The per-operator dense path ``dense_images`` replaced, kept as its
+    reference: the permutation scatters every amplitude to its relabelled
+    index, bit by bit, then the Pauli part scatters
+    ``(1j**phase) * signs * dense`` to ``idx ^ x_mask``."""
+    n = op.n
+    if op.perm:
+        idx = np.arange(1 << n, dtype=np.int64)
+        target = np.zeros_like(idx)
+        for j, dest in enumerate(op.perm, start=1):
+            target |= ((idx >> (n - j)) & 1) << (n - dest)
+        out = np.empty_like(dense)
+        out[target] = dense[idx]
+        dense = out
+    if not (op.x_mask or op.z_mask or op.phase):
+        return dense
+    idx = np.arange(1 << n, dtype=np.uint64)
+    signs = 1.0 - 2.0 * (np.bitwise_count(idx & np.uint64(op.z_mask)) & 1).astype(np.int64)
+    out = np.empty_like(dense)
+    out[idx ^ np.uint64(op.x_mask)] = (1j**op.phase) * signs * dense
+    return out
+
+
+def _assert_dense_images_match_reference(code, ops):
+    """The batched rows, each operator's ``apply`` and, for a bare
+    permutation, ``apply_permutation`` give the reference's bits."""
+    words = np.array([w.dense for w in code.words])
+    expected = np.array([reference_dense_apply(op, w) for op in ops for w in words])
+    rows = dense_images(ops, words)
+    assert rows.shape == expected.shape
+    assert np.array_equal(rows.view(np.uint64), expected.view(np.uint64))
+    for p, op in enumerate(ops):
+        for i, word in enumerate(code.words):
+            bits = expected[p * len(words) + i].view(np.uint64)
+            assert np.array_equal(op.apply(word).dense.view(np.uint64), bits)
+            if op.perm and not (op.x_mask or op.z_mask or op.phase):
+                image = qstate.apply_permutation(word, qstate.QubitPermutation(op.perm))
+                assert np.array_equal(image.dense.view(np.uint64), bits)
+
+
+@pytest.mark.parametrize("name", sorted(BUILTIN_CODES))
+def test_dense_images_match_the_per_operator_path(name):
+    code = builtin_code(name).to_float()
+    error_sets = [basic_error_set(code.n, families=f) for f in (("single_pauli",), _PAIR_ERRORS)]
+    if code.n == 9:
+        error_sets += [ErrorSet.from_ops(9, parse_error_ops(ops, 9)) for ops in _GOLDEN_OP_LISTS]
+    for errors in error_sets:
+        _assert_dense_images_match_reference(code, errors.ops)
+
+
+@settings(max_examples=100, deadline=None)
+@given(_small_codes(), st.data())
+def test_dense_images_match_the_per_operator_path_on_drawn_codes(code, data):
+    """Drawn codes under the pair errors and drawn operators: any masks,
+    phase and qubit permutation."""
+    n = code.n
+    mask = st.integers(0, (1 << n) - 1)
+    perm = st.permutations(range(1, n + 1)).map(tuple)
+    op = st.builds(ErrorOperator, st.just(n), mask, mask, st.integers(0, 3), perm)
+    drawn = data.draw(st.lists(op))
+    ops = basic_error_set(n, families=_PAIR_ERRORS).ops + tuple(drawn)
+    _assert_dense_images_match_reference(code.to_float(), ops)
+
+
+_ERROR_SPECS = (("single_pauli",), ("exchange",), _PAIR_ERRORS)
+
+
+@pytest.mark.parametrize("name", sorted(BUILTIN_CODES))
+def test_float_mode_agrees_with_exact_mode(name):
+    """Float and exact ``verify_kl`` give the same verdict, violation count
+    and rank on every builtin code under each error family set and, on
+    nine qubits, the golden operator lists."""
+    code = builtin_code(name)
+    error_sets = [basic_error_set(code.n, families=f) for f in _ERROR_SPECS]
+    if code.n == 9:
+        error_sets += [ErrorSet.from_ops(9, parse_error_ops(ops, 9)) for ops in _GOLDEN_OP_LISTS]
+    for errors in error_sets:
+        exact, floating = verify_kl(code, errors), verify_kl(code.to_float(), errors)
+        assert (floating.correctable, len(floating.violations), floating.rank) == (
+            exact.correctable, len(exact.violations), exact.rank
+        )
+
+
+@pytest.mark.parametrize("mode", ["exact", "float"])
+def test_strict_check_matches_the_per_entry_loop(ruskai9, pauli_error_set_9, mode):
+    """The strict pass compares once per (class, class) pair and lists what
+    the per-entry loop over every ``(p, q)`` lists: 216 violations."""
+    code = ruskai9 if mode == "exact" else ruskai9.to_float()
+    tol = 0.0 if mode == "exact" else DEFAULT_FLOAT_TOL
+    G = gram_tensor(code, pauli_error_set_9)
+    plain = []
+    for p, q in itertools.product(range(len(pauli_error_set_9)), repeat=2):
+        v = G.entry(p, 0, q, 0)
+        ref = G.entry(0, 0, 0, 0) if p == q else None
+        d = klverify._excess(v, ref, tol)
+        if d is not None:
+            plain.append(klverify.Violation("strict", 0, 0, p, q, d.magnitude(), v, ref))
+    report = verify_kl(code, pauli_error_set_9, strict=True)
+    assert len(plain) == 216 and report.violations == plain
+
+
+def test_gram_tensors_compare_by_value(rep3):
+    errors = basic_error_set(3)
+    for code in (rep3, rep3.to_float()):
+        assert gram_tensor(code, errors) == gram_tensor(code, errors)
+    assert gram_tensor(rep3, errors) != gram_tensor(rep3.to_float(), errors)
+
+
+def test_float_verify_builds_no_value_for_d(ruskai9, full_error_set_9, monkeypatch):
+    """Float ``verify`` of ruskai9 ranks D from the Gram array and builds no
+    ``InnerProductValue``; reading ``entries`` builds one per distinct pair
+    of word-0 images: the identity and exchanges share one, so 28 x 28."""
+    built = []
+    real = InnerProductValue.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(None)
+        real(self, *args, **kwargs)
+
+    monkeypatch.setattr(InnerProductValue, "__init__", counted)
+    report = verify_kl(ruskai9.to_float(), full_error_set_9)
+    assert report.correctable and report.rank == 28 and built == []
+    entries = report.d_matrix.entries
+    assert len(built) == 28 * 28 == len({id(v) for row in entries for v in row})
 
 
 _SMALL = st.fractions(min_value=-2, max_value=2, max_denominator=2)
@@ -708,7 +836,10 @@ def test_violations_compare_each_exact_object_pair_once(
     """Errors whose images match for every word form one class, and each
     check compares each (class, class) pair once: shor9 has 49 such classes
     exactly and 55 in float mode, of 64 errors.  The list equals the plain
-    per-entry loop's."""
+    per-entry loop's.  Exact mode calls ``_excess`` once per class pair and
+    check; float mode compares arrays and builds a value only for each of
+    its 162 failing ``block_mismatch`` class pairs: the value and its
+    reference."""
     code = shor9 if mode == "exact" else shor9.to_float()
     tol = 0.0 if mode == "exact" else DEFAULT_FLOAT_TOL
     G = gram_tensor(code, full_error_set_9)
@@ -722,18 +853,27 @@ def test_violations_compare_each_exact_object_pair_once(
             if d is not None:
                 i = 0 if kind == "cross_word" else a
                 plain.append(klverify.Violation(kind, i, a, p, q, d.magnitude(), v, ref))
-    calls = []
-    real = klverify._excess
+    calls, made = [], []
+    real, real_value = klverify._excess, InnerProductValue.from_complex
 
     def counted(v, ref, tol):
         calls.append(None)
         return real(v, ref, tol)
 
+    def counted_value(z):
+        made.append(None)
+        return real_value(z)
+
     monkeypatch.setattr(klverify, "_excess", counted)
+    monkeypatch.setattr(InnerProductValue, "from_complex", staticmethod(counted_value))
     found = klverify._violations(G, range(2), tol)
     assert len(found) == 162 and found == plain
     classes = {"exact": 49, "float": 55}[mode]
-    assert len(calls) == 2 * classes**2 < 2 * N * N
+    assert len({G.which[2 * p : 2 * p + 2] for p in range(N)}) == classes
+    if mode == "exact":
+        assert made == [] and len(calls) == 2 * classes**2 < 2 * N * N
+    else:
+        assert calls == [] and len(made) == 2 * 162
 
 
 def test_extended_family_with_disjoint_members():
