@@ -162,8 +162,8 @@ def _parse_mask(text: str, n: int) -> int:
 
 def _emit(lines: list[str], args, title: str) -> None:
     if args.output == "human":
-        lines = [title, *("  " + line for line in lines)]
-    if lines:
+        print("\n  ".join([title, *lines]))
+    elif lines:
         print("\n".join(lines))
 
 
@@ -183,12 +183,14 @@ def _cmd_dmatrix(args) -> int:
         _emit(report.to_lines(), args, f"dmatrix {code.label}")
         return 1
     d = report.d_matrix
-    # rendered once per object, not per equal value: 0.0 == -0.0 prints "0" and "-0"
-    values = {id(v): v for row in d.entries for v in row}
-    text = {key: str(v) for key, v in values.items()}
+    # rendered once per id; a float D has one id per pair of distinct
+    # images, not per equal value: 0.0 == -0.0 prints "0" and "-0"
+    ids, values = d.table
+    text = {k: str(values[k]) for k in set(ids.ravel().tolist())}
+    columns = [f"{label_q}]: " for label_q in d.labels]
     lines = [f"size: {d.size}"]
-    for label_p, row in zip(d.labels, d.entries):
-        lines += [f"d[{label_p},{label_q}]: {text[id(v)]}" for label_q, v in zip(d.labels, row)]
+    for label_p, row in zip(d.labels, ids.tolist()):
+        lines += [f"d[{label_p},{col}{text[k]}" for col, k in zip(columns, row)]
     lines += klverify.d_blocks(d).to_lines()
     _emit(lines, args, f"dmatrix {code.label}")
     return 0

@@ -102,8 +102,8 @@ class Code:
         if tol is None:
             tol = 0.0 if self.mode == "exact" else DEFAULT_FLOAT_TOL
         if self.mode == "exact":
-            which, table = _exact_gram(self.words)
-            gram = [[table[a][b] for b in which] for a in which]
+            which, ids, values = _exact_gram(self.words)
+            gram = [[values[k] for k in row] for row in ids[np.ix_(which, which)].tolist()]
         else:
             which, table = _float_gram(np.array([w.dense for w in self.words]))
             gram = [[InnerProductValue.from_complex(table[a, b]) for b in which] for a in which]

@@ -337,12 +337,21 @@ def realize_code(
     return Code(pattern.n, tuple(words), label=label)
 
 
+class _AtomTable(dict):
+    """One call's orbit atoms, phase-free class -> (kappa, mu) -> atom, and
+    in ``verdicts`` the exact gate's verdict per weight map."""
+
+    def __init__(self):
+        super().__init__()
+        self.verdicts: dict[tuple, bool] = {}
+
+
 def _gate(
     pattern: SupportPattern,
     families: Sequence[str],
     coefficients: dict[int, float],
     squares: dict[int, Fraction],
-    atoms: dict | None = None,
+    atoms: _AtomTable | None = None,
 ) -> bool:
     """The correctability condition at tolerance 0 on the words' weight
     maps, one orbit atom per Pauli class, over the identity (the words'
@@ -351,12 +360,19 @@ def _gate(
     of single-qubit errors is in the Pauli class of a pair on those qubits.
     Exchanges fix weight-orbit words, so they would only repeat the
     identity's rows and are left out.  The atoms come from ``atoms``, the
-    call's table that constraint assembly filled (a fresh one when None)."""
+    call's table that constraint assembly filled (a fresh one when None).
+    The verdict depends only on the nonzero weight maps, which rows of one
+    survey share when zero squares drop weights, so the table's
+    ``verdicts`` keep it and each map is decided once per call."""
     n = pattern.n
+    atoms = _AtomTable() if atoms is None else atoms
     maps = _exact_maps(pattern, coefficients, squares)
-    errors = ErrorSet(n, (IdentityOp(n), *_family_ops(n, families, min(n, 2))))
-    gram = _orbit_gram(n, maps, errors, atoms)
-    return not _violations(GramTensor(errors, 2, *gram), range(2), 0.0)
+    key = (n, tuple(families), tuple(tuple(m.items()) for m in maps))
+    if key not in atoms.verdicts:
+        errors = ErrorSet(n, (IdentityOp(n), *_family_ops(n, families, min(n, 2))))
+        gram = _orbit_gram(n, maps, errors, atoms)
+        atoms.verdicts[key] = not _violations(GramTensor(errors, 2, *gram), range(2), 0.0)
+    return atoms.verdicts[key]
 
 
 def _forced_zero_analysis(
@@ -429,7 +445,7 @@ def _solve_exact(
     names: list[str],
     keys: list[tuple[int, int]],
     families: tuple[str, ...],
-    atoms: dict,
+    atoms: _AtomTable,
 ) -> SolverResult:
     """Exact path: candidate squares from the diagonal constraints, then signs.
 
@@ -543,12 +559,12 @@ def solve_coefficients(
         raise CapabilityError(
             f"patterns are limited to {MAX_WEIGHTS_PER_WORD} weights per word"
         )
-    atoms: dict = {}
+    atoms = _AtomTable()
     return _solve(pattern, families, _class_table(pattern.n, families, atoms), atoms)
 
 
 def _solve(
-    pattern: SupportPattern, families: Sequence[str], classes: dict, atoms: dict
+    pattern: SupportPattern, families: Sequence[str], classes: dict, atoms: _AtomTable
 ) -> SolverResult:
     fams = tuple(families)
     constraints, names, keys = _assemble_constraints(pattern, fams, classes)
@@ -595,7 +611,7 @@ def survey_patterns(
         for mirror in [tuple(n - k for k in reversed(combo))]
         if combo < mirror and not set(combo) & set(mirror)
     ]
-    atoms: dict = {}
+    atoms = _AtomTable()
     classes = _class_table(n, families, atoms)
     return [_solve(p, families, classes, atoms) for p in patterns]
 

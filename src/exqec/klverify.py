@@ -22,19 +22,24 @@ as the identity and costs nothing.  Each entry is then
 parts P_p, Q_q of the two errors, and the closed-form orbit atom
 (``_orbit_atom``) depends on ``P_p^dagger Q_q`` only through its class:
 phase and the sizes of its Y-, X- and Z-type supports.  The engine
-evaluates each class once and builds no state.  Every other exact code
-takes ``qstate._exact_gram``, which applies each error and sums over
-shared basis states.  Float codes have their images built as the rows of
-one array (``errorops.dense_images``) and take ``qstate._float_gram``,
-whose table is a complex array: the comparison runs on its sub-arrays, D
-is ranked from it, and a float value becomes an ``InnerProductValue`` only
-when it is printed or read.  Each engine returns the distinct images'
-table plus every entry's image index (``GramTensor``), so the comparison,
-the strict check included, runs once per pair of error classes, errors
-with equal images on every word.  ``DMatrix.rank`` takes the S_n
-split (``_split_rank``) whenever D's own entries have its shape, as for an
-orbit code under I and every X_k, Y_k, Z_k: a 4x4 symmetric block and an
-(n-1)-fold 3x3 block.  Every ``d_blocks`` block is ranked the same way.
+classes every pair with numpy bit counts, evaluates each class once and
+builds no state.  Every other exact code takes ``qstate._exact_gram``,
+which applies each error and sums over shared basis states.  Both exact
+engines return an integer array of value ids over the distinct images and
+the interned values it names, equal ids exactly for equal values.  Float
+codes have their images built as the rows of one array
+(``errorops.dense_images``) and take ``qstate._float_gram``, whose table
+is a complex array.  Each engine also returns every entry's image index
+(``GramTensor``), so the comparison, the strict check included, runs once
+per pair of error classes, errors with equal images on every word, and
+compares arrays in both modes: float values against the tolerance, exact
+ids for equality, with ``_excess`` once per distinct pair of unequal ids.
+D keeps the array it was read from (``DMatrix``); the printer renders
+each id once, and a float value becomes an ``InnerProductValue`` only when
+it is printed or read.  ``DMatrix.rank`` takes the S_n split
+(``_split_rank``) whenever D's ids have its shape, as for an orbit code
+under I and every X_k, Y_k, Z_k: a 4x4 symmetric block and an (n-1)-fold
+3x3 block.  Every ``d_blocks`` block is ranked the same way.
 
 Recovery construction diagonalizes D in float arithmetic; everything else
 runs exactly when given exact-mode codes.
@@ -45,7 +50,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain, combinations, count, groupby, product
+from itertools import chain, combinations, groupby
 from typing import Sequence
 
 import numpy as np
@@ -81,43 +86,42 @@ class GramTensor:
     """All inner products ``<e_p C_i | e_q C_j>``; Hermitian by construction.
 
     ``which[x]`` is the distinct-image index of ``x = p * num_words + i``
-    (word index fastest) and ``table[a][b] = <image a | image b>``, so
-    ``entry(p, i, q, j)`` is ``table[which[x]][which[y]]``, ``y = q * num_words + j``.
-    Exact words give a table of ``InnerProductValue`` rows; float words a
-    complex128 array, whose values become ``InnerProductValue``s only when
-    ``entry`` or ``entries`` reads them.
+    (word index fastest).  Exact words give ``table``, an integer array of
+    value ids over the pairs of distinct images, and ``values``, the
+    interned values it names: ``<image a | image b> = values[table[a, b]]``,
+    ``values[0]`` is zero, and two ids are equal exactly when their values
+    are.  Float words give a complex128 ``table`` and no ``values``; a float
+    value becomes an ``InnerProductValue`` only when ``entry`` or
+    ``entries`` reads it.
     """
 
     errors: ErrorSet
     num_words: int
     which: tuple[int, ...]
-    table: tuple[tuple[InnerProductValue, ...], ...] | np.ndarray
+    table: np.ndarray
+    values: tuple[InnerProductValue, ...] | None = None
 
     def entry(self, p: int, i: int, q: int, j: int) -> InnerProductValue:
         w = self.num_words
         a, b = self.which[p * w + i], self.which[q * w + j]
-        if isinstance(self.table, np.ndarray):
+        if self.values is None:
             return InnerProductValue.from_complex(self.table[a, b])
-        return self.table[a][b]
+        return self.values[self.table[a, b]]
 
     def __eq__(self, other):
         if not isinstance(other, GramTensor):
             return NotImplemented
-        same = (self.errors, self.num_words, self.which) == (
-            other.errors, other.num_words, other.which
+        return (self.errors, self.num_words) == (other.errors, other.num_words) and (
+            self.entries == other.entries
         )
-        if isinstance(self.table, np.ndarray) or isinstance(other.table, np.ndarray):
-            return same and np.array_equal(self.table, other.table)
-        return same and self.table == other.table
 
     @property
     def entries(self) -> tuple[InnerProductValue, ...]:
         """Every entry, flat over ``(x, y)`` with ``y`` fastest; equal image
         pairs share one value object."""
-        table = self.table
-        if isinstance(table, np.ndarray):
-            table = [list(map(InnerProductValue.from_complex, row)) for row in table.tolist()]
-        return tuple(table[a][b] for a in self.which for b in self.which)
+        read = InnerProductValue.from_complex if self.values is None else self.values.__getitem__
+        rows = [list(map(read, row)) for row in self.table.tolist()]
+        return tuple(rows[a][b] for a in self.which for b in self.which)
 
 
 def _signed_choices(k: int, minus: int, plus: int) -> int:
@@ -173,18 +177,22 @@ def _orbit_coefficients(word: StateVector) -> dict[int, Amplitude] | None:
 
 def _orbit_gram(
     n: int, coeffs: Sequence[dict[int, Amplitude]], errors: ErrorSet, atoms: dict | None = None
-):
-    """``GramTensor``'s ``(which, table)`` of orbit words, one atom per Pauli
-    class; image ``u * w + i`` is word i under the u-th distinct Pauli part.
+) -> tuple[tuple[int, ...], np.ndarray, tuple[InnerProductValue, ...]]:
+    """``GramTensor``'s ``(which, table, values)`` of orbit words, one atom
+    per Pauli class; image ``u * w + i`` is word i under the u-th distinct
+    Pauli part.
 
     Permutation factors fix the words and are dropped.  For the Pauli parts
     ``P_u = i**p_u X(x_u) Z(z_u)`` and ``P_v`` of two errors,
     ``P_u^dagger P_v = i**(p_v - p_u + 2 |x_u & z_u| + 2 |z_u & x_v|)
-    X(x_u ^ x_v) Z(z_u ^ z_v)``; each class of that product gets its
-    ``(i, j)`` values once as ``sum conj(a_kappa) b_mu atom(kappa, mu)``,
-    and equal values share one object.  The atom of ``i**p X(x) Z(z)`` is
-    ``i**p`` times that of ``X(x) Z(z)``, an integer read from ``atoms``
-    (phase-free class -> (kappa, mu) -> atom) or entered there on first use.
+    X(x_u ^ x_v) Z(z_u ^ z_v)``; every pair's class of that product is read
+    with numpy bit counts, and each class gets its ``(i, j)`` values once as
+    ``sum conj(a_kappa) b_mu atom(kappa, mu)``.  A value is keyed by its
+    lowest-terms integer parts ``(radicand, re, im, den)``, so each distinct
+    key becomes one ``InnerProductValue`` and one id.  The atom of
+    ``i**p X(x) Z(z)`` is ``i**p`` times that of ``X(x) Z(z)``, an integer
+    read from ``atoms`` (phase-free class -> (kappa, mu) -> atom) or entered
+    there on first use.
     """
     atoms = {} if atoms is None else atoms
     parts: dict[tuple[int, int, int], int] = {}
@@ -204,20 +212,31 @@ def _orbit_gram(
                         g * (a.re * b.re + a.im * b.im), g * (a.re * b.im - a.im * b.re),
                     ))
             terms = []
-            for r, group in groups.items():
+            for r, group in sorted(groups.items()):
                 den = math.lcm(*(q.denominator for _, _, re, im in group for q in (re, im)))
                 terms.append((r, den, [
                     ((kappa, mu), int(re * den), int(im * den)) for kappa, mu, re, im in group
                 ]))
             products.append(terms)
-    shared: dict[tuple, InnerProductValue] = {}
-
-    def class_values(phase: int, x: int, z: int) -> tuple[InnerProductValue, ...]:
-        memo = atoms.setdefault(_pauli_class(0, x, z)[1:], {})
-        e = ErrorOperator(n, x, z, 0)
-        out = []
-        for terms in products:
-            acc = {}
+    p, x, z = (np.array(column, dtype=np.int64) for column in zip(*parts))
+    ones, x2, z2 = np.bitwise_count, x[:, None] ^ x, z[:, None] ^ z
+    # every (u, v) pair's class: the phase, then the Y-, X- and Z-type support sizes
+    classes = (
+        (p - p[:, None] + 2 * (ones(x & z)[:, None] + ones(z[:, None] & x))) & 3,
+        ones(x2 & z2), ones(x2 & ~z2), ones(z2 & ~x2),
+    )
+    number: dict[tuple[int, ...], int] = {}
+    cls = [number.setdefault(k, len(number)) for k in zip(*(a.ravel().tolist() for a in classes))]
+    interned = {(): 0}
+    values = [InnerProductValue.exact({})]
+    w, size = len(coeffs), len(parts)
+    V = np.empty((len(number), w * w), dtype=np.intp)
+    for c, (rot, ny, nx, nz) in enumerate(number):
+        memo = atoms.setdefault((ny, nx, nz), {})
+        # the class's X(x) Z(z) on Y-type, then X-type, then Z-type qubits
+        e = ErrorOperator(n, (1 << (ny + nx)) - 1, ((1 << ny) - 1) | ((1 << nz) - 1) << (ny + nx))
+        for k, terms in enumerate(products):
+            value_key = []
             for r, den, group in terms:
                 sr = si = 0
                 for km, re, im in group:
@@ -226,30 +245,22 @@ def _orbit_gram(
                         t = memo[km] = _orbit_atom(e, *km)[0]
                     sr += re * t
                     si += im * t
-                sr, si = ((sr, si), (-si, sr), (-sr, -si), (si, -sr))[phase]  # times i**phase
-                acc[r] = (Fraction(sr, den), Fraction(si, den))
-            value = InnerProductValue.exact(acc)
-            out.append(shared.setdefault(value.parts, value))
-        return tuple(out)
-
-    by_class: dict[tuple[int, int, int, int], tuple[InnerProductValue, ...]] = {}
-    blocks = []  # blocks[u][v][i * w + j] = <P_u W_i | P_v W_j>
-    for pu, xu, zu in parts:
-        row = []
-        for pv, xv, zv in parts:
-            phase = (pv - pu + 2 * ((xu & zu).bit_count() + (zu & xv).bit_count())) & 3
-            x, z = xu ^ xv, zu ^ zv
-            cls = _pauli_class(phase, x, z)
-            if cls not in by_class:
-                by_class[cls] = class_values(phase, x, z)
-            row.append(by_class[cls])
-        blocks.append(row)
-    w = len(coeffs)
-    table = tuple(
-        tuple(values[i * w + j] for values in row for j in range(w))
-        for row in blocks for i in range(w)
-    )
-    return tuple(u * w + i for u in which for i in range(w)), table
+                if sr or si:
+                    sr, si = ((sr, si), (-si, sr), (-sr, -si), (si, -sr))[rot]  # times i**phase
+                    g = math.gcd(sr, si, den)
+                    value_key.append((r, sr // g, si // g, den // g))
+            value_key = tuple(value_key)
+            vid = interned.get(value_key)
+            if vid is None:
+                vid = interned[value_key] = len(values)
+                values.append(InnerProductValue.exact(
+                    {r: (Fraction(re, den), Fraction(im, den)) for r, re, im, den in value_key}
+                ))
+            V[c, k] = vid
+    # V[cls][u, v, i, j] = <P_u W_i | P_v W_j>, row u * w + i and column v * w + j
+    table = V[np.reshape(cls, (size, size))].reshape(size, size, w, w)
+    table = table.transpose(0, 2, 1, 3).reshape(size * w, size * w)
+    return tuple(u * w + i for u in which for i in range(w)), table, tuple(values)
 
 
 def _gram(words: Sequence[StateVector], errors: ErrorSet) -> GramTensor:
@@ -307,18 +318,24 @@ class Violation:
         return f"strict condition fails at d[{lp},{lq}] = {self.value}"
 
 
-def _rows(table, images: Sequence[int]) -> tuple[tuple[InnerProductValue, ...], ...]:
-    """Rows ``table[a][b]`` over ``images``; equal images share one row object."""
-    rows = {a: tuple(table[a][b] for b in images) for a in dict.fromkeys(images)}
-    return tuple(rows[a] for a in images)
+def _ids_of(
+    entries: Sequence[Sequence[InnerProductValue]],
+) -> tuple[np.ndarray, tuple[InnerProductValue, ...]]:
+    """``(ids, values)`` of a matrix of values, equal values sharing one id."""
+    index: dict[InnerProductValue, int] = {}
+    ids = [[index.setdefault(v, len(index)) for v in row] for row in entries]
+    return np.array(ids, dtype=np.intp), tuple(index)
 
 
 class DMatrix:
     """The common word block ``d_pq`` with the error labels that index it.
 
-    A float D read off a Gram array (``over``) keeps that array and builds
-    ``entries`` only when they are read: one ``InnerProductValue`` per
-    distinct pair of error images.
+    ``table`` holds D as ``(ids, values)``, ``d_pq = values[ids[p, q]]``.
+    An exact D read off a Gram table (``over``) keeps the Gram's id
+    sub-array and values, a float one keeps the Gram array, and a D built
+    from ``entries`` has its equal values share one id.  Each form builds
+    the others only when they are read; a float D's ``table`` has one value
+    per distinct pair of error images.
     """
 
     def __init__(
@@ -328,35 +345,49 @@ class DMatrix:
         families: tuple[str, ...],
     ):
         self._entries = entries
+        self._table = None  # (ids, values)
         self._array = None  # a float D's (Gram array, image of each error)
         self.labels = labels
         self.families = families
 
     @classmethod
-    def over(cls, table, images: Sequence[int], labels, families) -> "DMatrix":
-        """D of the errors whose images are ``images``, read off a Gram table."""
-        if not isinstance(table, np.ndarray):
-            return cls(_rows(table, images), labels, families)
+    def over(
+        cls, table: np.ndarray, images: Sequence[int], labels, families, values=None
+    ) -> "DMatrix":
+        """D of the errors whose images are ``images``, read off a Gram
+        table: an id array over ``values``, or a complex array when
+        ``values`` is None."""
         d = cls(None, labels, families)
-        d._array = table, images
+        if values is None:
+            d._array = table, images
+        else:
+            d._table = table[np.ix_(images, images)], values
         return d
+
+    @property
+    def table(self) -> tuple[np.ndarray, tuple[InnerProductValue, ...]]:
+        if self._table is None:
+            if self._entries is not None:
+                self._table = _ids_of(self._entries)
+            else:
+                table, images = self._array
+                distinct = list(dict.fromkeys(images))
+                pos = np.array([distinct.index(a) for a in images])
+                sub = table[np.ix_(distinct, distinct)].ravel().tolist()
+                values = tuple(map(InnerProductValue.from_complex, sub))
+                self._table = pos[:, None] * len(distinct) + pos, values
+        return self._table
 
     @property
     def entries(self) -> tuple[tuple[InnerProductValue, ...], ...]:
         if self._entries is None:
-            table, images = self._array
-            distinct = list(dict.fromkeys(images))
-            sub = table[np.ix_(distinct, distinct)].tolist()
-            values = {
-                a: dict(zip(distinct, map(InnerProductValue.from_complex, row)))
-                for a, row in zip(distinct, sub)
-            }
-            self._entries = _rows(values, images)
+            ids, values = self.table
+            self._entries = tuple(tuple(values[k] for k in row) for row in ids.tolist())
         return self._entries
 
     @property
     def size(self) -> int:
-        return len(self._array[1]) if self._entries is None else len(self._entries)
+        return len(self.labels)
 
     def __eq__(self, other):
         if not isinstance(other, DMatrix):
@@ -366,12 +397,11 @@ class DMatrix:
         )
 
     def to_float(self) -> np.ndarray:
-        if self._entries is None:
+        if self._array is not None:
             table, images = self._array
             return table[np.ix_(images, images)]
-        return np.array(
-            [[v.float_view for v in row] for row in self.entries], dtype=np.complex128
-        )
+        ids, values = self.table
+        return np.array([v.float_view for v in values], dtype=np.complex128)[ids]
 
     def rank(self, tol: float = DEFAULT_FLOAT_TOL) -> int:
         """Exact rank over the field of the exact entries, else float rank.
@@ -382,13 +412,14 @@ class DMatrix:
         add no rank and are dropped before ``surd_rank``.  A float D read
         off a Gram array is ranked from the array.
         """
-        if self._entries is not None:
-            split = _split_rank(self._entries, self.families)
+        if self._array is None:
+            ids, values = self.table
+            split = _split_rank(ids, values, self.families)
             if split is not None:
                 return split
-            if all(v.is_exact for row in self._entries for v in row):
-                columns = dict.fromkeys(zip(*dict.fromkeys(self._entries)))
-                return surd_rank([[v.parts for v in col] for col in columns])
+            if all(v.is_exact for v in values):
+                columns = dict.fromkeys(zip(*dict.fromkeys(map(tuple, ids.tolist()))))
+                return surd_rank([[values[k].parts for k in col] for col in columns])
         m = self.to_float()
         return int(np.linalg.matrix_rank(m, tol=tol * max(1.0, float(np.abs(m).max()))))
 
@@ -435,52 +466,55 @@ def _resolve_tol(code: Code, tol: float | None) -> float:
 
 def _mismatches(
     G: GramTensor, left: Sequence[int], right: Sequence[int], ref, tol: float, grid: bool = True
-) -> dict[tuple[int, ...], tuple]:
+) -> tuple[np.ndarray, dict[tuple[int, ...], tuple]]:
     """Where the Gram value at the image pairs from ``left`` and ``right``
     differs by more than ``tol`` from the value at the pairs from ``ref``,
-    a ``(left, right)`` pair of the same form (zero when None):
-    key -> (magnitude of the difference, value, reference value).
+    a ``(left, right)`` pair of the same form (zero when None): a boolean
+    array of the failing pairs and key -> (magnitude of the difference,
+    value, reference value) for each.
 
     With ``grid`` the pairs are ``(left[c], right[e])`` keyed ``(c, e)``,
-    else ``(left[c], right[c])`` keyed ``(c,)``.  Exact values go through
-    ``_excess`` pair by pair.  A float array is compared in one
-    ``np.abs(V - R) > tol``, and only failing pairs get their values built,
-    each magnitude being Python's ``abs`` of the complex difference.
+    else ``(left[c], right[c])`` keyed ``(c,)``.  A float array is compared
+    in one ``np.abs(V - R) > tol``, each magnitude being Python's ``abs`` of
+    the complex difference.  Exact ids are compared in one ``V != R``, the
+    zero id standing for no reference: equal ids are equal values, and
+    ``_excess`` decides each distinct pair of unequal ids once (at
+    tolerance 0 every such pair fails).  Values are built or read only for
+    failing pairs.
     """
     table = G.table
-    if isinstance(table, np.ndarray):
 
-        def at(rows, cols):
-            return table[np.ix_(rows, cols) if grid else (rows, cols)]
+    def at(rows, cols):
+        return table[np.ix_(rows, cols) if grid else (rows, cols)]
 
-        v = at(left, right)
-        r = None if ref is None else at(*ref)
+    v = at(left, right)
+    r = None if ref is None else at(*ref)
+    if G.values is None:
         diff = v if r is None else v - r
-        return {
+        bad = np.abs(diff) > tol
+        return bad, {
             key: (
                 abs(complex(diff[key])),
                 InnerProductValue.from_complex(v[key]),
                 None if r is None else InnerProductValue.from_complex(r[key]),
             )
-            for key in map(tuple, np.argwhere(np.abs(diff) > tol).tolist())
+            for key in map(tuple, np.argwhere(bad).tolist())
         }
-    ref_left, ref_right = ref or (left, right)  # read only when ref is given
-    out = {}
-    if grid:
-        for c, a, ra in zip(count(), left, ref_left):
-            row, ref_row = table[a], table[ra]
-            for e, b, rb in zip(count(), right, ref_right):
-                v, r = row[b], ref_row[rb] if ref else None
-                d = _excess(v, r, tol)
-                if d is not None:
-                    out[c, e] = d.magnitude(), v, r
-        return out
-    for c, a, b, ra, rb in zip(count(), left, right, ref_left, ref_right):
-        v, r = table[a][b], table[ra][rb] if ref else None
-        d = _excess(v, r, tol)
+    values = G.values
+    ref_ids = np.zeros_like(v) if r is None else r
+    differ = v != ref_ids
+    pairs = list(zip(v[differ].tolist(), ref_ids[differ].tolist()))
+    found = {}
+    for a, b in dict.fromkeys(pairs):
+        reference = None if r is None else values[b]
+        d = _excess(values[a], reference, tol)
         if d is not None:
-            out[c,] = d.magnitude(), v, r
-    return out
+            found[a, b] = d.magnitude(), values[a], reference
+    keys = map(tuple, np.argwhere(differ).tolist())
+    out = {key: found[pair] for key, pair in zip(keys, pairs) if pair in found}
+    if len(out) < len(pairs):
+        differ[differ] = [pair in found for pair in pairs]
+    return differ, out
 
 
 def _violations(
@@ -490,33 +524,36 @@ def _violations(
     ``strict`` violations; ``keys[a]`` names word a.
 
     Errors whose images match for every word form one class, and each check
-    compares each (class, class) pair once through ``_mismatches``; only a
-    failing pair is expanded to its ``(p, q)`` entries, listed in ``(p, q)``
-    order.  The strict check compares word 0's block with 0 between two
-    errors and each ``d_pp`` with ``d_00``."""
+    compares each (class, class) pair once through ``_mismatches``; the
+    failing pairs are spread over the errors by indexing their boolean array
+    with each error's class, and listed in ``(p, q)`` order.  The strict
+    check compares word 0's block with 0 between two errors and each
+    ``d_pp`` with ``d_00``."""
     checks = [("cross_word", a, b) for a, b in combinations(range(len(keys)), 2)]
     checks += [("block_mismatch", a, a) for a in range(1, len(keys))]
     w, N = G.num_words, len(G.errors)
     index: dict[tuple[int, ...], int] = {}
     cls = [index.setdefault(G.which[p * w : (p + 1) * w], len(index)) for p in range(N)]
     images = [[img[a] for img in index] for a in range(w)]  # word a's image per class
+    spread = np.ix_(cls, cls)
     out: list[Violation] = []
     for kind, a, b in checks:
         ref = (images[0], images[0]) if kind == "block_mismatch" else None
-        bad = _mismatches(G, images[a], images[b], ref, tol)
+        hit, bad = _mismatches(G, images[a], images[b], ref, tol)
         if bad:
             out += [
                 Violation(kind, keys[a], keys[b], p, q, *bad[cls[p], cls[q]])
-                for p, q in product(range(N), repeat=2) if (cls[p], cls[q]) in bad
+                for p, q in np.argwhere(hit[spread]).tolist()
             ]
     if strict:
-        off = _mismatches(G, images[0], images[0], None, tol)
+        off_hit, off = _mismatches(G, images[0], images[0], None, tol)
         d00 = [G.which[0]] * len(index)
-        diag = _mismatches(G, images[0], images[0], (d00, d00), tol, grid=False)
-        for p, q in product(range(N), repeat=2):
-            bad = diag.get((cls[p],)) if p == q else off.get((cls[p], cls[q]))
-            if bad is not None:
-                out.append(Violation("strict", keys[0], keys[0], p, q, *bad))
+        diag_hit, diag = _mismatches(G, images[0], images[0], (d00, d00), tol, grid=False)
+        hit = off_hit[spread]
+        np.fill_diagonal(hit, diag_hit[cls])
+        for p, q in np.argwhere(hit).tolist():
+            bad = diag[cls[p],] if p == q else off[cls[p], cls[q]]
+            out.append(Violation("strict", keys[0], keys[0], p, q, *bad))
     return out
 
 
@@ -538,10 +575,11 @@ def _family_runs(families: Sequence[str]) -> list[tuple[str, int, int]]:
 
 
 def _split_rank(
-    entries: tuple[tuple[InnerProductValue, ...], ...], families: Sequence[str]
+    ids: np.ndarray, values: Sequence[InnerProductValue], families: Sequence[str]
 ) -> int | None:
-    """Exact rank of a square D through the S_n split, read off its entries;
-    None when they lack the split's shape.
+    """Exact rank of a square D, given as ``(ids, values)`` with equal ids
+    exactly for equal values, through the S_n split; None when D lacks the
+    split's shape.
 
     The shape, over ``_family_runs``: every row of a leading run "0"
     (identity plus any exchanges) equals row 0, which is constant on each
@@ -551,11 +589,12 @@ def _split_rank(
     permuting the positions of every run at once: its leading rows and
     columns repeat, the sum-zero vectors of each run carry ``A - B`` n-1
     times, and the run sums carry ``M_sym = [[d_00, n r_L], [c_K, A_KL +
-    (n-1) B_KL]]``, ``r_L`` being row 0 on run L.  Whole rows are compared
-    as tuples, and the values that fill them must be exact.
+    (n-1) B_KL]]``, ``r_L`` being row 0 on run L.  The ids are compared
+    with the id matrix of that shape in one array comparison, and the
+    representative values must be exact.
     """
-    size = len(entries)
-    if len(families) != size or any(len(row) != size for row in entries):
+    size = len(families)
+    if ids.shape != (size, size):
         return None
     runs = _family_runs(families)
     if len({name for name, _, _ in runs}) != len(runs):
@@ -565,38 +604,33 @@ def _split_rank(
     n = runs[0][2] - starts[0] if runs else 1
     if any(b - a != n for _, a, b in runs):
         return None
-    # (c_K, [(A_KL, B_KL) per run L]) per run K; row 0 leads with A = B = r_L
-    reps = [
-        (entries[s][0], [(entries[s][t], entries[s][t + (n > 1)]) for t in starts])
-        for s in starts
-    ]
+    # (c_K, [(A_KL, B_KL) per run L]) per run K as ids; row 0 leads with A = B = r_L
+    reps = [(ids[s, 0], [(ids[s, t], ids[s, t + (n > 1)]) for t in starts]) for s in starts]
     if head:
-        reps.insert(0, (entries[0][0], [(entries[0][t],) * 2 for t in starts]))
-    if not all(v.is_exact for c, ab in reps for v in (c, *chain(*ab))):
+        reps.insert(0, (ids[0, 0], [(ids[0, t],) * 2 for t in starts]))
+    if not all(values[k].is_exact for c, ab in reps for k in (c, *chain(*ab))):
+        return None
+    expected = np.empty_like(ids)
+    bounds = [(0, head)] * (head > 0) + [(s, s + n) for s in starts]
+    for (c, ab), (lo, hi) in zip(reps, bounds):
+        rows = expected[lo:hi]
+        rows[:, :head] = c
+        for (a, b), t in zip(ab, starts):
+            rows[:, t : t + n] = b
+            np.fill_diagonal(rows[:, t : t + n], a)  # a == b on the leading rows
+    if not np.array_equal(ids, expected):
         return None
 
-    def rows(c: InnerProductValue, ab: list, count: int) -> list[tuple[InnerProductValue, ...]]:
-        # row k of a run takes, in each run L, the k-th window of B..B A B..B
-        spans = [(b,) * (n - 1) + (a,) + (b,) * (n - 1) for a, b in ab]
-        return [
-            sum((t[n - 1 - k : 2 * n - 1 - k] for t in spans), (c,) * head) for k in range(count)
-        ]
-
-    expected = rows(*reps[0], 1) * head if head else []
-    for rep in reps[head > 0:]:
-        expected += rows(*rep, n)
-    if entries != tuple(expected):
-        return None
-
-    def scaled(v: InnerProductValue, k: int) -> list[tuple[int, Fraction, Fraction]]:
-        return [(r, k * re, k * im) for r, re, im in v.parts]
+    def scaled(k: int, m: int) -> list[tuple[int, Fraction, Fraction]]:
+        return [(r, m * re, m * im) for r, re, im in values[k].parts]
 
     rank = surd_rank([
-        [c.parts] * (head > 0) + [[*a.parts, *scaled(b, n - 1)] for a, b in ab] for c, ab in reps
+        [values[c].parts] * (head > 0) + [[*values[a].parts, *scaled(b, n - 1)] for a, b in ab]
+        for c, ab in reps
     ])
     if n > 1:
         rank += (n - 1) * surd_rank([
-            [[*a.parts, *scaled(b, -1)] for a, b in ab] for _, ab in reps[head > 0:]
+            [[*values[a].parts, *scaled(b, -1)] for a, b in ab] for _, ab in reps[head > 0:]
         ])
     return rank
 
@@ -604,12 +638,12 @@ def _split_rank(
 def _report(
     G: GramTensor, violations: list[Violation], tol: float, strict: bool
 ) -> KLReport:
-    """The report; when correctable, word 0's block is the D matrix, one row
-    object per distinct image, ranked by ``DMatrix.rank``."""
+    """The report; when correctable, word 0's block is the D matrix, read
+    off the Gram table, ranked by ``DMatrix.rank``."""
     d_matrix = rank = None
     if not violations:
         images = G.which[:: G.num_words]
-        d_matrix = DMatrix.over(G.table, images, G.errors.labels, G.errors.families)
+        d_matrix = DMatrix.over(G.table, images, G.errors.labels, G.errors.families, G.values)
         rank = d_matrix.rank()
     return KLReport(
         correctable=not violations,
@@ -702,16 +736,16 @@ def d_blocks(d_matrix: DMatrix) -> DBlockReport:
     block per family, and a family that comes back after another, as in
     ``X1, Y1, Z1, X2, ...``, opens a new block.
     """
+    ids, values = d_matrix.table
     infos = []
     total_rank = 0
     global_off = 0.0
     for name, a, b in _family_runs(d_matrix.families):
-        entries = tuple(tuple(row[a:b]) for row in d_matrix.entries[a:b])
-        rank = DMatrix(entries, d_matrix.labels[a:b], d_matrix.families[a:b]).rank()
+        labels, families = d_matrix.labels[a:b], d_matrix.families[a:b]
+        rank = DMatrix.over(ids, range(a, b), labels, families, values).rank()
         total_rank += rank
-        # once per value object: equal D rows share their entries
-        outside = {id(v): v for row in d_matrix.entries[a:b] for v in row[:a] + row[b:]}
-        off = max((v.magnitude() for v in outside.values()), default=0.0)
+        outside = set(ids[a:b, :a].ravel().tolist()) | set(ids[a:b, b:].ravel().tolist())
+        off = max((values[k].magnitude() for k in outside), default=0.0)
         infos.append(BlockInfo(name, a, b, rank, off))
         global_off = max(global_off, off)
     return DBlockReport(tuple(infos), global_off, total_rank)

@@ -12,11 +12,14 @@ Conventions used throughout the package:
   Sums over several radicands do arise in inner products, which get their
   own representation (:class:`InnerProductValue`).
 * Float mode stores a dense ``complex128`` array of length ``2**n``.
-* ``inner_product`` computes one pair.  The Gram engines merge equal states
-  and return ``(which, table)``, ``<x|y> = table[which[x]][which[y]]``:
+* ``inner_product`` computes one pair.  The Gram engines merge equal states.
   ``_exact_gram`` sums on Python integers, which cannot overflow, and gives
-  ``inner_product``'s values; ``_float_gram`` takes the states as the rows
-  of one array, one ``np.vdot`` per pair, and returns a complex array.
+  ``inner_product``'s values as ``(which, ids, values)``: an integer array
+  of value ids over the distinct states and the interned values, with
+  ``<x|y> = values[ids[which[x], which[y]]]`` and equal ids exactly for
+  equal values.  ``_float_gram`` takes the states as the rows of one array,
+  one ``np.vdot`` per pair, and returns ``(which, table)`` with a complex
+  ``table``, ``<x|y> = table[which[x], which[y]]``.
 
 Exact mode is the default everywhere; float mode exists for spectral work
 (recovery operators) and for cross-checking the exact arithmetic.
@@ -647,9 +650,11 @@ def inner_product(left: StateVector, right: StateVector) -> InnerProductValue:
     return InnerProductValue.exact({r: (v[0], v[1]) for r, v in acc.items()})
 
 
-def _exact_gram(images: Sequence[StateVector]) -> tuple[tuple[int, ...], tuple]:
-    """``(which, table)`` of exact states: ``<images[x] | images[y]>`` is
-    ``table[which[x]][which[y]]``.
+def _exact_gram(
+    images: Sequence[StateVector],
+) -> tuple[tuple[int, ...], np.ndarray, tuple[InnerProductValue, ...]]:
+    """``(which, ids, values)`` of exact states: ``<images[x] | images[y]>``
+    is ``values[ids[which[x], which[y]]]``.
 
     Each radicand's amplitudes are scaled to Gaussian integers over one
     common denominator ``L_r`` taken over all images, and identical images
@@ -660,8 +665,9 @@ def _exact_gram(images: Sequence[StateVector]) -> tuple[tuple[int, ...], tuple]:
     A sum ``p`` then becomes ``p * g / (L_r * L_s)`` at radicand
     ``r * s / g**2``, ``g = gcd(r, s)``, which is exact for squarefree
     radicands.  Pairs with the same nonzero sums share one value, built
-    once, and equal values share one object; ``(v, u)`` holds the
-    conjugate of ``(u, v)``.
+    once, and ``(v, u)`` holds the conjugate of ``(u, v)``.  Values are
+    interned: ``values[0]`` is zero, and two ids are equal exactly when
+    their values are.
     """
     scale: dict[int, int] = {}
     for img in images:
@@ -699,21 +705,21 @@ def _exact_gram(images: Sequence[StateVector]) -> tuple[tuple[int, ...], tuple]:
                     slot[0] += ar * br + ai * bi
                     slot[1] += ar * bi - ai * br
     # each pair's nonzero sums, sorted, key its value and the conjugate, built
-    # once per key; equal values share one object
+    # once per key and interned by their parts
     sums: dict[int, list[tuple[int, int, int]]] = {}
     for key, (re, im) in acc.items():
         if re or im:
             pair, kl = divmod(key, nr * nr)
             sums.setdefault(pair, []).append((kl, re, im))
     radicand = list(scale)
-    zero = InnerProductValue.exact({})
-    shared = {zero.parts: zero}
-    built: dict[tuple, tuple[InnerProductValue, InnerProductValue]] = {}
-    table: dict[tuple[int, int], InnerProductValue] = {}
+    values = [InnerProductValue.exact({})]
+    interned = {values[0].parts: 0}
+    built: dict[tuple, tuple[int, int]] = {}
+    ids = np.zeros((size, size), dtype=np.intp)
     for pair, terms in sums.items():
         key = tuple(sorted(terms))
-        values = built.get(key)
-        if values is None:
+        pair_ids = built.get(key)
+        if pair_ids is None:
             parts: dict[int, list[Fraction]] = {}
             for kl, re, im in key:
                 r, s = radicand[kl // nr], radicand[kl % nr]
@@ -722,19 +728,22 @@ def _exact_gram(images: Sequence[StateVector]) -> tuple[tuple[int, ...], tuple]:
                 slot[0] += Fraction(re * g, den)
                 slot[1] += Fraction(im * g, den)
             value = InnerProductValue.exact(parts)
-            values = built[key] = tuple(
-                shared.setdefault(x.parts, x) for x in (value, value.conjugate())
-            )
+            conj = value.conjugate()
+            for x in (value, conj):
+                if x.parts not in interned:
+                    interned[x.parts] = len(values)
+                    values.append(x)
+            pair_ids = built[key] = interned[value.parts], interned[conj.parts]
         u, v = divmod(pair, size)
-        table[u, v] = values[0]
-        table[v, u] = values[0] if u == v else values[1]
-    ids = range(size)
-    return tuple(which), tuple(tuple(table.get((a, b), zero) for b in ids) for a in ids)
+        ids[u, v] = pair_ids[0]
+        ids[v, u] = pair_ids[u != v]
+    return tuple(which), ids, tuple(values)
 
 
 def _float_gram(rows: np.ndarray) -> tuple[tuple[int, ...], np.ndarray]:
-    """``(which, table)`` of float states, the rows of one array, as
-    ``_exact_gram`` but with ``table`` a complex128 array.  Bit-identical
+    """``(which, table)`` of float states, the rows of one array:
+    ``<rows[x] | rows[y]> = table[which[x], which[y]]``, ``table`` a
+    complex128 array over the distinct rows.  Bit-identical
     rows are merged in first-seen order: rows are bucketed by the CRC-32 of
     their bytes and compared on their ``uint64`` views within a bucket.
     Each distinct pair ``a <= b`` takes one ``np.vdot`` and ``(b, a)`` holds

@@ -275,6 +275,13 @@ def test_output_is_deterministic(capsys):
             "974afb4a9628e761d3cca8380a04615863f0cb4a16a6b3a33e10a1b15e9e8e72",
         ),
         (
+            # exact mode with a positive tolerance: every entry shor9 gets
+            # wrong under pauli+exchange is off by 4
+            "--tol 4.5 verify --code shor9",
+            0,
+            "45208932242941fb55af85f18c694c0885f59ede6091bed83a4c577cff671ae6",
+        ),
+        (
             "gram --code rep3 --errors pauli",
             0,
             "b3320812dc97fd2943ea170662c4c96049d5e6f194b1b1a04be305beea1d9695",

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import hashlib
 import math
 import os
 import re
@@ -15,7 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from exqec import _linalg, codesearch, klverify, qstate
+from exqec import _linalg, cli, codesearch, klverify, qstate
 from exqec.codes import Code
 from exqec.codesearch import (
     MAX_WEIGHTS_PER_WORD,
@@ -549,6 +550,33 @@ def test_gate_builds_no_state(monkeypatch, n, word0, word1, lead, inner):
     outer, middle = {min(word0), max(word1)}, {max(word0), min(word1)}
     assert result.squares == {**dict.fromkeys(outer, lead), **dict.fromkeys(middle, inner)}
     assert gated and not any(op.perm for ops in gated for op in ops)
+
+
+@pytest.mark.parametrize("n, calls, codes", [(7, 5, 1), (9, 19, 4)])
+def test_survey_gates_each_distinct_code_once(monkeypatch, capsys, n, calls, codes):
+    """Feasible rows whose zero squares drop weights gate the same weight
+    maps: the n = 7 survey makes 5 gate calls on one code and the n = 9
+    one 19 calls on 4 codes, and the gate builds one Gram per code.  The
+    n = 7 survey still prints its golden bytes."""
+    gate, made = codesearch._gate, []
+
+    def recording(*args):
+        made.append(args)
+        return gate(*args)
+
+    monkeypatch.setattr(codesearch, "_gate", recording)
+    gated = _record_gate_errors(monkeypatch)
+    assert cli.run(["survey", "--n", str(n), "--max-weights", "3"]) == 0
+    out = capsys.readouterr().out
+    assert (len(made), len(gated)) == (calls, codes)
+    if n == 7:
+        assert hashlib.sha256(out.encode()).hexdigest() == (
+            "704b7930428a4fc0b56144f338e16696bfb50875d28c699df2243c17c62921af"
+        )
+    # a call's verdicts stay with it: the next survey gates its codes afresh
+    gated.clear()
+    codesearch.survey_patterns(n, 3)
+    assert len(gated) == codes
 
 
 def test_gate_agrees_with_the_sparse_engine(monkeypatch):

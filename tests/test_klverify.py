@@ -126,17 +126,18 @@ def test_gram_engine_is_exact_past_2_pow_63():
 
 
 def test_exact_gram_builds_each_distinct_value_once(shor9):
-    """shor9 under ``pauli+exchange``: 5 distinct values fill the 98x98
-    table of distinct images, as 5 objects, and each entry is still the
-    per-pair ``inner_product``."""
+    """shor9 under ``pauli+exchange``: 5 interned values, zero first, and
+    their ids cover the 98x98 id array of distinct images; each entry is
+    still the per-pair ``inner_product``."""
     images = _images(shor9, basic_error_set(9, families=_PAIR_ERRORS))
-    which, table = qstate._exact_gram(images)
-    assert len(table) == 98
-    assert len({id(v) for row in table for v in row}) == 5
+    which, ids, values = qstate._exact_gram(images)
+    assert ids.shape == (98, 98)
+    assert len(values) == len(set(values)) == 5 and values[0].is_exact_zero()
+    assert np.unique(ids).tolist() == list(range(5))
     first = {a: x for x, a in reversed(list(enumerate(which)))}
     for a, x in first.items():
         for b, y in first.items():
-            assert table[a][b] == inner_product(images[x], images[y])
+            assert values[ids[a, b]] == inner_product(images[x], images[y])
 
 
 def reference_float_gram(images):
@@ -549,7 +550,7 @@ def test_split_rank_equals_the_rank_of_the_distinct_rows(ruskai9, full_error_set
         report = verify_kl(code, errors)
         assert report.correctable
         d = report.d_matrix
-        split = klverify._split_rank(d.entries, d.families)
+        split = klverify._split_rank(*d.table, d.families)
         assert split == report.rank == _distinct_rank(d) == 3 * code.n + 1
 
 
@@ -569,10 +570,10 @@ def test_split_rank_needs_exactly_the_single_qubit_paulis(ops):
     report = verify_kl(code, errors)
     assert report.correctable
     d = report.d_matrix
-    assert klverify._split_rank(d.entries, d.families) is None
+    assert klverify._split_rank(*d.table, d.families) is None
     assert report.rank == d.rank() == _distinct_rank(d)
     full = verify_kl(code, basic_error_set(4)).d_matrix
-    assert klverify._split_rank(full.entries, full.families) == full.rank() == _distinct_rank(full)
+    assert klverify._split_rank(*full.table, full.families) == full.rank() == _distinct_rank(full)
 
 
 def test_split_rank_declines_a_family_that_comes_back(five_qubit):
@@ -584,7 +585,7 @@ def test_split_rank_declines_a_family_that_comes_back(five_qubit):
     assert klverify._family_runs(d.families) == [
         (name, k, k + 1) for k, name in enumerate("0" + "XYZ" * 5)
     ]
-    assert klverify._split_rank(d.entries, d.families) is None
+    assert klverify._split_rank(*d.table, d.families) is None
     assert d.rank() == _distinct_rank(d) == 16
 
 
@@ -836,10 +837,11 @@ def test_violations_compare_each_exact_object_pair_once(
     """Errors whose images match for every word form one class, and each
     check compares each (class, class) pair once: shor9 has 49 such classes
     exactly and 55 in float mode, of 64 errors.  The list equals the plain
-    per-entry loop's.  Exact mode calls ``_excess`` once per class pair and
-    check; float mode compares arrays and builds a value only for each of
-    its 162 failing ``block_mismatch`` class pairs: the value and its
-    reference."""
+    per-entry loop's.  Both modes compare arrays: exact mode calls
+    ``_excess`` once per distinct pair of unequal (value, reference) ids
+    and check, far fewer than the class pairs, and float mode builds a
+    value only for each of its 162 failing ``block_mismatch`` class pairs:
+    the value and its reference."""
     code = shor9 if mode == "exact" else shor9.to_float()
     tol = 0.0 if mode == "exact" else DEFAULT_FLOAT_TOL
     G = gram_tensor(code, full_error_set_9)
@@ -871,9 +873,108 @@ def test_violations_compare_each_exact_object_pair_once(
     classes = {"exact": 49, "float": 55}[mode]
     assert len({G.which[2 * p : 2 * p + 2] for p in range(N)}) == classes
     if mode == "exact":
-        assert made == [] and len(calls) == 2 * classes**2 < 2 * N * N
+        distinct = {(v.kind, v.value, v.reference) for v in plain}
+        assert made == [] and len(calls) == len(distinct) < classes**2
     else:
         assert calls == [] and len(made) == 2 * 162
+
+
+def reference_violations(G, keys, tol, strict=False):
+    """The per-pair ``_excess`` comparison that ``_violations`` replaced,
+    kept as its reference: every ``(p, q)`` entry of every check, read with
+    ``entry``, goes through ``_excess`` in ``(p, q)`` order."""
+    N = len(G.errors)
+    pairs = list(itertools.product(range(N), repeat=2))
+    checks = [("cross_word", a, b) for a, b in itertools.combinations(range(len(keys)), 2)]
+    checks += [("block_mismatch", a, a) for a in range(1, len(keys))]
+    out = []
+
+    def check(kind, a, b, p, q, v, ref):
+        d = qstate._excess(v, ref, tol)
+        if d is not None:
+            out.append(klverify.Violation(kind, keys[a], keys[b], p, q, d.magnitude(), v, ref))
+
+    for kind, a, b in checks:
+        for p, q in pairs:
+            ref = G.entry(p, 0, q, 0) if kind == "block_mismatch" else None
+            check(kind, a, b, p, q, G.entry(p, a, q, b), ref)
+    if strict:
+        for p, q in pairs:
+            ref = G.entry(0, 0, 0, 0) if p == q else None
+            check("strict", 0, 0, p, q, G.entry(p, 0, q, 0), ref)
+    return out
+
+
+def _assert_ids_intern_the_values(ids, values):
+    """``values[0]`` is zero, ids are equal exactly when values are, and
+    the ids cover the table: every value but zero is used."""
+    assert values[0].is_exact_zero() and len(set(values)) == len(values)
+    used = set(np.unique(ids).tolist())
+    assert used | {0} == set(range(len(values)))
+
+
+_TOLERANCES = st.sampled_from((0.0, 0.5, 2.0))
+
+
+@settings(max_examples=60, deadline=None)
+@given(_small_codes(), st.booleans(), _TOLERANCES)
+def test_violations_match_the_per_pair_reference_on_drawn_codes(code, strict, tol):
+    """The sparse engine: the id array over its interned values is the
+    per-pair ``inner_product`` table entry for entry, and the array
+    comparison lists the reference's violations in its order."""
+    errors = basic_error_set(code.n, families=_PAIR_ERRORS)
+    images = _images(code, errors)
+    which, ids, values = qstate._exact_gram(images)
+    _assert_ids_intern_the_values(ids, values)
+    first = {a: x for x, a in reversed(list(enumerate(which)))}
+    assert ids.shape == (len(first),) * 2
+    for a, x in first.items():
+        for b, y in first.items():
+            assert values[ids[a, b]] == inner_product(images[x], images[y])
+    G = klverify.GramTensor(errors, len(code.words), which, ids, values)
+    keys = range(len(code.words))
+    assert klverify._violations(G, keys, tol, strict) == reference_violations(G, keys, tol, strict)
+
+
+@settings(max_examples=40, deadline=None)
+@given(_orbit_cases(), st.booleans(), _TOLERANCES)
+def test_violations_match_the_per_pair_reference_on_orbit_codes(case, strict, tol):
+    """The orbit engine: its ids read the sparse engine's table entry for
+    entry, and the array comparison lists the reference's violations."""
+    code, errors, near = case
+    G = gram_tensor(code, errors)
+    _assert_ids_intern_the_values(G.table, G.values)
+    if not near:
+        coeffs = [klverify._orbit_coefficients(w) for w in code.words]
+        orbit = klverify._orbit_gram(code.n, coeffs, errors)
+        assert G == klverify.GramTensor(errors, len(code.words), *orbit)
+        with mock.patch.object(klverify, "_orbit_coefficients", lambda word: None):
+            assert G.entries == gram_tensor(code, errors).entries
+    keys = range(len(code.words))
+    assert klverify._violations(G, keys, tol, strict) == reference_violations(G, keys, tol, strict)
+
+
+@pytest.mark.parametrize(
+    "name, tol, count",
+    [("shor9", 0.0, 162), ("shor9", 2.5, 162), ("shor9", 4.5, 0), ("five-qubit", 4.5, 60),
+     ("five-qubit", 10.0, 20)],
+)
+def test_exact_mode_with_a_positive_tolerance_matches_float_mode(name, tol, count):
+    """Under ``pauli+exchange`` shor9's 162 ``block_mismatch`` entries all
+    differ by 4, and five-qubit's 40 ``cross_word`` and 20
+    ``block_mismatch`` entries by 8 and 16: exact and float mode list the
+    same violations with the same magnitudes at every tolerance."""
+    code = builtin_code(name)
+    errors = basic_error_set(code.n, families=_PAIR_ERRORS)
+    exact, floating = verify_kl(code, errors, tol=tol), verify_kl(code.to_float(), errors, tol=tol)
+    assert len(exact.violations) == len(floating.violations) == count
+    assert exact.correctable == floating.correctable == (count == 0)
+    assert exact.rank == floating.rank
+    for e, f in zip(exact.violations, floating.violations):
+        assert (e.kind, e.i, e.j, e.p, e.q) == (f.kind, f.i, f.j, f.p, f.q)
+        assert e.magnitude == pytest.approx(f.magnitude, abs=1e-9) and e.magnitude > tol
+    if tol == 10.0:
+        assert {v.kind for v in exact.violations} == {"block_mismatch"}
 
 
 def test_extended_family_with_disjoint_members():
@@ -1118,7 +1219,7 @@ def test_two_value_rank_matches_dmatrix_rank(m, a, b, relation):
     a, b = _exact(a), _exact(b)
     entries = tuple(tuple(a if p == q else b for q in range(m)) for p in range(m))
     expected = surd_rank([[v.parts for v in row] for row in entries])
-    assert klverify._split_rank(entries, ("X",) * m) == expected
+    assert klverify._split_rank(*klverify._ids_of(entries), ("X",) * m) == expected
     if relation == "equal":
         assert expected == (1 if b.parts else 0)
     elif relation == "cancel":
@@ -1131,12 +1232,15 @@ def test_two_value_rank_leaves_other_blocks_to_elimination():
     one = InnerProductValue.exact_rational(1)
     two = InnerProductValue.exact_rational(2)
     zero = InnerProductValue.exact_rational(0)
-    assert klverify._split_rank(((one,),), ("X",)) == 1
-    assert klverify._split_rank(((zero,),), ("X",)) == 0
-    assert klverify._split_rank(((one, zero), (zero, two)), ("X",) * 2) is None
-    assert klverify._split_rank(((one, zero), (two, one)), ("X",) * 2) is None
+    def split(entries, families):
+        return klverify._split_rank(*klverify._ids_of(entries), families)
+
+    assert split(((one,),), ("X",)) == 1
+    assert split(((zero,),), ("X",)) == 0
+    assert split(((one, zero), (zero, two)), ("X",) * 2) is None
+    assert split(((one, zero), (two, one)), ("X",) * 2) is None
     floats = InnerProductValue.from_complex(1.0), InnerProductValue.from_complex(0.5)
-    assert klverify._split_rank((floats, floats[::-1]), ("X",) * 2) is None
+    assert split((floats, floats[::-1]), ("X",) * 2) is None
 
 
 @st.composite
@@ -1177,7 +1281,7 @@ def test_split_rank_matches_elimination_of_the_full_matrix(case):
     """``DMatrix.rank`` of an S_n-shaped D, which takes the split, and of the
     same D with one entry changed, equals ``surd_rank`` of the whole matrix."""
     families, entries, perturbed = case
-    assert klverify._split_rank(entries, families) is not None
+    assert klverify._split_rank(*klverify._ids_of(entries), families) is not None
     for d in (entries, perturbed) if perturbed else (entries,):
         full = surd_rank([[v.parts for v in row] for row in d])
         assert DMatrix(d, families, families).rank() == full
@@ -1189,17 +1293,17 @@ def test_split_rank_declines_non_square_and_float_matrices(matrix):
     entries = tuple(tuple(_exact(v) for v in row) for row in matrix)
     rows, cols = len(entries), len(entries[0])
     if rows != cols:
-        assert klverify._split_rank(entries, ("X",) * rows) is None
-        assert klverify._split_rank(entries, ("X",) * cols) is None
+        assert klverify._split_rank(*klverify._ids_of(entries), ("X",) * rows) is None
+        assert klverify._split_rank(*klverify._ids_of(entries), ("X",) * cols) is None
     floats = tuple(
         tuple(InnerProductValue.from_complex(v.float_view) for v in row) for row in entries
     )
-    assert klverify._split_rank(floats, ("X",) * rows) is None
+    assert klverify._split_rank(*klverify._ids_of(floats), ("X",) * rows) is None
 
 
 def test_split_rank_declines_the_float_d_of_ruskai9(ruskai9, full_error_set_9):
     d = verify_kl(ruskai9.to_float(), full_error_set_9).d_matrix
-    assert klverify._split_rank(d.entries, d.families) is None
+    assert klverify._split_rank(*d.table, d.families) is None
     assert d.rank() == 28
 
 
