@@ -268,7 +268,7 @@ def _gram(words: Sequence[StateVector], errors: ErrorSet) -> GramTensor:
     state.  Other words have every error applied once; ``_exact_gram`` sums
     exact images over shared basis states in Python integers.  Float images
     are the rows of one array (``dense_images``), and ``_float_gram`` takes
-    one ``np.vdot`` per pair of distinct rows into a complex array."""
+    one ``np.vecdot`` per distinct row into a complex array."""
     if words[0].n != errors.n:
         raise ValueError(f"code on {words[0].n} qubits, errors on {errors.n}")
     coeffs = [_orbit_coefficients(word) for word in words]
@@ -772,10 +772,8 @@ class RecoveryOperation:
         """Per-outcome (squared weight, decoded logical coefficients)."""
         arr = state.to_float().dense
         out = []
-        for r in range(self.basis.shape[0]):
-            coeffs = np.array(
-                [np.vdot(self.basis[r, i], arr) for i in range(self.basis.shape[1])]
-            )
+        for copy in self.basis:
+            coeffs = np.vecdot(copy, arr)
             out.append((float(np.vdot(coeffs, coeffs).real), coeffs))
         return out
 
@@ -792,9 +790,7 @@ class RecoveryOperation:
         """Channel fidelity of recovery against the ideal encoded state."""
         ideal_arr = ideal.to_float().dense
         ideal_arr = ideal_arr / np.linalg.norm(ideal_arr)
-        logical = np.array(
-            [np.vdot(self.codewords[i], ideal_arr) for i in range(len(self.codewords))]
-        )
+        logical = np.vecdot(self.codewords, ideal_arr)
         total = float(np.vdot(corrupted.to_float().dense, corrupted.to_float().dense).real)
         if total == 0.0:
             raise ArithmeticError("corrupted state is zero")
@@ -985,7 +981,7 @@ def shor_exchange_demo(seed: int = 0, samples: int = 3) -> ShorExchangeReport:
 
         psi_coeff = complex(np.vdot(psi, image))
         z_images = dense_images(singles[18:], twisted[None])  # Z1..Z9
-        z_overlaps = [complex(np.vdot(ztw, image)) for ztw in z_images]
+        z_overlaps = np.vecdot(z_images, image).tolist()
         peak = max(abs(z) for z in z_overlaps)
         detected = tuple(
             k for k, z in enumerate(z_overlaps, start=1) if abs(z) > peak - 1e-9
@@ -1002,7 +998,7 @@ def shor_exchange_demo(seed: int = 0, samples: int = 3) -> ShorExchangeReport:
         rem_vs_code = max(
             abs(np.vdot(c0, remainder)), abs(np.vdot(c1, remainder))
         )
-        rem_vs_pauli = max(abs(np.vdot(v, remainder)) for v in pauli_images)
+        rem_vs_pauli = np.abs(np.vecdot(pauli_images, remainder)).max()
         out.append(
             ShorExchangeSample(
                 a=a,

@@ -18,8 +18,8 @@ Conventions used throughout the package:
   of value ids over the distinct states and the interned values, with
   ``<x|y> = values[ids[which[x], which[y]]]`` and equal ids exactly for
   equal values.  ``_float_gram`` takes the states as the rows of one array,
-  one ``np.vdot`` per pair, and returns ``(which, table)`` with a complex
-  ``table``, ``<x|y> = table[which[x], which[y]]``.
+  one ``np.vecdot`` per distinct row, and returns ``(which, table)`` with a
+  complex ``table``, ``<x|y> = table[which[x], which[y]]``.
 
 Exact mode is the default everywhere; float mode exists for spectral work
 (recovery operators) and for cross-checking the exact arithmetic.
@@ -746,9 +746,11 @@ def _float_gram(rows: np.ndarray) -> tuple[tuple[int, ...], np.ndarray]:
     complex128 array over the distinct rows.  Bit-identical
     rows are merged in first-seen order: rows are bucketed by the CRC-32 of
     their bytes and compared on their ``uint64`` views within a bucket.
-    Each distinct pair ``a <= b`` takes one ``np.vdot`` and ``(b, a)`` holds
-    its conjugate.  Values become ``InnerProductValue``s only where a caller
-    reads them."""
+    Row ``a`` of the upper triangle is one ``np.vecdot`` of distinct row
+    ``a`` against the view of every later row, which reaches the same BLAS
+    ``zdotc`` as ``np.vdot`` and so keeps its bits; ``(b, a)`` holds the
+    conjugate of ``(a, b)``.  Values become ``InnerProductValue``s only where
+    a caller reads them."""
     bits = rows.view(np.uint64)
     keep: list[int] = []  # the row of each distinct image
     by_crc: dict[int, list[int]] = {}
@@ -761,11 +763,11 @@ def _float_gram(rows: np.ndarray) -> tuple[tuple[int, ...], np.ndarray]:
             keep.append(x)
             bucket.append(a)
         which.append(a)
-    distinct = [rows[x] for x in keep]
-    m = len(distinct)
+    m = len(keep)
+    cols = np.array(keep)
     table = np.empty((m, m), dtype=np.complex128)
-    for a, left in enumerate(distinct):
-        table[a, a:] = [np.vdot(left, right) for right in distinct[a:]]
+    for a, x in enumerate(keep):
+        table[a, a:] = np.vecdot(rows[x], rows[x:])[cols[a:] - x]
     lower = np.tril_indices(m, -1)
     table[lower] = table.T[lower].conj()
     return tuple(which), table

@@ -154,11 +154,35 @@ def reference_float_gram(images):
     return entries
 
 
+def reference_float_table(rows):
+    """The per-pair ``np.vdot`` loop of ``_float_gram``, kept as its bit
+    reference: rows merged by their bytes in first-seen order, one
+    ``np.vdot`` per distinct pair ``a <= b`` and ``(b, a)`` its conjugate."""
+    first = {}
+    for x, row in enumerate(rows):
+        first.setdefault(row.tobytes(), x)
+    keep = list(first.values())
+    which = tuple(keep.index(first[row.tobytes()]) for row in rows)
+    table = np.empty((len(keep), len(keep)), dtype=np.complex128)
+    for a, x in enumerate(keep):
+        for b, y in enumerate(keep[a:], start=a):
+            table[a, b] = np.vdot(rows[x], rows[y])
+            if b > a:
+                table[b, a] = table[a, b].conjugate()
+    return which, table
+
+
 def _assert_float_gram_matches_reference(images):
     """Equal values and equal printing: ``_float_gram`` takes ``(b, a)`` as
-    the conjugate of ``vdot(a, b)`` where the loop took ``vdot(b, a)``."""
-    which, table = qstate._float_gram(np.array([img.dense for img in images]))
+    the conjugate of ``vdot(a, b)`` where the loop took ``vdot(b, a)``.  The
+    table also equals the per-pair ``np.vdot`` table on ``uint64`` views,
+    which sees the signed zeros that ``==`` and printing miss."""
+    rows = np.array([img.dense for img in images])
+    which, table = qstate._float_gram(rows)
     assert table.dtype == np.complex128
+    ref_which, ref_table = reference_float_table(rows)
+    assert which == ref_which
+    assert np.array_equal(table.view(np.uint64), ref_table.view(np.uint64))
     got = [InnerProductValue.from_complex(table[a, b]) for a in which for b in which]
     expected = reference_float_gram(images)
     assert got == expected
@@ -175,7 +199,7 @@ _GOLDEN_OP_LISTS = (
 @pytest.mark.parametrize("name", sorted(BUILTIN_CODES))
 def test_float_gram_matches_the_per_pair_loop(name):
     code = builtin_code(name).to_float()
-    error_sets = [basic_error_set(code.n, families=f) for f in (("single_pauli",), _PAIR_ERRORS)]
+    error_sets = [basic_error_set(code.n, families=f) for f in _ERROR_SPECS]
     if code.n == 9:
         error_sets += [ErrorSet.from_ops(9, parse_error_ops(ops, 9)) for ops in _GOLDEN_OP_LISTS]
     for errors in error_sets:
@@ -187,6 +211,26 @@ def test_float_gram_matches_the_per_pair_loop(name):
 def test_float_gram_matches_the_per_pair_loop_on_drawn_codes(code):
     code = code.to_float()
     _assert_float_gram_matches_reference(_images(code, basic_error_set(code.n, families=_PAIR_ERRORS)))
+
+
+def test_vecdot_keeps_the_vdot_bits_on_strided_rows():
+    """``_float_gram`` takes row ``x`` against every later row in one
+    ``np.vecdot(rows[x], rows[x:])`` and relies on each result having the
+    bits of ``np.vdot`` on the same two rows.  Its own rows are C-contiguous;
+    here every row has inner stride 3, and the random entries round
+    differently when summed in another order, as a plain sum shows."""
+    rng = np.random.default_rng(7)
+    dense = rng.normal(size=(12, 3 * 777)) + 1j * rng.normal(size=(12, 3 * 777))
+    rows = dense[:, ::3]
+    assert rows.strides[1] == 3 * rows.itemsize
+    reordered = 0
+    for x, left in enumerate(rows):
+        got = np.vecdot(left, rows[x:])
+        expected = np.array([np.vdot(left, right) for right in rows[x:]])
+        assert np.array_equal(got.view(np.uint64), expected.view(np.uint64))
+        plain = np.array([np.sum(left.conj() * right) for right in rows[x:]])
+        reordered += not np.array_equal(plain.view(np.uint64), expected.view(np.uint64))
+    assert reordered
 
 
 def reference_dense_apply(op, dense):
@@ -781,12 +825,12 @@ def test_extended_single_member_violations_match_plain(rep3):
 
 @pytest.mark.parametrize("check", ["plain", "extended"])
 def test_each_hermitian_gram_pair_is_computed_once(rep3, five_qubit, monkeypatch, check):
-    """No mode makes a per-pair ``inner_product`` call.  Exact mode builds
-    each distinct pair's value once; float mode takes one ``np.vdot`` per
-    pair ``a <= b`` of its m distinct image arrays, m(m+1)/2 in all.  In
-    both modes equal image pairs share one value object."""
-    calls, vdots = [], []
-    real, real_vdot = qstate.inner_product, np.vdot
+    """No mode makes a per-pair ``inner_product`` or ``np.vdot`` call.
+    Exact mode builds each distinct pair's value once; float mode takes one
+    ``np.vecdot`` per distinct image row, m in all.  In both modes equal
+    image pairs share one value object."""
+    calls, vdots, vecdots = [], [], []
+    real, real_vdot, real_vecdot = qstate.inner_product, np.vdot, np.vecdot
 
     def counted(left, right):
         calls.append(None)
@@ -796,8 +840,13 @@ def test_each_hermitian_gram_pair_is_computed_once(rep3, five_qubit, monkeypatch
         vdots.append(None)
         return real_vdot(a, b)
 
+    def counted_vecdot(a, b):
+        vecdots.append(None)
+        return real_vecdot(a, b)
+
     monkeypatch.setattr(qstate, "inner_product", counted)
     monkeypatch.setattr(qstate.np, "vdot", counted_vdot)
+    monkeypatch.setattr(qstate.np, "vecdot", counted_vecdot)
 
     def check_code(code, errors):
         if check == "plain":
@@ -810,9 +859,10 @@ def test_each_hermitian_gram_pair_is_computed_once(rep3, five_qubit, monkeypatch
         for code in (exact, exact.to_float()):
             calls.clear()
             vdots.clear()
+            vecdots.clear()
             check_code(code, errors)
-            assert calls == []
-            made = len(vdots)
+            assert calls == [] and vdots == []
+            made = len(vecdots)
 
             images = _images(code, errors)
             keys = [
@@ -827,7 +877,7 @@ def test_each_hermitian_gram_pair_is_computed_once(rep3, five_qubit, monkeypatch
                     assert entries[a] is entries[x * len(keys) + y]
             assert len(first) < len(keys) ** 2  # some images do repeat
             m = len(set(keys))
-            assert made == (0 if code.mode == "exact" else m * (m + 1) // 2)
+            assert made == (0 if code.mode == "exact" else m)
 
 
 @pytest.mark.parametrize("mode", ["exact", "float"])
