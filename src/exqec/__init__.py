@@ -1,14 +1,17 @@
 """Exact verification and search for qubit codes under exchange errors.
 
-The package revolves around three layers:
+The package revolves around four layers:
 
 - ``qstate`` / ``errorops``: sparse exact (surd-valued) or dense float
   state vectors, and error operators in one canonical form
   ``i**p * X(x) * Z(z) * P(perm)`` that covers Pauli strings, qubit
   exchanges, permutations and their products, compared by value.
+- ``_gram``: the Gram engines (orbit, sparse exact, dense float) and the
+  comparison that every correctability check reads, ``Code.check``
+  included.
 - ``codes`` / ``klverify`` / ``stabcheck``: code constructors and the
-  file format, the correctability (Knill-Laflamme) checker with D-matrix
-  analysis and recovery construction, and exhaustive additivity scans.
+  file format, the Knill-Laflamme verdict with D-matrix analysis and
+  recovery construction, and exhaustive additivity scans.
 - ``codesearch``: closed-form orbit combinatorics and the coefficient
   feasibility solver for permutation-invariant patterns.
 """

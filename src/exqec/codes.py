@@ -27,8 +27,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping
 
-import numpy as np
-
 from .errors import CodeParseError, DimensionMismatch, InvalidCodeError
 from .qstate import (
     AMP_ONE,
@@ -38,13 +36,11 @@ from .qstate import (
     InnerProductValue,
     StateVector,
     _add_terms,
-    _exact_gram,
-    _excess,
-    _float_gram,
     orbit_sum,
     parse_ket,
 )
-from .errorops import PauliString
+from .errorops import ErrorSet, IdentityOp, PauliString
+from ._gram import _gram, _violations
 
 __all__ = [
     "Code",
@@ -97,25 +93,13 @@ class Code:
 
         ``(i, j, value)`` with i < j is a nonzero cross inner product;
         ``(i, i, value)`` is word i's norm when it differs from word 0's.
-        Norms and cross products come from one Gram engine over the words.
+        This is the correctability check at the identity alone, so orbit
+        words take the orbit engine and build no Gram of their states.
         """
         if tol is None:
             tol = 0.0 if self.mode == "exact" else DEFAULT_FLOAT_TOL
-        if self.mode == "exact":
-            which, ids, values = _exact_gram(self.words)
-            gram = [[values[k] for k in row] for row in ids[np.ix_(which, which)].tolist()]
-        else:
-            which, table = _float_gram(np.array([w.dense for w in self.words]))
-            gram = [[InnerProductValue.from_complex(table[a, b]) for b in which] for a in which]
-        offenders = []
-        for i in range(len(self.words)):
-            for j in range(i + 1, len(self.words)):
-                if _excess(gram[i][j], None, tol) is not None:
-                    offenders.append((i, j, gram[i][j]))
-        for i in range(1, len(self.words)):
-            if _excess(gram[i][i], gram[0][0], tol) is not None:
-                offenders.append((i, i, gram[i][i]))
-        return offenders
+        G = _gram(self.words, ErrorSet(self.n, (IdentityOp(self.n),)))
+        return [(v.i, v.j, v.value) for v in _violations(G, range(len(self.words)), tol)]
 
     def validate(self, tol: float | None = None) -> None:
         offenders = self.check(tol)

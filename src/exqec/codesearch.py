@@ -41,11 +41,11 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
+from ._gram import GramTensor, _orbit_atom, _orbit_gram, _pauli_class, _violations
 from ._linalg import basic_solutions
 from .codes import Code, PermInvariantSpec, perm_invariant_code
 from .errors import CapabilityError
 from .errorops import ErrorOperator, ErrorSet, IdentityOp
-from .klverify import GramTensor, _orbit_atom, _orbit_gram, _pauli_class, _violations
 from .qstate import Amplitude, StateVector, _check_n, orbit_sum, squarefree_split
 
 __all__ = [

@@ -12,34 +12,13 @@ of codes indexed by an extra label m:
 
     <e_p C_i^m | e_q C_j^m'> = delta_ij * delta_mm' * d_pq
 
-Exact Gram tensors come from one of two engines.  When every word is a sum
-of whole weight orbits (each weight it uses holds all C(n, w) strings with
-one shared amplitude: builtin orbit codes, ``orbit(k=...)`` files, the same
-words written ket by ket, pattern-search output), every qubit permutation
-fixes the words, so an exchange or any permutation factor of an error acts
-as the identity and costs nothing.  Each entry is then
-``sum conj(a_kappa) b_mu <O_kappa | P_p^dagger Q_q O_mu>`` over the Pauli
-parts P_p, Q_q of the two errors, and the closed-form orbit atom
-(``_orbit_atom``) depends on ``P_p^dagger Q_q`` only through its class:
-phase and the sizes of its Y-, X- and Z-type supports.  The engine
-classes every pair with numpy bit counts, evaluates each class once and
-builds no state.  Every other exact code takes ``qstate._exact_gram``,
-which applies each error and sums over shared basis states.  Both exact
-engines return an integer array of value ids over the distinct images and
-the interned values it names, equal ids exactly for equal values.  Float
-codes have their images built as the rows of one array
-(``errorops.dense_images``) and take ``qstate._float_gram``, whose table
-is a complex array.  Each engine also returns every entry's image index
-(``GramTensor``), so the comparison, the strict check included, runs once
-per pair of error classes, errors with equal images on every word, and
-compares arrays in both modes: float values against the tolerance, exact
-ids for equality, with ``_excess`` once per distinct pair of unequal ids.
-D keeps the array it was read from (``DMatrix``); the printer renders
-each id once, and a float value becomes an ``InnerProductValue`` only when
-it is printed or read.  ``DMatrix.rank`` takes the S_n split
-(``_split_rank``) whenever D's ids have its shape, as for an orbit code
-under I and every X_k, Y_k, Z_k: a 4x4 symmetric block and an (n-1)-fold
-3x3 block.  Every ``d_blocks`` block is ranked the same way.
+The Gram tensor and the comparison come from ``_gram``.  D keeps the
+array it was read from (``DMatrix``); the printer renders each id once,
+and a float value becomes an ``InnerProductValue`` only when it is printed
+or read.  ``DMatrix.rank`` takes the S_n split (``_split_rank``) whenever
+D's ids have its shape, as for an orbit code under I and every X_k, Y_k,
+Z_k: a 4x4 symmetric block and an (n-1)-fold 3x3 block.  Every
+``d_blocks`` block is ranked the same way.
 
 Recovery construction diagonalizes D in float arithmetic; everything else
 runs exactly when given exact-mode codes.
@@ -50,15 +29,15 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain, combinations, groupby
+from itertools import chain, groupby
 from typing import Sequence
 
 import numpy as np
 
 from .codes import Code, shor_code
-from .errorops import ErrorOperator, ErrorSet, ExchangeOp, PauliString, apply, dense_images
-from .qstate import DEFAULT_FLOAT_TOL, Amplitude, InnerProductValue, StateVector
-from .qstate import _exact_gram, _excess, _float_gram
+from .errorops import ErrorSet, ExchangeOp, PauliString, dense_images
+from .qstate import DEFAULT_FLOAT_TOL, InnerProductValue, StateVector
+from ._gram import GramTensor, Violation, _gram, _violations
 from ._linalg import surd_rank
 
 __all__ = [
@@ -81,241 +60,9 @@ __all__ = [
     "DEFAULT_FLOAT_TOL",
 ]
 
-@dataclass(frozen=True)
-class GramTensor:
-    """All inner products ``<e_p C_i | e_q C_j>``; Hermitian by construction.
-
-    ``which[x]`` is the distinct-image index of ``x = p * num_words + i``
-    (word index fastest).  Exact words give ``table``, an integer array of
-    value ids over the pairs of distinct images, and ``values``, the
-    interned values it names: ``<image a | image b> = values[table[a, b]]``,
-    ``values[0]`` is zero, and two ids are equal exactly when their values
-    are.  Float words give a complex128 ``table`` and no ``values``; a float
-    value becomes an ``InnerProductValue`` only when ``entry`` or
-    ``entries`` reads it.
-    """
-
-    errors: ErrorSet
-    num_words: int
-    which: tuple[int, ...]
-    table: np.ndarray
-    values: tuple[InnerProductValue, ...] | None = None
-
-    def entry(self, p: int, i: int, q: int, j: int) -> InnerProductValue:
-        w = self.num_words
-        a, b = self.which[p * w + i], self.which[q * w + j]
-        if self.values is None:
-            return InnerProductValue.from_complex(self.table[a, b])
-        return self.values[self.table[a, b]]
-
-    def __eq__(self, other):
-        if not isinstance(other, GramTensor):
-            return NotImplemented
-        return (self.errors, self.num_words) == (other.errors, other.num_words) and (
-            self.entries == other.entries
-        )
-
-    @property
-    def entries(self) -> tuple[InnerProductValue, ...]:
-        """Every entry, flat over ``(x, y)`` with ``y`` fastest; equal image
-        pairs share one value object."""
-        read = InnerProductValue.from_complex if self.values is None else self.values.__getitem__
-        rows = [list(map(read, row)) for row in self.table.tolist()]
-        return tuple(rows[a][b] for a in self.which for b in self.which)
-
-
-def _signed_choices(k: int, minus: int, plus: int) -> int:
-    """Ways to pick k of ``minus + plus`` slots, each minus slot picked costing -1."""
-    return sum(
-        (-1) ** a * math.comb(minus, a) * math.comb(plus, k - a)
-        for a in range(min(k, minus) + 1)
-    )
-
-
-def _orbit_atom(op: ErrorOperator, kappa: int, mu: int) -> tuple[int, int]:
-    """<O_kappa | op O_mu> as a Gaussian integer (re, im), O = orbit_sum.
-
-    Orbit sums are fixed by every qubit permutation, so only the Pauli
-    factor ``i**p X(x) Z(z)`` of op acts.  A weight-mu string v lands in
-    weight kappa exactly when it holds h = (mu + |x| - kappa) / 2 ones
-    under x, and it picks up (-1)**|z & v|: a product of signed counts
-    over the Y- and X-type qubits (h ones) and the Z-type and untouched
-    qubits (mu - h ones).
-    """
-    x, z = op.x_mask, op.z_mask
-    twice_h = mu + x.bit_count() - kappa
-    if twice_h % 2:
-        return 0, 0
-    h = twice_h // 2
-    total = _signed_choices(h, (x & z).bit_count(), (x & ~z).bit_count())
-    total *= _signed_choices(mu - h, (z & ~x).bit_count(), op.n - (x | z).bit_count())
-    return ((total, 0), (0, total), (-total, 0), (0, -total))[op.phase]
-
-
-def _pauli_class(phase: int, x: int, z: int) -> tuple[int, int, int, int]:
-    """Phase and Y-, X-, Z-type support sizes of ``i**phase X(x) Z(z)``: the atom's key."""
-    return phase, (x & z).bit_count(), (x & ~z).bit_count(), (z & ~x).bit_count()
-
-
-def _orbit_coefficients(word: StateVector) -> dict[int, Amplitude] | None:
-    """Weight -> amplitude when the exact ``word`` is a sum of whole weight
-    orbits (all C(n, w) strings of each weight it uses, one shared
-    amplitude per weight); None otherwise."""
-    if word.mode != "exact":
-        return None
-    coeffs: dict[int, Amplitude] = {}
-    counts: dict[int, int] = {}
-    for idx, amp in word.terms.items():
-        w = idx.bit_count()
-        if coeffs.setdefault(w, amp) != amp:
-            return None
-        counts[w] = counts.get(w, 0) + 1
-    if any(c != math.comb(word.n, w) for w, c in counts.items()):
-        return None
-    return coeffs
-
-
-def _orbit_gram(
-    n: int, coeffs: Sequence[dict[int, Amplitude]], errors: ErrorSet, atoms: dict | None = None
-) -> tuple[tuple[int, ...], np.ndarray, tuple[InnerProductValue, ...]]:
-    """``GramTensor``'s ``(which, table, values)`` of orbit words, one atom
-    per Pauli class; image ``u * w + i`` is word i under the u-th distinct
-    Pauli part.
-
-    Permutation factors fix the words and are dropped.  For the Pauli parts
-    ``P_u = i**p_u X(x_u) Z(z_u)`` and ``P_v`` of two errors,
-    ``P_u^dagger P_v = i**(p_v - p_u + 2 |x_u & z_u| + 2 |z_u & x_v|)
-    X(x_u ^ x_v) Z(z_u ^ z_v)``; every pair's class of that product is read
-    with numpy bit counts, and each class gets its ``(i, j)`` values once as
-    ``sum conj(a_kappa) b_mu atom(kappa, mu)``.  A value is keyed by its
-    lowest-terms integer parts ``(radicand, re, im, den)``, so each distinct
-    key becomes one ``InnerProductValue`` and one id.  The atom of
-    ``i**p X(x) Z(z)`` is ``i**p`` times that of ``X(x) Z(z)``, an integer
-    read from ``atoms`` (phase-free class -> (kappa, mu) -> atom) or entered
-    there on first use.
-    """
-    atoms = {} if atoms is None else atoms
-    parts: dict[tuple[int, int, int], int] = {}
-    which = [parts.setdefault((op.phase, op.x_mask, op.z_mask), len(parts)) for op in errors.ops]
-    # conj(a_kappa) * b_mu per word pair (i, j), grouped by radicand r as
-    # (r, L, [((kappa, mu), re * L, im * L)]) over the group's common denominator
-    # L, so the loop over classes adds integers only
-    products = []
-    for left in coeffs:
-        for right in coeffs:
-            groups: dict[int, list[tuple[int, int, Fraction, Fraction]]] = {}
-            for kappa, a in left.items():
-                for mu, b in right.items():
-                    g = math.gcd(a.radicand, b.radicand)
-                    groups.setdefault(a.radicand * b.radicand // (g * g), []).append((
-                        kappa, mu,
-                        g * (a.re * b.re + a.im * b.im), g * (a.re * b.im - a.im * b.re),
-                    ))
-            terms = []
-            for r, group in sorted(groups.items()):
-                den = math.lcm(*(q.denominator for _, _, re, im in group for q in (re, im)))
-                terms.append((r, den, [
-                    ((kappa, mu), int(re * den), int(im * den)) for kappa, mu, re, im in group
-                ]))
-            products.append(terms)
-    p, x, z = (np.array(column, dtype=np.int64) for column in zip(*parts))
-    ones, x2, z2 = np.bitwise_count, x[:, None] ^ x, z[:, None] ^ z
-    # every (u, v) pair's class: the phase, then the Y-, X- and Z-type support sizes
-    classes = (
-        (p - p[:, None] + 2 * (ones(x & z)[:, None] + ones(z[:, None] & x))) & 3,
-        ones(x2 & z2), ones(x2 & ~z2), ones(z2 & ~x2),
-    )
-    number: dict[tuple[int, ...], int] = {}
-    cls = [number.setdefault(k, len(number)) for k in zip(*(a.ravel().tolist() for a in classes))]
-    interned = {(): 0}
-    values = [InnerProductValue.exact({})]
-    w, size = len(coeffs), len(parts)
-    V = np.empty((len(number), w * w), dtype=np.intp)
-    for c, (rot, ny, nx, nz) in enumerate(number):
-        memo = atoms.setdefault((ny, nx, nz), {})
-        # the class's X(x) Z(z) on Y-type, then X-type, then Z-type qubits
-        e = ErrorOperator(n, (1 << (ny + nx)) - 1, ((1 << ny) - 1) | ((1 << nz) - 1) << (ny + nx))
-        for k, terms in enumerate(products):
-            value_key = []
-            for r, den, group in terms:
-                sr = si = 0
-                for km, re, im in group:
-                    t = memo.get(km)
-                    if t is None:
-                        t = memo[km] = _orbit_atom(e, *km)[0]
-                    sr += re * t
-                    si += im * t
-                if sr or si:
-                    sr, si = ((sr, si), (-si, sr), (-sr, -si), (si, -sr))[rot]  # times i**phase
-                    g = math.gcd(sr, si, den)
-                    value_key.append((r, sr // g, si // g, den // g))
-            value_key = tuple(value_key)
-            vid = interned.get(value_key)
-            if vid is None:
-                vid = interned[value_key] = len(values)
-                values.append(InnerProductValue.exact(
-                    {r: (Fraction(re, den), Fraction(im, den)) for r, re, im, den in value_key}
-                ))
-            V[c, k] = vid
-    # V[cls][u, v, i, j] = <P_u W_i | P_v W_j>, row u * w + i and column v * w + j
-    table = V[np.reshape(cls, (size, size))].reshape(size, size, w, w)
-    table = table.transpose(0, 2, 1, 3).reshape(size * w, size * w)
-    return tuple(u * w + i for u in which for i in range(w)), table, tuple(values)
-
-
-def _gram(words: Sequence[StateVector], errors: ErrorSet) -> GramTensor:
-    """The Gram tensor.  Orbit words go to ``_orbit_gram``, which builds no
-    state.  Other words have every error applied once; ``_exact_gram`` sums
-    exact images over shared basis states in Python integers.  Float images
-    are the rows of one array (``dense_images``), and ``_float_gram`` takes
-    one ``np.vecdot`` per distinct row into a complex array."""
-    if words[0].n != errors.n:
-        raise ValueError(f"code on {words[0].n} qubits, errors on {errors.n}")
-    coeffs = [_orbit_coefficients(word) for word in words]
-    if all(c is not None for c in coeffs):
-        gram = _orbit_gram(words[0].n, coeffs, errors)
-    elif words[0].mode == "exact":
-        gram = _exact_gram([apply(op, word) for op in errors.ops for word in words])
-    else:
-        gram = _float_gram(dense_images(errors.ops, np.array([w.dense for w in words])))
-    return GramTensor(errors, len(words), *gram)
-
 
 def gram_tensor(code: Code, errors: ErrorSet) -> GramTensor:
     return _gram(code.words, errors)
-
-
-@dataclass(frozen=True)
-class Violation:
-    """One failed condition.
-
-    ``kind`` is ``cross_word`` (entry between different words should vanish),
-    ``block_mismatch`` (word i's d_pq differs from word 0's) or ``strict``
-    (off-diagonal / unequal diagonal where a scalar D was demanded).
-    For the extended check the word indices are (i, m) pairs.
-    """
-
-    kind: str
-    i: object
-    j: object
-    p: int
-    q: int
-    magnitude: float
-    value: InnerProductValue
-    reference: InnerProductValue | None = None
-
-    def describe(self, labels: Sequence[str]) -> str:
-        lp, lq = labels[self.p], labels[self.q]
-        if self.kind == "cross_word":
-            return (
-                f"<{lp} C{self.i} | {lq} C{self.j}> = {self.value} should vanish"
-            )
-        if self.kind == "block_mismatch":
-            return (
-                f"d[{lp},{lq}] differs between word {self.i} and word 0: "
-                f"{self.value} vs {self.reference}"
-            )
-        return f"strict condition fails at d[{lp},{lq}] = {self.value}"
 
 
 def _ids_of(
@@ -462,99 +209,6 @@ def _resolve_tol(code: Code, tol: float | None) -> float:
             raise ValueError(f"tolerance must be finite and nonnegative, got {tol}")
         return tol
     return 0.0 if code.mode == "exact" else DEFAULT_FLOAT_TOL
-
-
-def _mismatches(
-    G: GramTensor, left: Sequence[int], right: Sequence[int], ref, tol: float, grid: bool = True
-) -> tuple[np.ndarray, dict[tuple[int, ...], tuple]]:
-    """Where the Gram value at the image pairs from ``left`` and ``right``
-    differs by more than ``tol`` from the value at the pairs from ``ref``,
-    a ``(left, right)`` pair of the same form (zero when None): a boolean
-    array of the failing pairs and key -> (magnitude of the difference,
-    value, reference value) for each.
-
-    With ``grid`` the pairs are ``(left[c], right[e])`` keyed ``(c, e)``,
-    else ``(left[c], right[c])`` keyed ``(c,)``.  A float array is compared
-    in one ``np.abs(V - R) > tol``, each magnitude being Python's ``abs`` of
-    the complex difference.  Exact ids are compared in one ``V != R``, the
-    zero id standing for no reference: equal ids are equal values, and
-    ``_excess`` decides each distinct pair of unequal ids once (at
-    tolerance 0 every such pair fails).  Values are built or read only for
-    failing pairs.
-    """
-    table = G.table
-
-    def at(rows, cols):
-        return table[np.ix_(rows, cols) if grid else (rows, cols)]
-
-    v = at(left, right)
-    r = None if ref is None else at(*ref)
-    if G.values is None:
-        diff = v if r is None else v - r
-        bad = np.abs(diff) > tol
-        return bad, {
-            key: (
-                abs(complex(diff[key])),
-                InnerProductValue.from_complex(v[key]),
-                None if r is None else InnerProductValue.from_complex(r[key]),
-            )
-            for key in map(tuple, np.argwhere(bad).tolist())
-        }
-    values = G.values
-    ref_ids = np.zeros_like(v) if r is None else r
-    differ = v != ref_ids
-    pairs = list(zip(v[differ].tolist(), ref_ids[differ].tolist()))
-    found = {}
-    for a, b in dict.fromkeys(pairs):
-        reference = None if r is None else values[b]
-        d = _excess(values[a], reference, tol)
-        if d is not None:
-            found[a, b] = d.magnitude(), values[a], reference
-    keys = map(tuple, np.argwhere(differ).tolist())
-    out = {key: found[pair] for key, pair in zip(keys, pairs) if pair in found}
-    if len(out) < len(pairs):
-        differ[differ] = [pair in found for pair in pairs]
-    return differ, out
-
-
-def _violations(
-    G: GramTensor, keys: Sequence, tol: float, strict: bool = False
-) -> list[Violation]:
-    """``cross_word`` then ``block_mismatch`` then, when ``strict``,
-    ``strict`` violations; ``keys[a]`` names word a.
-
-    Errors whose images match for every word form one class, and each check
-    compares each (class, class) pair once through ``_mismatches``; the
-    failing pairs are spread over the errors by indexing their boolean array
-    with each error's class, and listed in ``(p, q)`` order.  The strict
-    check compares word 0's block with 0 between two errors and each
-    ``d_pp`` with ``d_00``."""
-    checks = [("cross_word", a, b) for a, b in combinations(range(len(keys)), 2)]
-    checks += [("block_mismatch", a, a) for a in range(1, len(keys))]
-    w, N = G.num_words, len(G.errors)
-    index: dict[tuple[int, ...], int] = {}
-    cls = [index.setdefault(G.which[p * w : (p + 1) * w], len(index)) for p in range(N)]
-    images = [[img[a] for img in index] for a in range(w)]  # word a's image per class
-    spread = np.ix_(cls, cls)
-    out: list[Violation] = []
-    for kind, a, b in checks:
-        ref = (images[0], images[0]) if kind == "block_mismatch" else None
-        hit, bad = _mismatches(G, images[a], images[b], ref, tol)
-        if bad:
-            out += [
-                Violation(kind, keys[a], keys[b], p, q, *bad[cls[p], cls[q]])
-                for p, q in np.argwhere(hit[spread]).tolist()
-            ]
-    if strict:
-        off_hit, off = _mismatches(G, images[0], images[0], None, tol)
-        d00 = [G.which[0]] * len(index)
-        diag_hit, diag = _mismatches(G, images[0], images[0], (d00, d00), tol, grid=False)
-        hit = off_hit[spread]
-        np.fill_diagonal(hit, diag_hit[cls])
-        for p, q in np.argwhere(hit).tolist():
-            bad = diag[cls[p],] if p == q else off[cls[p], cls[q]]
-            out.append(Violation("strict", keys[0], keys[0], p, q, *bad))
-    return out
 
 
 def _family_runs(families: Sequence[str]) -> list[tuple[str, int, int]]:

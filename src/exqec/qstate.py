@@ -12,14 +12,8 @@ Conventions used throughout the package:
   Sums over several radicands do arise in inner products, which get their
   own representation (:class:`InnerProductValue`).
 * Float mode stores a dense ``complex128`` array of length ``2**n``.
-* ``inner_product`` computes one pair.  The Gram engines merge equal states.
-  ``_exact_gram`` sums on Python integers, which cannot overflow, and gives
-  ``inner_product``'s values as ``(which, ids, values)``: an integer array
-  of value ids over the distinct states and the interned values, with
-  ``<x|y> = values[ids[which[x], which[y]]]`` and equal ids exactly for
-  equal values.  ``_float_gram`` takes the states as the rows of one array,
-  one ``np.vecdot`` per distinct row, and returns ``(which, table)`` with a
-  complex ``table``, ``<x|y> = table[which[x], which[y]]``.
+* ``inner_product`` computes one pair; the Gram engines, which take every
+  pair of many states at once, live in ``_gram``.
 
 Exact mode is the default everywhere; float mode exists for spectral work
 (recovery operators) and for cross-checking the exact arithmetic.
@@ -29,7 +23,6 @@ from __future__ import annotations
 
 import itertools
 import math
-import zlib
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
@@ -313,18 +306,6 @@ class InnerProductValue:
 
 #: Comparison tolerance of float mode; exact mode compares with 0.
 DEFAULT_FLOAT_TOL = 1e-9
-
-
-def _excess(
-    v: InnerProductValue, ref: InnerProductValue | None, tol: float
-) -> InnerProductValue | None:
-    """``v - ref`` (``v`` when ``ref`` is None) if it exceeds ``tol``, else None."""
-    if ref is not None and v.is_exact and v.parts == ref.parts:
-        return None  # exact parts are canonical: equal parts, zero difference
-    d = v if ref is None else v.sub(ref)
-    if tol == 0.0 and d.is_exact:
-        return None if d.is_exact_zero() else d
-    return d if d.magnitude() > tol else None
 
 
 @dataclass(frozen=True)
@@ -648,129 +629,6 @@ def inner_product(left: StateVector, right: StateVector) -> InnerProductValue:
             slot[0] += re
             slot[1] += im
     return InnerProductValue.exact({r: (v[0], v[1]) for r, v in acc.items()})
-
-
-def _exact_gram(
-    images: Sequence[StateVector],
-) -> tuple[tuple[int, ...], np.ndarray, tuple[InnerProductValue, ...]]:
-    """``(which, ids, values)`` of exact states: ``<images[x] | images[y]>``
-    is ``values[ids[which[x], which[y]]]``.
-
-    Each radicand's amplitudes are scaled to Gaussian integers over one
-    common denominator ``L_r`` taken over all images, and identical images
-    are merged by their integer terms, in first-seen order.  Every basis
-    index adds ``conj(a) * b`` for each pair of its entries ``a`` (image
-    ``u``, radicand ``r``) and ``b`` (image ``v >= u``, radicand ``s``) to
-    one integer sum per ``(u, v, r, s)``; Python integers cannot overflow.
-    A sum ``p`` then becomes ``p * g / (L_r * L_s)`` at radicand
-    ``r * s / g**2``, ``g = gcd(r, s)``, which is exact for squarefree
-    radicands.  Pairs with the same nonzero sums share one value, built
-    once, and ``(v, u)`` holds the conjugate of ``(u, v)``.  Values are
-    interned: ``values[0]`` is zero, and two ids are equal exactly when
-    their values are.
-    """
-    scale: dict[int, int] = {}
-    for img in images:
-        for amp in img.terms.values():
-            r = amp.radicand
-            scale[r] = math.lcm(scale.get(r, 1), amp.re.denominator, amp.im.denominator)
-    rads = {r: (k, den) for k, (r, den) in enumerate(scale.items())}
-    index: dict[frozenset, int] = {}
-    which = []
-    for img in images:
-        ints = []
-        for idx, amp in img.terms.items():
-            k, den = rads[amp.radicand]
-            re, im = amp.re, amp.im
-            ints.append((idx, k, re.numerator * (den // re.denominator),
-                         im.numerator * (den // im.denominator)))
-        which.append(index.setdefault(frozenset(ints), len(index)))
-    size, nr = len(index), len(rads)
-    # basis index -> (left key part, right key part, re, im) of each entry; the
-    # parts add to ((u * size + v) * nr + k) * nr + l for entries (u, k), (v, l)
-    by_index: dict[int, list[tuple[int, int, int, int]]] = {}
-    for u, ints in enumerate(index):
-        for idx, k, re, im in ints:
-            by_index.setdefault(idx, []).append(
-                ((u * size * nr + k) * nr, u * nr * nr + k, re, im)
-            )
-    acc: dict[int, list[int]] = {}
-    for entries in by_index.values():
-        for i, (left, _, ar, ai) in enumerate(entries):
-            for _, right, br, bi in entries[i:]:
-                slot = acc.get(left + right)
-                if slot is None:
-                    acc[left + right] = [ar * br + ai * bi, ar * bi - ai * br]
-                else:
-                    slot[0] += ar * br + ai * bi
-                    slot[1] += ar * bi - ai * br
-    # each pair's nonzero sums, sorted, key its value and the conjugate, built
-    # once per key and interned by their parts
-    sums: dict[int, list[tuple[int, int, int]]] = {}
-    for key, (re, im) in acc.items():
-        if re or im:
-            pair, kl = divmod(key, nr * nr)
-            sums.setdefault(pair, []).append((kl, re, im))
-    radicand = list(scale)
-    values = [InnerProductValue.exact({})]
-    interned = {values[0].parts: 0}
-    built: dict[tuple, tuple[int, int]] = {}
-    ids = np.zeros((size, size), dtype=np.intp)
-    for pair, terms in sums.items():
-        key = tuple(sorted(terms))
-        pair_ids = built.get(key)
-        if pair_ids is None:
-            parts: dict[int, list[Fraction]] = {}
-            for kl, re, im in key:
-                r, s = radicand[kl // nr], radicand[kl % nr]
-                g, den = math.gcd(r, s), scale[r] * scale[s]
-                slot = parts.setdefault(r * s // (g * g), [_ZERO, _ZERO])
-                slot[0] += Fraction(re * g, den)
-                slot[1] += Fraction(im * g, den)
-            value = InnerProductValue.exact(parts)
-            conj = value.conjugate()
-            for x in (value, conj):
-                if x.parts not in interned:
-                    interned[x.parts] = len(values)
-                    values.append(x)
-            pair_ids = built[key] = interned[value.parts], interned[conj.parts]
-        u, v = divmod(pair, size)
-        ids[u, v] = pair_ids[0]
-        ids[v, u] = pair_ids[u != v]
-    return tuple(which), ids, tuple(values)
-
-
-def _float_gram(rows: np.ndarray) -> tuple[tuple[int, ...], np.ndarray]:
-    """``(which, table)`` of float states, the rows of one array:
-    ``<rows[x] | rows[y]> = table[which[x], which[y]]``, ``table`` a
-    complex128 array over the distinct rows.  Bit-identical
-    rows are merged in first-seen order: rows are bucketed by the CRC-32 of
-    their bytes and compared on their ``uint64`` views within a bucket.
-    Row ``a`` of the upper triangle is one ``np.vecdot`` of distinct row
-    ``a`` against the view of every later row, which reaches the same BLAS
-    ``zdotc`` as ``np.vdot`` and so keeps its bits; ``(b, a)`` holds the
-    conjugate of ``(a, b)``.  Values become ``InnerProductValue``s only where
-    a caller reads them."""
-    bits = rows.view(np.uint64)
-    keep: list[int] = []  # the row of each distinct image
-    by_crc: dict[int, list[int]] = {}
-    which = []
-    for x, row in enumerate(bits):
-        bucket = by_crc.setdefault(zlib.crc32(row), [])
-        a = next((a for a in bucket if np.array_equal(bits[keep[a]], row)), None)
-        if a is None:
-            a = len(keep)
-            keep.append(x)
-            bucket.append(a)
-        which.append(a)
-    m = len(keep)
-    cols = np.array(keep)
-    table = np.empty((m, m), dtype=np.complex128)
-    for a, x in enumerate(keep):
-        table[a, a:] = np.vecdot(rows[x], rows[x:])[cols[a:] - x]
-    lower = np.tril_indices(m, -1)
-    table[lower] = table.T[lower].conj()
-    return tuple(which), table
 
 
 def _source_indices(n: int, images: Sequence[tuple[int, ...]]) -> np.ndarray:

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from exqec import codes
+from exqec import _gram, codes
 from exqec.codes import (
     BUILTIN_CODES,
     Code,
@@ -18,6 +18,7 @@ from exqec.codes import (
     parse_amplitude,
     parse_code,
     perm_invariant_code,
+    ruskai9_code,
     serialize_code,
 )
 from exqec.errors import CodeParseError, ExactArithmeticError, InvalidCodeError
@@ -247,6 +248,28 @@ def test_check_matches_the_per_pair_loop_on_an_invalid_file(float_mode):
     code = parse_code((DATA / "invalid_overlap.code").read_text(), validate=False)
     assert code.check()
     _assert_check_matches_reference(code.to_float() if float_mode else code)
+
+
+def test_validating_an_orbit_code_takes_no_state_gram(monkeypatch):
+    """Orbit words are validated by the orbit engine: the orbit-shorthand
+    file and ruskai9 written ket by ket parse with the sparse and float
+    Gram engines unavailable, and an orbit code whose word 0 has another
+    weight-6 amplitude gets the per-pair loop's offenders."""
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("an orbit code took a state Gram engine")
+
+    monkeypatch.setattr(_gram, "_exact_gram", forbidden)
+    monkeypatch.setattr(_gram, "_float_gram", forbidden)
+    ruskai9 = ruskai9_code()
+    for text in ((DATA / "dual_orbit9.code").read_text(), serialize_code(ruskai9)):
+        assert parse_code(text).words == ruskai9.words
+    amp = Amplitude.make(Fraction(1, 14), 0, 2)
+    invalid = Code(9, (StateVector.basis(9, 0) + orbit_sum(9, 6).scaled(amp), ruskai9.words[1]))
+    with pytest.raises(InvalidCodeError):
+        invalid.validate()
+    assert [(i, j) for i, j, _ in invalid.check()] == [(1, 1)]
+    _assert_check_matches_reference(invalid)
 
 
 @pytest.mark.parametrize("name", sorted(BUILTIN_CODES))

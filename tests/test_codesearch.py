@@ -16,7 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from exqec import _linalg, cli, codesearch, klverify, qstate
+from exqec import _gram, _linalg, cli, codesearch, klverify, qstate
 from exqec.codes import Code
 from exqec.codesearch import (
     MAX_WEIGHTS_PER_WORD,
@@ -34,7 +34,8 @@ from exqec.codesearch import (
 )
 from exqec.errorops import ErrorOperator, ErrorSet, IdentityOp, PauliString, basic_error_set
 from exqec.errors import CapabilityError
-from exqec.klverify import GramTensor, _pauli_class, _violations, verify_kl
+from exqec._gram import GramTensor, _pauli_class, _violations
+from exqec.klverify import verify_kl
 from exqec.qstate import StateVector, inner_product, orbit_sum
 
 
@@ -358,17 +359,17 @@ def test_survey_counts_each_phase_free_atom_once(monkeypatch):
         return gate(*args)
 
     counting(codesearch)
-    counting(klverify)
+    counting(_gram)
     monkeypatch.setattr(codesearch, "_gate", recording)
     survey_patterns(7, 3)
     assert calls and max(calls.values()) == 1
-    assert sources["exqec.codesearch"] and sources["exqec.klverify"]
+    assert sources["exqec.codesearch"] and sources["exqec._gram"]
     atoms = candidates[0][4]
     assert all(args[4] is atoms for args in candidates)
     assert sum(len(memo) for memo in atoms.values()) == len(calls)
     for (y, x, z), memo in atoms.items():
         e = ErrorOperator(7, (1 << (y + x)) - 1, ((1 << y) - 1) | ((1 << z) - 1) << (y + x))
-        assert all(count == klverify._orbit_atom(e, *km)[0] for km, count in memo.items())
+        assert all(count == _gram._orbit_atom(e, *km)[0] for km, count in memo.items())
     verdicts = Counter()
     for pattern, families, coefficients, squares, shared in candidates:
         weights = sorted(k for k, s in squares.items() if s)
@@ -382,7 +383,7 @@ def test_survey_counts_each_phase_free_atom_once(monkeypatch):
 
 
 def test_pattern_search_and_verifier_share_one_atom():
-    assert codesearch._orbit_atom is klverify._orbit_atom
+    assert codesearch._orbit_atom is _gram._orbit_atom
     assert not hasattr(codesearch, "_signed_choices")
 
 
@@ -538,8 +539,7 @@ def test_gate_builds_no_state(monkeypatch, n, word0, word1, lead, inner):
 
     for module, name in (
         (codesearch, "orbit_sum"), (qstate, "orbit_sum"), (qstate, "inner_product"),
-        (qstate, "_float_gram"), (klverify, "_float_gram"),
-        (qstate, "_exact_gram"), (klverify, "_exact_gram"), (klverify, "verify_kl"),
+        (_gram, "_float_gram"), (_gram, "_exact_gram"), (klverify, "verify_kl"),
     ):
         monkeypatch.setattr(module, name, forbidden)
     monkeypatch.setattr(StateVector, "__init__", forbidden)
@@ -583,7 +583,7 @@ def test_gate_agrees_with_the_sparse_engine(monkeypatch):
     """Every sign choice on the nonzero squares of every feasible survey row
     for n = 5..8: the gate's verdict is the sparse engine's on the realized
     code with the exchanges included."""
-    monkeypatch.setattr(klverify, "_orbit_coefficients", lambda word: None)
+    monkeypatch.setattr(_gram, "_orbit_coefficients", lambda word: None)
     verdicts = Counter()
     for n in range(5, 9):
         errors = basic_error_set(n, ("single_pauli", "exchange"))

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from exqec import codesearch, klverify, qstate
+from exqec import _gram, codesearch, klverify, qstate
 from exqec._linalg import surd_rank
 from exqec.codes import BUILTIN_CODES, Code, builtin_code, parse_code, ruskai9_code, serialize_code
 from exqec.errorops import (
@@ -130,7 +130,7 @@ def test_exact_gram_builds_each_distinct_value_once(shor9):
     their ids cover the 98x98 id array of distinct images; each entry is
     still the per-pair ``inner_product``."""
     images = _images(shor9, basic_error_set(9, families=_PAIR_ERRORS))
-    which, ids, values = qstate._exact_gram(images)
+    which, ids, values = _gram._exact_gram(images)
     assert ids.shape == (98, 98)
     assert len(values) == len(set(values)) == 5 and values[0].is_exact_zero()
     assert np.unique(ids).tolist() == list(range(5))
@@ -178,7 +178,7 @@ def _assert_float_gram_matches_reference(images):
     table also equals the per-pair ``np.vdot`` table on ``uint64`` views,
     which sees the signed zeros that ``==`` and printing miss."""
     rows = np.array([img.dense for img in images])
-    which, table = qstate._float_gram(rows)
+    which, table = _gram._float_gram(rows)
     assert table.dtype == np.complex128
     ref_which, ref_table = reference_float_table(rows)
     assert which == ref_which
@@ -327,7 +327,7 @@ def test_strict_check_matches_the_per_entry_loop(ruskai9, pauli_error_set_9, mod
     for p, q in itertools.product(range(len(pauli_error_set_9)), repeat=2):
         v = G.entry(p, 0, q, 0)
         ref = G.entry(0, 0, 0, 0) if p == q else None
-        d = klverify._excess(v, ref, tol)
+        d = _gram._excess(v, ref, tol)
         if d is not None:
             plain.append(klverify.Violation("strict", 0, 0, p, q, d.magnitude(), v, ref))
     report = verify_kl(code, pauli_error_set_9, strict=True)
@@ -454,15 +454,19 @@ def _random_ops(n):
     return st.lists(op, max_size=8, unique=True).map(lambda ops: ErrorSet.from_ops(n, ops))
 
 
+# the radicands 1, p and 4p of one prime p: an exact D rank stays fast
+_ONE_PRIME = ((1, 2, 8), (1, 3, 12), (1, 7, 28))
+
+
 @st.composite
-def _orbit_cases(draw):
+def _orbit_cases(draw, fields=_ONE_PRIME):
     """An orbit code on n <= 8 qubits (1-3 words, complex parts over the
-    radicands 1, p and 4p of one prime p), its errors, and whether word 0
-    was made a near-orbit word: one member of a weight orbit with at least
-    two members dropped, or given another amplitude."""
+    radicands of one of ``fields``), its errors, and whether word 0 was
+    made a near-orbit word: one member of a weight orbit with at least two
+    members dropped, or given another amplitude."""
     n = draw(st.integers(1, 8))
-    p = draw(st.sampled_from((2, 3, 7)))
-    amp = st.builds(Amplitude.make, _PARTS, _PARTS, st.sampled_from((1, p, 4 * p)))
+    radicands = draw(st.sampled_from(fields))
+    amp = st.builds(Amplitude.make, _PARTS, _PARTS, st.sampled_from(radicands))
     amp = amp.filter(lambda a: not a.is_zero())
     coeffs = draw(st.lists(
         st.dictionaries(st.integers(0, n), amp, min_size=1, max_size=3), min_size=1, max_size=3
@@ -504,12 +508,12 @@ def test_orbit_engine_matches_the_sparse_engine(case):
     """Gram entries, violations and rank equal the sparse engine's exactly;
     orbit codes apply no error, near-orbit codes take the sparse engine."""
     code, errors, near = case
-    with mock.patch.object(klverify, "_exact_gram", side_effect=qstate._exact_gram) as sparse:
+    with mock.patch.object(_gram, "_exact_gram", side_effect=_gram._exact_gram) as sparse:
         entries = gram_tensor(code, errors).entries
         report = verify_kl(code, errors)
     assert sparse.called == near
     # the oracle: every code through the sparse engine and ``DMatrix.rank``
-    with mock.patch.object(klverify, "_orbit_coefficients", lambda word: None):
+    with mock.patch.object(_gram, "_orbit_coefficients", lambda word: None):
         assert entries == gram_tensor(code, errors).entries
         expected = verify_kl(code, errors)
     assert report.violations == expected.violations
@@ -520,18 +524,18 @@ def test_orbit_words_are_read_off_their_terms():
     n = 4
     one, amp = Amplitude.make(1), Amplitude.make(Fraction(1, 3), 2, 7)
     word = _orbit_word(n, {0: one, 2: amp})
-    assert klverify._orbit_coefficients(word) == {0: one, 2: amp}
+    assert _gram._orbit_coefficients(word) == {0: one, 2: amp}
     # ket by ket, as a relabelled code file writes it
     code = parse_code(serialize_code(ruskai9_code()))
     assert "orbit" not in serialize_code(ruskai9_code())
-    assert all(klverify._orbit_coefficients(w) is not None for w in code.words)
+    assert all(_gram._orbit_coefficients(w) is not None for w in code.words)
     terms = dict(word.terms)
     del terms[0b0011]
-    assert klverify._orbit_coefficients(StateVector.from_terms(n, terms)) is None
+    assert _gram._orbit_coefficients(StateVector.from_terms(n, terms)) is None
     terms = dict(word.terms)
     terms[0b0011] = amp.scaled(2)
-    assert klverify._orbit_coefficients(StateVector.from_terms(n, terms)) is None
-    assert klverify._orbit_coefficients(word.to_float()) is None
+    assert _gram._orbit_coefficients(StateVector.from_terms(n, terms)) is None
+    assert _gram._orbit_coefficients(word.to_float()) is None
 
 
 def test_orbit_code_applies_no_error(ruskai9, full_error_set_9, ruskai9_report, monkeypatch):
@@ -539,9 +543,8 @@ def test_orbit_code_applies_no_error(ruskai9, full_error_set_9, ruskai9_report, 
         raise AssertionError("the orbit engine touched a state")
 
     monkeypatch.setattr(ErrorOperator, "apply", forbidden)
-    monkeypatch.setattr(klverify, "_exact_gram", forbidden)
-    monkeypatch.setattr(klverify, "_float_gram", forbidden)
-    monkeypatch.setattr(qstate, "_float_gram", forbidden)
+    monkeypatch.setattr(_gram, "_exact_gram", forbidden)
+    monkeypatch.setattr(_gram, "_float_gram", forbidden)
     report = verify_kl(ruskai9, full_error_set_9)
     assert report.violations == [] and report.rank == 28
     assert report.d_matrix == ruskai9_report.d_matrix
@@ -551,13 +554,13 @@ def test_orbit_coefficients_are_read_once_per_word(ruskai9, full_error_set_9, mo
     """The report takes word 0's weight map from the Gram step instead of
     reading the terms again."""
     calls = []
-    read = klverify._orbit_coefficients
+    read = _gram._orbit_coefficients
 
     def counted(word):
         calls.append(word)
         return read(word)
 
-    monkeypatch.setattr(klverify, "_orbit_coefficients", counted)
+    monkeypatch.setattr(_gram, "_orbit_coefficients", counted)
     report = verify_kl(ruskai9, full_error_set_9)
     assert report.rank == 28
     assert len(calls) == 2
@@ -586,7 +589,7 @@ def test_split_rank_equals_the_rank_of_the_distinct_rows(ruskai9, full_error_set
     is the n=7 code {0,5}/{2,7}."""
     survey = list(_feasible_survey_codes())
     assert len(survey) == 24
-    assert klverify._orbit_coefficients(survey[0].words[0]) == {
+    assert _gram._orbit_coefficients(survey[0].words[0]) == {
         0: Amplitude.make(Fraction(1, 10), 0, 30), 5: Amplitude.make(Fraction(1, 30), 0, 30)
     }
     for code in (ruskai9, *survey):
@@ -901,12 +904,12 @@ def test_violations_compare_each_exact_object_pair_once(
         for p, q in itertools.product(range(N), repeat=2):
             v = G.entry(p, 0 if kind == "cross_word" else a, q, a)
             ref = G.entry(p, 0, q, 0) if kind == "block_mismatch" else None
-            d = klverify._excess(v, ref, tol)
+            d = _gram._excess(v, ref, tol)
             if d is not None:
                 i = 0 if kind == "cross_word" else a
                 plain.append(klverify.Violation(kind, i, a, p, q, d.magnitude(), v, ref))
     calls, made = [], []
-    real, real_value = klverify._excess, InnerProductValue.from_complex
+    real, real_value = _gram._excess, InnerProductValue.from_complex
 
     def counted(v, ref, tol):
         calls.append(None)
@@ -916,9 +919,9 @@ def test_violations_compare_each_exact_object_pair_once(
         made.append(None)
         return real_value(z)
 
-    monkeypatch.setattr(klverify, "_excess", counted)
+    monkeypatch.setattr(_gram, "_excess", counted)
     monkeypatch.setattr(InnerProductValue, "from_complex", staticmethod(counted_value))
-    found = klverify._violations(G, range(2), tol)
+    found = _gram._violations(G, range(2), tol)
     assert len(found) == 162 and found == plain
     classes = {"exact": 49, "float": 55}[mode]
     assert len({G.which[2 * p : 2 * p + 2] for p in range(N)}) == classes
@@ -940,7 +943,7 @@ def reference_violations(G, keys, tol, strict=False):
     out = []
 
     def check(kind, a, b, p, q, v, ref):
-        d = qstate._excess(v, ref, tol)
+        d = _gram._excess(v, ref, tol)
         if d is not None:
             out.append(klverify.Violation(kind, keys[a], keys[b], p, q, d.magnitude(), v, ref))
 
@@ -974,7 +977,7 @@ def test_violations_match_the_per_pair_reference_on_drawn_codes(code, strict, to
     comparison lists the reference's violations in its order."""
     errors = basic_error_set(code.n, families=_PAIR_ERRORS)
     images = _images(code, errors)
-    which, ids, values = qstate._exact_gram(images)
+    which, ids, values = _gram._exact_gram(images)
     _assert_ids_intern_the_values(ids, values)
     first = {a: x for x, a in reversed(list(enumerate(which)))}
     assert ids.shape == (len(first),) * 2
@@ -983,25 +986,28 @@ def test_violations_match_the_per_pair_reference_on_drawn_codes(code, strict, to
             assert values[ids[a, b]] == inner_product(images[x], images[y])
     G = klverify.GramTensor(errors, len(code.words), which, ids, values)
     keys = range(len(code.words))
-    assert klverify._violations(G, keys, tol, strict) == reference_violations(G, keys, tol, strict)
+    assert _gram._violations(G, keys, tol, strict) == reference_violations(G, keys, tol, strict)
 
 
 @settings(max_examples=40, deadline=None)
-@given(_orbit_cases(), st.booleans(), _TOLERANCES)
+@given(_orbit_cases(fields=((1, 2, 3, 6),)), st.booleans(), _TOLERANCES)
 def test_violations_match_the_per_pair_reference_on_orbit_codes(case, strict, tol):
     """The orbit engine: its ids read the sparse engine's table entry for
-    entry, and the array comparison lists the reference's violations."""
+    entry, and the array comparison lists the reference's violations.  The
+    radicands 1, 2, 3 and 6 give two radicand pairs of one product
+    radicand, sqrt(2) sqrt(3) and sqrt(6) * 1, whose sums must meet in one
+    value."""
     code, errors, near = case
     G = gram_tensor(code, errors)
     _assert_ids_intern_the_values(G.table, G.values)
     if not near:
-        coeffs = [klverify._orbit_coefficients(w) for w in code.words]
-        orbit = klverify._orbit_gram(code.n, coeffs, errors)
+        coeffs = [_gram._orbit_coefficients(w) for w in code.words]
+        orbit = _gram._orbit_gram(code.n, coeffs, errors)
         assert G == klverify.GramTensor(errors, len(code.words), *orbit)
-        with mock.patch.object(klverify, "_orbit_coefficients", lambda word: None):
+        with mock.patch.object(_gram, "_orbit_coefficients", lambda word: None):
             assert G.entries == gram_tensor(code, errors).entries
     keys = range(len(code.words))
-    assert klverify._violations(G, keys, tol, strict) == reference_violations(G, keys, tol, strict)
+    assert _gram._violations(G, keys, tol, strict) == reference_violations(G, keys, tol, strict)
 
 
 @pytest.mark.parametrize(
