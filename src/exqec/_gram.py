@@ -8,14 +8,15 @@ shared amplitude), every qubit permutation fixes the words, so only the
 Pauli part of an error acts, and ``_orbit_gram`` evaluates one closed-form
 atom (``_orbit_atom``) per Pauli class of ``P_p^dagger Q_q``: phase and
 the sizes of its Y-, X- and Z-type supports.  It builds no state.  Other
-exact words take ``_exact_gram``, which applies each error and sums over
-shared basis states.  Both exact engines scale amplitudes to Gaussian
-integers over one common denominator per radicand and turn each image
-pair's integer sums into a value id through one ``_Values`` table, so each
-gives an integer array of ids over interned values, equal ids exactly for
-equal values.  Float words have their images built as the rows of one
-array (``errorops.dense_images``) and take ``_float_gram``, whose table is
-a complex array.
+exact words take ``_exact_gram``, which moves each word's Gaussian-integer
+terms by every error, building no image state, and sums over shared basis
+states.  Both exact engines scale amplitudes to Gaussian integers over one
+common denominator per radicand and turn each image pair's integer sums
+into a value id through one ``_Values`` table, so each gives an integer
+array of ids over interned values, equal ids exactly for equal values.
+Float words have their images built as the rows of one array
+(``errorops.dense_images``) and take ``_float_gram``, whose table is a
+complex array.
 
 Each engine also gives every entry's image index (``GramTensor``), so
 ``_violations`` compares once per pair of error classes, errors with equal
@@ -34,8 +35,8 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .errorops import ErrorOperator, ErrorSet, apply, dense_images
-from .qstate import Amplitude, InnerProductValue, StateVector
+from .errorops import ErrorOperator, ErrorSet, dense_images
+from .qstate import Amplitude, InnerProductValue, QubitPermutation, StateVector
 
 
 @dataclass(frozen=True)
@@ -138,24 +139,45 @@ class _Values:
 
 
 def _exact_gram(
-    images: Sequence[StateVector],
+    words: Sequence[StateVector], errors: Iterable[ErrorOperator]
 ) -> tuple[tuple[int, ...], np.ndarray, tuple[InnerProductValue, ...]]:
-    """``(which, ids, values)`` of exact states: ``<images[x] | images[y]>``
-    is ``values[ids[which[x], which[y]]]``.
+    """``(which, ids, values)`` of exact words under errors: with image
+    ``x = p * len(words) + i`` the word ``words[i]`` under the p-th error,
+    ``<image x | image y>`` is ``values[ids[which[x], which[y]]]``.
 
-    Identical images are merged by their integer terms (``_Values``), in
+    The words' amplitudes are scaled to Gaussian integers once
+    (``_Values``); an image's amplitudes are unit multiples of its word's,
+    so they share its denominators.  Each word's basis indices are moved
+    once per distinct permutation, and the error ``i**p X(x) Z(z) P`` then
+    takes the entry ``(w, k, a)`` at moved index ``w`` to
+    ``(w ^ x, k, i**e * a)``, ``e = p + 2 parity(z & w)``; no image state
+    is built.  Identical images are merged by these integer terms, in
     first-seen order.  Every basis index adds ``conj(a) * b`` for each pair
     of its entries ``a`` (image ``u``, radicand index ``k``) and ``b``
     (image ``v >= u``, radicand index ``l``) to one integer sum per
     ``(u, v, k, l)``; Python integers cannot overflow.  ``(v, u)`` holds
     the conjugate of ``(u, v)``.
     """
-    pool = _Values(amp for img in images for amp in img.terms.values())
+    pool = _Values(amp for word in words for amp in word.terms.values())
+    # per word and entry: (k, re, im) times i**0, i, i**2 and i**3
+    turns = [
+        [((k, a, b), (k, -b, a), (k, -a, -b), (k, b, -a))
+         for k, a, b in map(pool.gaussian, word.terms.values())]
+        for word in words
+    ]
+    moved: dict[tuple[int, ...], list[list[int]]] = {(): [list(w.terms) for w in words]}
     index: dict[frozenset, int] = {}
     which = []
-    for img in images:
-        ints = frozenset((idx, *pool.gaussian(amp)) for idx, amp in img.terms.items())
-        which.append(index.setdefault(ints, len(index)))
+    for op in errors:
+        if op.perm not in moved:
+            to = QubitPermutation(op.perm).apply_index
+            moved[op.perm] = [list(map(to, w.terms)) for w in words]
+        x, z, phase = op.x_mask, op.z_mask, op.phase
+        for idxs, turn in zip(moved[op.perm], turns):
+            ints = frozenset(
+                (w ^ x, *t[(phase + 2 * (z & w).bit_count()) & 3]) for w, t in zip(idxs, turn)
+            )
+            which.append(index.setdefault(ints, len(index)))
     size, nr = len(index), len(pool.radicands)
     # basis index -> (left key part, right key part, re, im) of each entry; the
     # parts add to ((u * size + v) * nr + k) * nr + l for entries (u, k), (v, l)
@@ -257,7 +279,8 @@ def _orbit_coefficients(word: StateVector) -> dict[int, Amplitude] | None:
     counts: dict[int, int] = {}
     for idx, amp in word.terms.items():
         w = idx.bit_count()
-        if coeffs.setdefault(w, amp) != amp:
+        first = coeffs.setdefault(w, amp)
+        if first is not amp and first != amp:  # orbit terms mostly share one object
             return None
         counts[w] = counts.get(w, 0) + 1
     if any(c != math.comb(word.n, w) for w, c in counts.items()):
@@ -336,17 +359,18 @@ def _orbit_gram(
 
 def _gram(words: Sequence[StateVector], errors: ErrorSet) -> GramTensor:
     """The Gram tensor.  Orbit words go to ``_orbit_gram``, which builds no
-    state.  Other words have every error applied once; ``_exact_gram`` sums
-    exact images over shared basis states in Python integers.  Float images
-    are the rows of one array (``dense_images``), and ``_float_gram`` takes
-    one ``np.vecdot`` per distinct row into a complex array."""
+    state.  Other exact words go to ``_exact_gram``, which takes every error
+    to their Gaussian-integer terms and sums over shared basis states in
+    Python integers, also building no state.  Float images are the rows of
+    one array (``dense_images``), and ``_float_gram`` takes one
+    ``np.vecdot`` per distinct row into a complex array."""
     if words[0].n != errors.n:
         raise ValueError(f"code on {words[0].n} qubits, errors on {errors.n}")
     coeffs = [_orbit_coefficients(word) for word in words]
     if all(c is not None for c in coeffs):
         gram = _orbit_gram(words[0].n, coeffs, errors)
     elif words[0].mode == "exact":
-        gram = _exact_gram([apply(op, word) for op in errors.ops for word in words])
+        gram = _exact_gram(words, errors)
     else:
         gram = _float_gram(dense_images(errors.ops, np.array([w.dense for w in words])))
     return GramTensor(errors, len(words), *gram)

@@ -369,8 +369,19 @@ def parse_code(text: str, validate: bool = True) -> Code:
             amp = amps.get(coeff_tok) or amps.setdefault(coeff_tok, parse_amplitude(coeff_tok))
         except ValueError as exc:
             fail(str(exc), lineno)
-        om = _ORBIT_RE.fullmatch(ket_tok)
+        bits = ket_tok[1:-1]
         try:
+            if len(bits) == n and ket_tok[0] == "|" and ket_tok[-1] == ">" and not bits.strip("01"):
+                if not amp.is_zero():  # a well-formed ket: add in place, as _add_terms would
+                    idx = int(bits, 2)
+                    cur = current.get(idx)
+                    total = amp if cur is None else cur + amp
+                    if total.is_zero():
+                        del current[idx]
+                    else:
+                        current[idx] = total
+                continue
+            om = _ORBIT_RE.fullmatch(ket_tok)
             if om:
                 kets = orbit_sum(n, int(om.group(1))).terms
             else:

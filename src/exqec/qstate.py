@@ -540,21 +540,25 @@ class StateVector:
             if isinstance(factor, Amplitude):
                 if factor.is_zero():
                     return StateVector.zero(self.n)
-                return StateVector(
-                    self.n, terms={i: a * factor for i, a in self._terms.items()}
-                )
+                return self._map_amplitudes(lambda a: a * factor)
             if isinstance(factor, (int, Fraction)):
                 q = Fraction(factor)
                 if q == 0:
                     return StateVector.zero(self.n)
-                return StateVector(
-                    self.n, terms={i: a.scaled(q) for i, a in self._terms.items()}
-                )
+                return self._map_amplitudes(lambda a: a.scaled(q))
             raise ExactArithmeticError(
                 "exact-mode states scale by Amplitude or rational; "
                 "convert to float mode for float factors"
             )
         return StateVector(self.n, dense=self._dense * complex(factor))
+
+    def _map_amplitudes(self, f) -> "StateVector":
+        """Exact state with every amplitude ``a`` replaced by ``f(a)``, called
+        once per distinct amplitude object: terms that shared an object (as
+        an orbit sum's do) share its image."""
+        distinct = {id(a): a for a in self._terms.values()}
+        mapped = {key: f(a) for key, a in distinct.items()}
+        return StateVector(self.n, terms={i: mapped[id(a)] for i, a in self._terms.items()})
 
     def complement(self) -> "StateVector":
         """Flip every bit of every basis state (the 0 <-> 1 relabeling)."""

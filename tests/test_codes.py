@@ -274,10 +274,14 @@ def test_validating_an_orbit_code_takes_no_state_gram(monkeypatch):
 
 @pytest.mark.parametrize("name", sorted(BUILTIN_CODES))
 def test_serialize_round_trips(name):
+    """Every ket line of a serialized builtin parses back to its term: equal
+    terms in every word, and the same text when written again."""
     code = builtin_code(name)
-    again = parse_code(serialize_code(code))
-    assert again.words == code.words
+    text = serialize_code(code)
+    again = parse_code(text)
+    assert [w.terms for w in again.words] == [w.terms for w in code.words]
     assert again.label == code.label
+    assert serialize_code(again) == text
 
 
 def test_serialize_requires_exact_mode(rep3):
@@ -311,6 +315,29 @@ def test_parse_code_comments_and_blank_lines():
     code = parse_code(text)
     assert code.n == 1
     assert code.num_words() == 2
+
+
+@pytest.mark.parametrize(
+    "n, entry, column, message",
+    [
+        (3, "1 |0_1>", 3, "ket literal may contain only bits 0/1, got '|0_1>'"),
+        (3, "1 |+01>", 3, "ket literal may contain only bits 0/1, got '|+01>'"),
+        (3, "1 |>", 3, "ket literal may contain only bits 0/1, got '|>'"),
+        (4, "1 |01\t0>", 3, "ket literal may contain only bits 0/1, got '|01\\t0>'"),
+        (3, "1 |010", 3, "ket literal must look like |bits>, got '|010'"),
+        (3, "1 010>", 3, "ket literal must look like |bits>, got '010>'"),
+        (3, "0 |01>", 3, "ket has 2 bits but the file declares 3 qubits"),
+        (3, "1/2 |0 1>", 5, "ket has 2 bits but the file declares 3 qubits"),
+        (3, "1 |" + "0" * 25 + ">", 3, "qubit count must be between 1 and 24, got 25"),
+    ],
+)
+def test_parse_code_malformed_ket_messages(n, entry, column, message):
+    """A ket that is not ``|bits>`` of the declared width is reported at its
+    column, whether or not it holds as many characters as the width."""
+    with pytest.raises(CodeParseError) as err:
+        parse_code(_one_word(n, "1 |" + "1" * n + ">", entry))
+    assert (err.value.line, err.value.column) == (4, column)
+    assert str(err.value) == f"line 4, column {column}: {message}"
 
 
 def test_parse_code_ket_width_column():

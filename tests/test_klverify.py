@@ -35,7 +35,7 @@ from exqec.klverify import (
     verify_kl,
     verify_kl_extended,
 )
-from exqec.qstate import Amplitude, InnerProductValue, StateVector, inner_product
+from exqec.qstate import Amplitude, InnerProductValue, StateVector, inner_product, orbit_sum
 
 
 # ---------------------------------------------------------------- gram tensor
@@ -129,8 +129,9 @@ def test_exact_gram_builds_each_distinct_value_once(shor9):
     """shor9 under ``pauli+exchange``: 5 interned values, zero first, and
     their ids cover the 98x98 id array of distinct images; each entry is
     still the per-pair ``inner_product``."""
-    images = _images(shor9, basic_error_set(9, families=_PAIR_ERRORS))
-    which, ids, values = _gram._exact_gram(images)
+    errors = basic_error_set(9, families=_PAIR_ERRORS)
+    images = _images(shor9, errors)
+    which, ids, values = _gram._exact_gram(shor9.words, errors)
     assert ids.shape == (98, 98)
     assert len(values) == len(set(values)) == 5 and values[0].is_exact_zero()
     assert np.unique(ids).tolist() == list(range(5))
@@ -138,6 +139,69 @@ def test_exact_gram_builds_each_distinct_value_once(shor9):
     for a, x in first.items():
         for b, y in first.items():
             assert values[ids[a, b]] == inner_product(images[x], images[y])
+
+
+@st.composite
+def _codes_and_operators(draw):
+    """A drawn exact code and an operator list for ``parse_error_ops``:
+    Paulis, exchanges, whole permutations (3-cycles and beyond from three
+    qubits) and products of up to three of them, whose phases differ."""
+    code = draw(_small_codes())
+    n = code.n
+    qubit = st.integers(1, n)
+    atoms = [
+        st.just("I"),
+        st.builds("{}{}".format, st.sampled_from("XYZ"), qubit),
+        st.permutations(range(1, n + 1)).map(lambda image: f"P({' '.join(map(str, image))})"),
+    ]
+    if n >= 2:
+        atoms.append(st.lists(qubit, min_size=2, max_size=2, unique=True).map(
+            lambda jk: "E({},{})".format(*jk)))
+    element = st.lists(st.one_of(atoms), min_size=1, max_size=3).map(" ".join)
+    return code, ", ".join(draw(st.lists(element, min_size=1, max_size=8)))
+
+
+@settings(max_examples=100, deadline=None)
+@given(_codes_and_operators())
+@example((
+    Code(3, (StateVector.from_terms(3, {1: Amplitude.make(1, 2, 2), 6: Amplitude.make(3, 0, 3)}),)),
+    "I, P(2 3 1), Y1 P(3 1 2) Z2, X1 Z1, Z1 X1, Y2 Y3, E(1,3) X2",
+))
+def test_exact_gram_matches_the_applied_images(case):
+    """The sparse engine takes each error to the words' integer terms; the
+    images it merges are those that ``apply`` gives equal, in first-seen
+    order, and every id names the per-pair ``inner_product`` of the
+    ``apply``'d images."""
+    code, text = case
+    ops = parse_error_ops(text, code.n)
+    images = [apply(op, w) for op in ops for w in code.words]
+    which, ids, values = _gram._exact_gram(code.words, ops)
+    first: dict[frozenset, int] = {}
+    assert which == tuple(first.setdefault(frozenset(img.terms.items()), len(first)) for img in images)
+    _assert_ids_intern_the_values(ids, values)
+    for x, y in itertools.product(range(len(images)), repeat=2):
+        assert values[ids[which[x], which[y]]] == inner_product(images[x], images[y])
+
+
+@pytest.mark.parametrize(
+    "name, families, violations, rank",
+    [("shor9", _PAIR_ERRORS, 162, None), ("five-qubit", ("single_pauli",), 0, 16)],
+)
+def test_sparse_engine_builds_no_image(name, families, violations, rank, monkeypatch):
+    """Exact words that are not orbit sums are verified without applying an
+    error to a state or turning an amplitude by a power of i."""
+    code = builtin_code(name)
+    errors = basic_error_set(code.n, families=families)
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("the sparse engine built an image")
+
+    monkeypatch.setattr(ErrorOperator, "apply", forbidden)
+    monkeypatch.setattr(Amplitude, "times_i", forbidden)
+    with mock.patch.object(_gram, "_exact_gram", side_effect=_gram._exact_gram) as sparse:
+        report = verify_kl(code, errors)
+    assert sparse.called
+    assert (len(report.violations), report.rank) == (violations, rank)
 
 
 def reference_float_gram(images):
@@ -536,6 +600,35 @@ def test_orbit_words_are_read_off_their_terms():
     terms[0b0011] = amp.scaled(2)
     assert _gram._orbit_coefficients(StateVector.from_terms(n, terms)) is None
     assert _gram._orbit_coefficients(word.to_float()) is None
+
+
+def test_orbit_terms_share_one_amplitude_object(monkeypatch):
+    """Scaling makes one product per distinct amplitude object, so a
+    realized orbit code holds one object per weight and
+    ``_orbit_coefficients`` reads its terms by identity, comparing no
+    amplitudes."""
+    one, amp, half = Amplitude.make(1), Amplitude.make(Fraction(1, 3), 0, 7), Fraction(-1, 2)
+    word = StateVector.from_terms(3, {0: one, 5: one, 6: amp})
+    for factor, product in ((amp, lambda a: a * amp), (half, lambda a: a.scaled(half))):
+        scaled = word.scaled(factor)
+        assert scaled.terms == {i: product(a) for i, a in word.terms.items()}
+        assert scaled.terms[0] is scaled.terms[5] and scaled.terms[0] is not scaled.terms[6]
+        orbit = orbit_sum(6, 3).scaled(factor)
+        assert len({id(a) for a in orbit.terms.values()}) == 1
+    row = codesearch.solve_coefficients(codesearch.SupportPattern(7, {0, 5}, {2, 7}))
+    code = codesearch.realize_code(row.pattern, row.coefficients, row.squares)
+    assert [len({id(a) for a in w.terms.values()}) for w in code.words] == [2, 2]
+    terms = dict(code.words[0].terms)
+    for idx in list(terms)[-2:]:  # equal amplitudes in objects of their own
+        terms[idx] = dataclasses.replace(terms[idx])
+    coeffs = _gram._orbit_coefficients(StateVector.from_terms(7, terms))
+    assert coeffs is not None and coeffs == _gram._orbit_coefficients(code.words[0])
+
+    def no_comparison(self, other):
+        raise AssertionError("an orbit term was compared by value")
+
+    monkeypatch.setattr(Amplitude, "__eq__", no_comparison)
+    assert all(_gram._orbit_coefficients(w) is not None for w in code.words)
 
 
 def test_orbit_code_applies_no_error(ruskai9, full_error_set_9, ruskai9_report, monkeypatch):
@@ -977,7 +1070,7 @@ def test_violations_match_the_per_pair_reference_on_drawn_codes(code, strict, to
     comparison lists the reference's violations in its order."""
     errors = basic_error_set(code.n, families=_PAIR_ERRORS)
     images = _images(code, errors)
-    which, ids, values = _gram._exact_gram(images)
+    which, ids, values = _gram._exact_gram(code.words, errors)
     _assert_ids_intern_the_values(ids, values)
     first = {a: x for x, a in reversed(list(enumerate(which)))}
     assert ids.shape == (len(first),) * 2
