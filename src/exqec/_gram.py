@@ -22,7 +22,7 @@ Each engine also gives every entry's image index (``GramTensor``), so
 ``_violations`` compares once per pair of error classes, errors with equal
 images on every word, in array operations: float values against the
 tolerance, exact ids for equality, with ``_excess`` once per distinct pair
-of unequal ids.
+of unequal ids.  ``_resolve_tol`` is the one rule for that tolerance.
 """
 
 from __future__ import annotations
@@ -36,7 +36,14 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .errorops import ErrorOperator, ErrorSet, dense_images
-from .qstate import Amplitude, InnerProductValue, QubitPermutation, StateVector
+from .qstate import (
+    DEFAULT_FLOAT_TOL,
+    Amplitude,
+    InnerProductValue,
+    QubitPermutation,
+    StateVector,
+    surd_product,
+)
 
 
 @dataclass(frozen=True)
@@ -124,8 +131,8 @@ class _Values:
             parts: dict[int, list] = {}
             for kl, re, im in key:
                 r, s = self.radicands[kl // nr], self.radicands[kl % nr]
-                g, den = math.gcd(r, s), self._scale[r] * self._scale[s]
-                slot = parts.setdefault(r * s // (g * g), [0, 0])
+                (g, t), den = surd_product(r, s), self._scale[r] * self._scale[s]
+                slot = parts.setdefault(t, [0, 0])
                 slot[0] += Fraction(re * g, den)
                 slot[1] += Fraction(im * g, den)
             value = InnerProductValue.exact(parts)
@@ -409,12 +416,21 @@ class Violation:
         return f"strict condition fails at d[{lp},{lq}] = {self.value}"
 
 
+def _resolve_tol(mode: str, tol: float | None) -> float:
+    """The comparison tolerance: ``tol`` when given, else 0 in exact
+    ``mode`` and ``DEFAULT_FLOAT_TOL`` in float mode."""
+    if tol is not None:
+        # a nan bound makes every comparison False, so nothing would exceed it
+        if not (math.isfinite(tol) and tol >= 0):
+            raise ValueError(f"tolerance must be finite and nonnegative, got {tol}")
+        return tol
+    return 0.0 if mode == "exact" else DEFAULT_FLOAT_TOL
+
+
 def _excess(
     v: InnerProductValue, ref: InnerProductValue | None, tol: float
 ) -> InnerProductValue | None:
     """``v - ref`` (``v`` when ``ref`` is None) if it exceeds ``tol``, else None."""
-    if ref is not None and v.is_exact and v.parts == ref.parts:
-        return None  # exact parts are canonical: equal parts, zero difference
     d = v if ref is None else v.sub(ref)
     if tol == 0.0 and d.is_exact:
         return None if d.is_exact_zero() else d

@@ -8,6 +8,8 @@ from fractions import Fraction
 from itertools import combinations
 from typing import Sequence
 
+from .qstate import surd_product
+
 __all__ = ["basic_solutions", "rational_rank", "solve_rational", "surd_rank"]
 
 
@@ -70,7 +72,7 @@ def surd_rank(matrix: Sequence[Sequence[Sequence[tuple[int, Fraction, Fraction]]
     terms = [part for row in matrix for entry in row for part in entry]
     closure = {1}
     for r in {r for r, _, _ in terms}:
-        closure |= {r * t // math.gcd(r, t) ** 2 for t in closure}
+        closure |= {surd_product(r, t)[1] for t in closure}
     units = range(2 if any(im for _, _, im in terms) else 1)
     basis = [(t, a) for a in units for t in sorted(closure)]
     index = {b: pos for pos, b in enumerate(basis)}
@@ -81,8 +83,7 @@ def surd_rank(matrix: Sequence[Sequence[Sequence[tuple[int, Fraction, Fraction]]
             for b, (t, a) in enumerate(basis):
                 col = q * deg + b
                 for r, re, im in entry:  # (re + im i) sqrt(r) * i**a sqrt(t)
-                    g = math.gcd(r, t)
-                    u = r * t // (g * g)
+                    g, u = surd_product(r, t)
                     if g > 1:
                         re, im = re * g, im * g
                     if a:

@@ -11,11 +11,11 @@ from __future__ import annotations
 
 import argparse
 import functools
-import math
 import sys
 from pathlib import Path
 
 from . import codesearch, klverify, stabcheck
+from ._gram import _resolve_tol
 from .codes import BUILTIN_CODES, Code, builtin_code, parse_code
 from .errorops import ErrorSet, PauliString, basic_error_set, parse_error_ops
 from .errors import CodeParseError, ScanTooLarge
@@ -293,9 +293,7 @@ def run(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        tol = args.tol
-        if tol is not None and not (math.isfinite(tol) and tol >= 0):
-            raise _UsageError(f"tolerance must be finite and nonnegative, got {tol}")
+        _resolve_tol(args.mode, args.tol)
         return _COMMANDS[args.command](args)
     except (_UsageError, CodeParseError, ValueError, ScanTooLarge) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -30,7 +30,6 @@ from typing import Mapping
 from .errors import CodeParseError, DimensionMismatch, InvalidCodeError
 from .qstate import (
     AMP_ONE,
-    DEFAULT_FLOAT_TOL,
     MAX_QUBITS,
     Amplitude,
     InnerProductValue,
@@ -40,7 +39,7 @@ from .qstate import (
     parse_ket,
 )
 from .errorops import ErrorSet, IdentityOp, PauliString
-from ._gram import _gram, _violations
+from ._gram import _gram, _resolve_tol, _violations
 
 __all__ = [
     "Code",
@@ -94,10 +93,10 @@ class Code:
         ``(i, j, value)`` with i < j is a nonzero cross inner product;
         ``(i, i, value)`` is word i's norm when it differs from word 0's.
         This is the correctability check at the identity alone, so orbit
-        words take the orbit engine and build no Gram of their states.
+        words take the orbit engine and build no Gram of their states, and
+        ``tol`` defaults and is checked as in ``verify_kl``.
         """
-        if tol is None:
-            tol = 0.0 if self.mode == "exact" else DEFAULT_FLOAT_TOL
+        tol = _resolve_tol(self.mode, tol)
         G = _gram(self.words, ErrorSet(self.n, (IdentityOp(self.n),)))
         return [(v.i, v.j, v.value) for v in _violations(G, range(len(self.words)), tol)]
 

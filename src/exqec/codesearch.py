@@ -28,7 +28,9 @@ choice of signs is checked in exact surd arithmetic on integers
 (``exact-linear``).  A row that step
 leaves open is reported ``undecided``, never as infeasible.  Every
 feasible result has exact squares that pass the exact gate (``_gate``),
-again with no state.
+again with no state: the layer holds weight maps only, and
+``realize_code`` is the one place a result becomes a ``Code`` of exact
+words.
 """
 
 from __future__ import annotations
@@ -39,14 +41,12 @@ from fractions import Fraction
 from itertools import combinations, product
 from typing import Mapping, Sequence
 
-import numpy as np
-
 from ._gram import GramTensor, _orbit_atom, _orbit_gram, _pauli_class, _violations
 from ._linalg import basic_solutions
 from .codes import Code, PermInvariantSpec, perm_invariant_code
 from .errors import CapabilityError
 from .errorops import ErrorOperator, ErrorSet, IdentityOp
-from .qstate import Amplitude, StateVector, _check_n, orbit_sum, squarefree_split
+from .qstate import Amplitude, _check_n, squarefree_split, surd_product
 
 __all__ = [
     "phase_offdiag_term",
@@ -317,24 +317,15 @@ def _exact_maps(
 def realize_code(
     pattern: SupportPattern,
     coefficients: Mapping[int, float],
-    squares: Mapping[int, Fraction] | None = None,
+    squares: Mapping[int, Fraction],
     label: str = "searched",
 ) -> Code:
-    """Build the code a coefficient assignment describes.
-
-    With exact ``squares`` the words use surd amplitudes sign-matched to
-    ``coefficients``; otherwise float amplitudes.
-    """
-    if squares is not None:
-        spec = PermInvariantSpec(pattern.n, _exact_maps(pattern, coefficients, squares))
-        return perm_invariant_code(spec, label=label)
-    words = []
-    for weights in (sorted(pattern.word0), sorted(pattern.word1)):
-        dense = np.zeros(1 << pattern.n, dtype=np.complex128)
-        for k in weights:
-            dense += coefficients[k] * orbit_sum(pattern.n, k).to_float().dense
-        words.append(StateVector.from_dense(pattern.n, dense))
-    return Code(pattern.n, tuple(words), label=label)
+    """Build the exact code a solution describes: each word's amplitude at
+    weight k is the surd root of ``squares[k]``, with the sign of
+    ``coefficients[k]``.  Call ``to_float()`` on the result for float
+    amplitudes."""
+    spec = PermInvariantSpec(pattern.n, _exact_maps(pattern, coefficients, squares))
+    return perm_invariant_code(spec, label=label)
 
 
 class _AtomTable(dict):
@@ -421,8 +412,8 @@ def _signs(
         for i, j, c in con.terms:
             if i in split and j in split:
                 (ui, ti), (uj, tj) = split[i], split[j]
-                g = math.gcd(ti, tj)
-                terms.append((i, j, c * ui * uj * g, ti * tj // (g * g)))
+                g, t = surd_product(ti, tj)
+                terms.append((i, j, c * ui * uj * g, t))
         surds.append(terms)
     for choice in product((1, -1), repeat=len(flips)):
         sign = [1] * len(keys)

@@ -112,7 +112,7 @@ class ErrorOperator:
         raise ValueError(f"unknown Pauli kind {kind!r}")
 
     @staticmethod
-    def from_letters(letters: str, phase: int = 0) -> "ErrorOperator":
+    def from_letters(letters: str) -> "ErrorOperator":
         """Build from a letter string like ``"XZZXI"`` (qubit 1 first)."""
         n = len(letters)
         x = z = 0
@@ -129,7 +129,7 @@ class ErrorOperator:
                 extra += 1
             elif ch != "I":
                 raise ValueError(f"bad Pauli letter {ch!r}")
-        return ErrorOperator(n, x, z, phase + extra)
+        return ErrorOperator(n, x, z, extra)
 
     @property
     def weight(self) -> int:

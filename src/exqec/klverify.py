@@ -37,7 +37,7 @@ import numpy as np
 from .codes import Code, shor_code
 from .errorops import ErrorSet, ExchangeOp, PauliString, dense_images
 from .qstate import DEFAULT_FLOAT_TOL, InnerProductValue, StateVector
-from ._gram import GramTensor, Violation, _gram, _violations
+from ._gram import GramTensor, Violation, _gram, _resolve_tol, _violations
 from ._linalg import surd_rank
 
 __all__ = [
@@ -150,14 +150,16 @@ class DMatrix:
         ids, values = self.table
         return np.array([v.float_view for v in values], dtype=np.complex128)[ids]
 
-    def rank(self, tol: float = DEFAULT_FLOAT_TOL) -> int:
+    def rank(self) -> int:
         """Exact rank over the field of the exact entries, else float rank.
 
         An exact D with the shape of the S_n split (``_split_rank``) is
         ranked through it.  Otherwise repeated rows and columns (errors with
         equal images, such as the exchanges on a permutation-invariant code)
         add no rank and are dropped before ``surd_rank``.  A float D read
-        off a Gram array is ranked from the array.
+        off a Gram array is ranked from the array, singular values up to
+        ``DEFAULT_FLOAT_TOL`` times its largest ``|entry|``, or times 1 when
+        that is smaller, counting as zero.
         """
         if self._array is None:
             ids, values = self.table
@@ -168,7 +170,8 @@ class DMatrix:
                 columns = dict.fromkeys(zip(*dict.fromkeys(map(tuple, ids.tolist()))))
                 return surd_rank([[values[k].parts for k in col] for col in columns])
         m = self.to_float()
-        return int(np.linalg.matrix_rank(m, tol=tol * max(1.0, float(np.abs(m).max()))))
+        cutoff = DEFAULT_FLOAT_TOL * max(1.0, float(np.abs(m).max()))
+        return int(np.linalg.matrix_rank(m, tol=cutoff))
 
 
 @dataclass
@@ -200,15 +203,6 @@ class KLReport:
                 f"dimension-used: {self.dimension_used} of {self.dimension_total}"
             )
         return lines
-
-
-def _resolve_tol(code: Code, tol: float | None) -> float:
-    if tol is not None:
-        # a nan bound makes every comparison False, so nothing would exceed it
-        if not (math.isfinite(tol) and tol >= 0):
-            raise ValueError(f"tolerance must be finite and nonnegative, got {tol}")
-        return tol
-    return 0.0 if code.mode == "exact" else DEFAULT_FLOAT_TOL
 
 
 def _family_runs(families: Sequence[str]) -> list[tuple[str, int, int]]:
@@ -321,7 +315,7 @@ def verify_kl(
     1e-9.  When correctable, the report carries the word-0 block as the D
     matrix together with its rank and the dimension count 2*rank.
     """
-    tol = _resolve_tol(code, tol)
+    tol = _resolve_tol(code.mode, tol)
     G = _gram(code.words, errors)
     return _report(G, _violations(G, range(len(code.words)), tol, strict), tol, strict)
 
@@ -344,7 +338,7 @@ def verify_kl_extended(
         raise ValueError("family members must share qubit count and word count")
     if any(c.mode != family[0].mode for c in family):
         raise ValueError("family members must share exact/float mode")
-    tol = _resolve_tol(family[0], tol)
+    tol = _resolve_tol(family[0].mode, tol)
     keys = [(i, m) for m in range(len(family)) for i in range(w)]
     G = _gram([family[m].words[i] for i, m in keys], errors)
     return _report(G, _violations(G, keys, tol), tol, False)
@@ -409,10 +403,10 @@ def d_blocks(d_matrix: DMatrix) -> DBlockReport:
 class RecoveryOperation:
     """Measurement-and-decode map built from the eigenvectors of D.
 
-    For each eigenvalue ``lam_r > tol`` of D the combinations
-    ``corrected_r = sum_p u[p, r] e_p`` send the code space to mutually
-    orthogonal copies; recovery projects onto those copies and maps each
-    back.  All arithmetic is float-mode.
+    For each eigenvalue ``lam_r`` of D that ``build_recovery`` keeps, the
+    combinations ``corrected_r = sum_p u[p, r] e_p`` send the code space to
+    mutually orthogonal copies; recovery projects onto those copies and
+    maps each back.  All arithmetic is float-mode.
     """
 
     n: int
@@ -454,20 +448,23 @@ class RecoveryOperation:
         return got / total
 
 
-def build_recovery(
-    code: Code, errors: ErrorSet, d_matrix: DMatrix, tol: float = DEFAULT_FLOAT_TOL
-) -> RecoveryOperation:
-    """Recovery from a passing verification (float-mode eigendecomposition)."""
+def build_recovery(code: Code, errors: ErrorSet, d_matrix: DMatrix) -> RecoveryOperation:
+    """Recovery from a passing verification (float-mode eigendecomposition).
+
+    The cutoff is ``DEFAULT_FLOAT_TOL`` times D's largest eigenvalue, or
+    times 1 when that is smaller: recovery keeps the eigenvalues above it,
+    and one below minus it means D is not positive semidefinite.
+    """
     D = d_matrix.to_float()
     D = (D + D.conj().T) / 2
     lam, U = np.linalg.eigh(D)
-    scale = max(1.0, float(lam.max()) if len(lam) else 1.0)
-    if lam.min() < -tol * scale:
+    cutoff = DEFAULT_FLOAT_TOL * max(1.0, float(lam.max()) if len(lam) else 1.0)
+    if lam.min() < -cutoff:
         raise ArithmeticError(
             f"D matrix is not positive semidefinite within tolerance "
             f"(min eigenvalue {lam.min():.3g})"
         )
-    keep = [r for r in range(len(lam)) if lam[r] > tol * scale]
+    keep = [r for r in range(len(lam)) if lam[r] > cutoff]
     if not keep:
         raise ArithmeticError("D matrix has no usable eigenvalues")
     words_f = np.array([w.to_float().dense for w in code.words])

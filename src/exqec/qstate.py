@@ -46,6 +46,7 @@ __all__ = [
     "orbit_sum",
     "parse_ket",
     "squarefree_split",
+    "surd_product",
 ]
 
 #: Hard cap on the register size.  Dense float mode at this size is already
@@ -73,6 +74,13 @@ def squarefree_split(r: int) -> tuple[int, int]:
             s *= d
         d += 1
     return s, t
+
+
+def surd_product(r: int, s: int) -> tuple[int, int]:
+    """``(g, t)`` with ``sqrt(r) * sqrt(s) = g * sqrt(t)`` for squarefree
+    ``r`` and ``s``: ``g = gcd(r, s)`` and ``t = r * s / g**2``, squarefree."""
+    g = math.gcd(r, s)
+    return g, r * s // (g * g)
 
 
 def _check_n(n: int) -> None:
@@ -170,7 +178,10 @@ class Amplitude:
             return NotImplemented
         re = self.re * other.re - self.im * other.im
         im = self.re * other.im + self.im * other.re
-        return Amplitude.make(re, im, self.radicand * other.radicand)
+        if not (re or im):
+            return AMP_ZERO
+        g, t = surd_product(self.radicand, other.radicand)
+        return Amplitude(re * g, im * g, t)
 
     def __add__(self, other):
         if not isinstance(other, Amplitude):

@@ -122,18 +122,18 @@ def _word_tables(code: Code) -> list[dict[int, tuple[int, int]]]:
 
 
 def _eigen(
-    table: dict[int, tuple[int, int]], a: int, b: int, phase: int = 0, m: int | None = None
+    table: dict[int, tuple[int, int]], a: int, b: int, phase: int
 ) -> tuple[str | None, int | None]:
     """Check i^phase X(a)Z(b) w = i^m w for the word w of ``_word_tables``.
 
     Returns ``(None, m)`` when it holds, else ``(kind, component)``: kind
     ``support`` when component v maps outside the support, ``phase`` when
-    it breaks the eigenvalue.  A given ``m`` pins the eigenvalue to a
-    previous word's.  The coefficient of |v + a> in the image is
+    it breaks the eigenvalue.  The coefficient of |v + a> in the image is
     i^phase amp(v) (-1)^(b.v), which must equal i^m amp(v + a) for every
     v in the support: with amp(v) = i^k(v) amp(v + a), that is
     m = phase + k(v) + 2 (b.v) mod 4.
     """
+    m = None
     for v, (orbit, e) in table.items():
         target = table.get(v ^ a)
         if target is None:

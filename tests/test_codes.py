@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import math
 from collections import Counter
 from fractions import Fraction
 from pathlib import Path
@@ -8,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from exqec import _gram, codes
+from exqec import _gram, cli, codes
 from exqec.codes import (
     BUILTIN_CODES,
     Code,
@@ -248,6 +249,24 @@ def test_check_matches_the_per_pair_loop_on_an_invalid_file(float_mode):
     code = parse_code((DATA / "invalid_overlap.code").read_text(), validate=False)
     assert code.check()
     _assert_check_matches_reference(code.to_float() if float_mode else code)
+
+
+@pytest.mark.parametrize("tol", [math.nan, math.inf, -1.0])
+@pytest.mark.parametrize("mode", ["exact", "float"])
+def test_check_and_validate_reject_a_bad_tolerance(capsys, tol, mode):
+    """Every ``magnitude > nan`` is False, so a nan bound would accept the
+    overlapping words: ``check`` and ``validate`` reject each bad bound
+    with the message the CLI gives for ``--tol``."""
+    path = DATA / "invalid_overlap.code"
+    code = parse_code(path.read_text(), validate=False)
+    code = code.to_float() if mode == "float" else code
+    assert cli.run(["--mode", mode, "--tol", str(tol), "verify", "--codefile", str(path)]) == 2
+    message = capsys.readouterr().err.removeprefix("error: ").rstrip("\n")
+    assert message == f"tolerance must be finite and nonnegative, got {tol}"
+    for method in (code.check, code.validate):
+        with pytest.raises(ValueError) as raised:
+            method(tol)
+        assert str(raised.value) == message
 
 
 def test_validating_an_orbit_code_takes_no_state_gram(monkeypatch):

@@ -130,7 +130,6 @@ def test_constraint_assembly_builds_no_state(monkeypatch):
     def forbidden(*args, **kwargs):
         raise AssertionError("constraint assembly touched a state vector")
 
-    monkeypatch.setattr(codesearch, "orbit_sum", forbidden)
     monkeypatch.setattr(qstate, "orbit_sum", forbidden)
     monkeypatch.setattr(qstate, "inner_product", forbidden)
     monkeypatch.setattr(ErrorOperator, "apply", forbidden)
@@ -538,8 +537,8 @@ def test_gate_builds_no_state(monkeypatch, n, word0, word1, lead, inner):
         raise AssertionError("the exact gate touched a state")
 
     for module, name in (
-        (codesearch, "orbit_sum"), (qstate, "orbit_sum"), (qstate, "inner_product"),
-        (_gram, "_float_gram"), (_gram, "_exact_gram"), (klverify, "verify_kl"),
+        (qstate, "orbit_sum"), (qstate, "inner_product"), (_gram, "_float_gram"),
+        (_gram, "_exact_gram"), (klverify, "verify_kl"),
     ):
         monkeypatch.setattr(module, name, forbidden)
     monkeypatch.setattr(StateVector, "__init__", forbidden)
@@ -747,23 +746,23 @@ _PINNED = re.compile(r"a_(\d+)\^2 = (-?\d+(?:/\d+)?)")
 @pytest.mark.parametrize("n", range(5, 10))
 def test_exact_verdicts_agree_with_float_verification(n):
     """Exact against float: every exact two-weight verdict is checked on
-    float codes.  A feasible code passes; for pinned squares with no sign
-    choice, every sign pattern on those squares fails."""
+    the float copies of its codes.  A feasible code passes; for pinned
+    squares with no sign choice, every sign pattern on those squares
+    fails."""
     errors = basic_error_set(n)
     rows = [r for r in survey_patterns(n, 2) if len(r.pattern.word0) == 2]
     decided = [r for r in rows if r.method == "exact-linear"]
     assert decided and all(r.method != "undecided" for r in rows)
     for r in decided:
         if r.feasible:
-            code = realize_code(r.pattern, r.coefficients)
+            code = realize_code(r.pattern, r.coefficients, r.squares).to_float()
             assert verify_kl(code, errors, tol=1e-9).correctable
             continue
         assert r.certificate.startswith("the squares are pinned")
-        squares = {int(k): float(Fraction(v)) for k, v in _PINNED.findall(r.certificate)}
+        squares = {int(k): Fraction(v) for k, v in _PINNED.findall(r.certificate)}
         weights = sorted(squares)
         for signs in product((1, -1), repeat=len(weights)):
-            coeffs = {k: s * squares[k] ** 0.5 for k, s in zip(weights, signs)}
-            code = realize_code(r.pattern, coeffs)
+            code = realize_code(r.pattern, dict(zip(weights, signs)), squares).to_float()
             assert not verify_kl(code, errors, tol=1e-9).correctable
 
 
@@ -785,15 +784,6 @@ def test_seven_qubit_code_verifies_exactly():
     # the relative sign is essential: flipping it breaks correctability
     flipped = realize_code(pattern, {k: 1.0 for k in signs}, squares)
     assert not verify_kl(flipped, errors).correctable
-
-
-def test_realize_code_float_path():
-    pattern = SupportPattern(7, {0, 5}, {2, 7})
-    coeffs = {0: 0.5477225575, 5: -0.1825741858, 2: 0.1825741858, 7: 0.5477225575}
-    code = realize_code(pattern, coeffs)
-    assert code.mode == "float"
-    report = verify_kl(code, basic_error_set(7), tol=1e-8)
-    assert report.correctable
 
 
 def test_weight_budget_is_enforced():

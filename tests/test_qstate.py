@@ -22,6 +22,7 @@ from exqec.qstate import (
     orbit_sum,
     parse_ket,
     squarefree_split,
+    surd_product,
 )
 
 
@@ -46,6 +47,18 @@ def test_squarefree_split_reconstructs(r):
     while d * d <= t:
         assert t % (d * d) != 0
         d += 1
+
+
+_squarefree = st.integers(min_value=1, max_value=10_000).map(lambda x: squarefree_split(x)[1])
+
+
+@given(_squarefree, _squarefree)
+def test_surd_product_matches_the_split_of_the_product(r, s):
+    """``sqrt(r) sqrt(s) = g sqrt(t)`` by gcd alone, as trial division of
+    ``r s`` gives it; ``Amplitude.__mul__`` takes that rule."""
+    assert surd_product(r, s) == squarefree_split(r * s)
+    product = Amplitude.make(Fraction(1, 3), 2, r) * Amplitude.make(-1, Fraction(1, 2), s)
+    assert product == Amplitude.make(Fraction(-4, 3), Fraction(-11, 6), r * s)
 
 
 def test_make_normalizes_radicand():
