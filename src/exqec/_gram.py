@@ -6,14 +6,15 @@ condition off it.
 weight orbits (each weight it uses holds all C(n, w) strings with one
 shared amplitude), every qubit permutation fixes the words, so only the
 Pauli part of an error acts, and ``_orbit_gram`` evaluates one closed-form
-atom (``_orbit_atom``) per Pauli class of ``P_p^dagger Q_q``: phase and
-the sizes of its Y-, X- and Z-type supports.  It builds no state.  Other
-exact words take ``_exact_gram``, which moves each word's Gaussian-integer
-terms by every error, building no image state, and sums over shared basis
-states.  Both exact engines scale amplitudes to Gaussian integers over one
-common denominator per radicand and turn each image pair's integer sums
-into a value id through one ``_Values`` table, so each gives an integer
-array of ids over interned values, equal ids exactly for equal values.
+integer atom (``_orbit_atom``) per Pauli class of ``P_p^dagger Q_q``, the
+sizes of its Y-, X- and Z-type supports, times ``i**phase``.  It builds
+no state.  Other exact words take ``_exact_gram``, which moves each word's
+Gaussian-integer terms by every error, building no image state, and sums
+over shared basis states.  Both exact engines scale amplitudes to Gaussian
+integers over one common denominator per radicand and turn each image
+pair's integer sums into a value id through one ``_Values`` table, so each
+gives an integer array of ids over interned values, equal ids exactly for
+equal values.
 Float words have their images built as the rows of one array
 (``errorops.dense_images``) and take ``_float_gram``, whose table is a
 complex array.
@@ -251,24 +252,22 @@ def _signed_choices(k: int, minus: int, plus: int) -> int:
     )
 
 
-def _orbit_atom(op: ErrorOperator, kappa: int, mu: int) -> tuple[int, int]:
-    """<O_kappa | op O_mu> as a Gaussian integer (re, im), O = orbit_sum.
+def _orbit_atom(n: int, ny: int, nx: int, nz: int, kappa: int, mu: int) -> int:
+    """<O_kappa | X(x) Z(z) O_mu>, O = orbit_sum, for every ``X(x) Z(z)``
+    of the Pauli class with ny Y-type (in x and z), nx X-type and nz Z-type
+    qubits; an error ``i**p X(x) Z(z) P`` has ``i**p`` times this atom.
 
-    Orbit sums are fixed by every qubit permutation, so only the Pauli
-    factor ``i**p X(x) Z(z)`` of op acts.  A weight-mu string v lands in
-    weight kappa exactly when it holds h = (mu + |x| - kappa) / 2 ones
-    under x, and it picks up (-1)**|z & v|: a product of signed counts
-    over the Y- and X-type qubits (h ones) and the Z-type and untouched
-    qubits (mu - h ones).
+    Orbit sums are fixed by every qubit permutation, so only the class
+    matters.  A weight-mu string v lands in weight kappa exactly when it
+    holds h = (mu + ny + nx - kappa) / 2 ones under x, and it picks up
+    (-1)**|z & v|: a product of signed counts over the Y- and X-type qubits
+    (h ones) and the Z-type and untouched qubits (mu - h ones).
     """
-    x, z = op.x_mask, op.z_mask
-    twice_h = mu + x.bit_count() - kappa
+    twice_h = mu + ny + nx - kappa
     if twice_h % 2:
-        return 0, 0
+        return 0
     h = twice_h // 2
-    total = _signed_choices(h, (x & z).bit_count(), (x & ~z).bit_count())
-    total *= _signed_choices(mu - h, (z & ~x).bit_count(), op.n - (x | z).bit_count())
-    return ((total, 0), (0, total), (-total, 0), (0, -total))[op.phase]
+    return _signed_choices(h, ny, nx) * _signed_choices(mu - h, nz, n - ny - nx - nz)
 
 
 def _pauli_class(phase: int, x: int, z: int) -> tuple[int, int, int, int]:
@@ -309,8 +308,9 @@ def _orbit_gram(
     with numpy bit counts, and each class gets its ``(i, j)`` values once as
     the integer sums ``conj(a_kappa) b_mu atom(kappa, mu)`` per radicand
     pair, turned into ids by ``_Values``.  The atom of ``i**p X(x) Z(z)`` is
-    ``i**p`` times that of ``X(x) Z(z)``, an integer read from ``atoms``
-    (phase-free class -> (kappa, mu) -> atom) or entered there on first use.
+    ``i**p`` times its class's integer ``_orbit_atom``, read from ``atoms``
+    (class ``(ny, nx, nz)`` -> (kappa, mu) -> atom) or entered there on
+    first use.
     """
     atoms = {} if atoms is None else atoms
     pool = _Values(amp for c in coeffs for amp in c.values())
@@ -341,10 +341,8 @@ def _orbit_gram(
     cls = [number.setdefault(k, len(number)) for k in zip(*(a.ravel().tolist() for a in classes))]
     w, size = len(coeffs), len(parts)
     V = np.empty((len(number), w * w), dtype=np.intp)
-    for c, (rot, ny, nx, nz) in enumerate(number):
-        memo = atoms.setdefault((ny, nx, nz), {})
-        # the class's X(x) Z(z) on Y-type, then X-type, then Z-type qubits
-        e = ErrorOperator(n, (1 << (ny + nx)) - 1, ((1 << ny) - 1) | ((1 << nz) - 1) << (ny + nx))
+    for c, (rot, *sizes) in enumerate(number):
+        memo = atoms.setdefault(tuple(sizes), {})
         for k, terms in enumerate(products):
             sums = []
             for kl, group in terms:
@@ -352,7 +350,7 @@ def _orbit_gram(
                 for km, re, im in group:
                     t = memo.get(km)
                     if t is None:
-                        t = memo[km] = _orbit_atom(e, *km)[0]
+                        t = memo[km] = _orbit_atom(n, *sizes, *km)
                     sr += re * t
                     si += im * t
                 if sr or si:  # times i**phase

@@ -38,12 +38,13 @@ def _build_parser() -> argparse.ArgumentParser:
         "--tol",
         type=float,
         default=None,
-        help="comparison tolerance (default: 0 in exact mode, 1e-9 in float)",
+        help="comparison tolerance for verify and dmatrix "
+        "(default: 0 in exact mode, 1e-9 in float)",
     )
     parser.add_argument(
         "--output", choices=("human", "structured"), default="human"
     )
-    parser.add_argument("--seed", type=int, default=0)
+    parser.add_argument("--seed", type=int, default=None, help="demo-shor's seed (default 0)")
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_code_flags(p, positional=False):
@@ -266,7 +267,8 @@ def _cmd_survey(args) -> int:
 
 
 def _cmd_demo_shor(args) -> int:
-    report = klverify.shor_exchange_demo(seed=args.seed, samples=args.samples)
+    seed = 0 if args.seed is None else args.seed
+    report = klverify.shor_exchange_demo(seed=seed, samples=args.samples)
     _emit(report.to_lines(), args, "demo-shor")
     return 0
 
@@ -293,6 +295,12 @@ def run(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
+        if args.tol is not None and args.command not in ("verify", "dmatrix"):
+            raise _UsageError(
+                f"--tol has no effect on {args.command}; only verify and dmatrix read it"
+            )
+        if args.seed is not None and args.command != "demo-shor":
+            raise _UsageError(f"--seed has no effect on {args.command}; only demo-shor reads it")
         _resolve_tol(args.mode, args.tol)
         return _COMMANDS[args.command](args)
     except (_UsageError, CodeParseError, ValueError, ScanTooLarge) as exc:

@@ -200,7 +200,7 @@ def five_qubit_code() -> Code:
     the verifier rather than assumed.
     """
     gens = [PauliString.from_letters(s) for s in ("XZZXI", "IXZZX", "XIXZZ", "ZXIXZ")]
-    elements = {(0, 0, 0): PauliString.identity(5)}
+    elements = {(0, 0, 0): IdentityOp(5)}
     frontier = list(elements.values())
     while frontier:
         nxt = []

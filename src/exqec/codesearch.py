@@ -198,16 +198,17 @@ def _canonical(terms: dict[tuple[int, int], int]) -> tuple | None:
 
 
 def _class_table(n: int, families: Sequence[str], atoms: dict) -> dict[tuple, tuple]:
-    """(block, phase-free Pauli class) -> (E, origin, the class's memo in
-    ``atoms``): with the single-qubit Paulis, 10 classes per block.
+    """(block, ny, nx, nz) -> (origin, the class's memo in ``atoms``): with
+    the single-qubit Paulis, 10 classes per block.
 
     Of the ordered error pairs (p, q), those with p <= q make the word blocks
     agree and all make the cross block vanish.  An atom sees p^-1 q through
-    its Pauli class (``_pauli_class``) and its phase only as a factor
-    i**phase, so all phase variants of a class yield one integer row, real
-    for an even phase and imaginary for an odd one.  A class keeps its first
-    pair's E without the phase and that pair's origin.  Lowering a pair's
-    qubits to 1 and 2 keeps its class and never moves it later.
+    its Pauli class (``_pauli_class``), the sizes ``(ny, nx, nz)`` of its Y-,
+    X- and Z-type supports, and its phase only as a factor i**phase, so all
+    phase variants of a class yield one integer row, real for an even phase
+    and imaginary for an odd one.  A class keeps its first pair's origin.
+    Lowering a pair's qubits to 1 and 2 keeps its class and never moves it
+    later.
     """
     ops = [IdentityOp(n), *_family_ops(n, families, min(n, 2))]
     pairs = [(True, p, q) for a, p in enumerate(ops) for q in ops[a:]]
@@ -218,7 +219,7 @@ def _class_table(n: int, families: Sequence[str], atoms: dict) -> dict[tuple, tu
         phase, *sizes = _pauli_class(e.phase, e.x_mask, e.z_mask)
         key = (block, *sizes)
         if key not in classes:
-            classes[key] = ErrorOperator(n, e.x_mask, e.z_mask), (
+            classes[key] = (
                 f"word blocks must agree at <{p.label()} w, {q.label()} w>" if block
                 else f"<{p.label()} w0, {q.label()} w1> must vanish"
             ) + (" (imaginary part)" if phase % 2 else ""), atoms.setdefault(key[1:], {})
@@ -250,12 +251,12 @@ def _assemble_constraints(
         False: [(i, j, (ka, mu), 1) for i, ka in by_word[0] for j, mu in by_word[1]],
     }
     seen: dict[tuple, _Constraint] = {}
-    for (block, *_), (e, origin, memo) in classes.items():
+    for (block, *sizes), (origin, memo) in classes.items():
         terms: dict[tuple[int, int], int] = {}
         for i, j, km, sign in pairs[block]:
             count = memo.get(km)
             if count is None:
-                count = memo[km] = _orbit_atom(e, *km)[0]
+                count = memo[km] = _orbit_atom(pattern.n, *sizes, *km)
             if count:
                 terms[i, j] = terms.get((i, j), 0) + sign * count
         canon = _canonical(terms)
@@ -275,9 +276,13 @@ class SolverResult:
     method: str
     coefficients: dict[int, float] | None  # weight -> value, scale-free
     squares: dict[int, Fraction] | None  # exact squared values of a feasible row
-    residual: float | None
     certificate: str | None
     notes: tuple[str, ...] = ()
+
+    @property
+    def residual(self) -> float | None:
+        """0.0 for a feasible row, whose constraints vanish exactly; else None."""
+        return 0.0 if self.feasible else None
 
     def to_lines(self) -> list[str]:
         verdict = "undecided" if self.method == "undecided" else str(self.feasible).lower()
@@ -462,10 +467,10 @@ def _solve_exact(
     rhs = [0] * (len(rows) - 1) + [1]
 
     def infeasible(text: str) -> SolverResult:
-        return SolverResult(pattern, families, False, "exact-linear", None, None, None, text)
+        return SolverResult(pattern, families, False, "exact-linear", None, None, text)
 
     def undecided(text: str) -> SolverResult:
-        return SolverResult(pattern, families, False, "undecided", None, None, None, None, (text,))
+        return SolverResult(pattern, families, False, "undecided", None, None, None, (text,))
 
     system = basic_solutions(rows, rhs)
     if system is None:
@@ -505,7 +510,7 @@ def _solve_exact(
             f"zero squares at {zeros}: the code is the smaller pattern {used.describe()}",
         ) if unused else ()
         return SolverResult(
-            pattern, families, True, "exact-linear", coefficients, squares, 0.0, None, notes
+            pattern, families, True, "exact-linear", coefficients, squares, None, notes
         )
     if rejected:
         return undecided(
@@ -561,7 +566,7 @@ def _solve(
     constraints, names, keys = _assemble_constraints(pattern, fams, classes)
     forced = _forced_zero_analysis(constraints, names, keys)
     if forced is not None:
-        result = SolverResult(pattern, fams, False, "sign-definite", None, None, None, forced)
+        result = SolverResult(pattern, fams, False, "sign-definite", None, None, forced)
     else:
         result = _solve_exact(pattern, constraints, names, keys, fams, atoms)
     if "exchange" in fams:

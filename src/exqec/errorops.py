@@ -96,10 +96,6 @@ class ErrorOperator:
             object.__setattr__(self, "perm", () if identity else image)
 
     @staticmethod
-    def identity(n: int) -> "ErrorOperator":
-        return ErrorOperator(n, 0, 0, 0)
-
-    @staticmethod
     def single(n: int, kind: str, k: int) -> "ErrorOperator":
         """One-qubit X/Y/Z on qubit k."""
         m = qubit_mask(n, [k])

@@ -410,11 +410,8 @@ class RecoveryOperation:
     """
 
     n: int
-    lambdas: np.ndarray  # kept eigenvalues, shape (R,)
-    weights: np.ndarray  # eigenvector columns u[p, r], shape (N, R)
     basis: np.ndarray  # orthonormal copies, shape (R, w, 2**n)
     codewords: np.ndarray  # normalized words, shape (w, 2**n)
-    labels: tuple[str, ...]
 
     def branches(self, state: StateVector) -> list[tuple[float, np.ndarray]]:
         """Per-outcome (squared weight, decoded logical coefficients)."""
@@ -469,14 +466,8 @@ def build_recovery(code: Code, errors: ErrorSet, d_matrix: DMatrix) -> RecoveryO
         raise ArithmeticError("D matrix has no usable eigenvalues")
     words_f = np.array([w.to_float().dense for w in code.words])
     image_f = dense_images(errors.ops, words_f).reshape(len(errors), len(words_f), -1)
-    basis = np.empty((len(keep), len(words_f), 1 << code.n), dtype=np.complex128)
-    for out_r, r in enumerate(keep):
-        for i in range(len(words_f)):
-            vec = np.zeros(1 << code.n, dtype=np.complex128)
-            for p in range(len(errors)):
-                if U[p, r] != 0:
-                    vec += U[p, r] * image_f[p][i]
-            basis[out_r, i] = vec / math.sqrt(lam[r])
+    # basis[r, i] = sum_p U[p, r] e_p C_i / sqrt(lam_r) over the kept r
+    basis = np.tensordot(U[:, keep], image_f, axes=(0, 0)) / np.sqrt(lam[keep])[:, None, None]
     # the copies must come out orthonormal; a large residual means the
     # supplied D does not belong to this code/error pair
     flat = basis.reshape(len(keep) * len(words_f), -1)
@@ -488,14 +479,7 @@ def build_recovery(code: Code, errors: ErrorSet, d_matrix: DMatrix) -> RecoveryO
             "was the D matrix produced by verify_kl on this code and error set?"
         )
     codewords = np.array([w / np.linalg.norm(w) for w in words_f])
-    return RecoveryOperation(
-        n=code.n,
-        lambdas=np.array([lam[r] for r in keep]),
-        weights=U[:, keep],
-        basis=basis,
-        codewords=codewords,
-        labels=errors.labels,
-    )
+    return RecoveryOperation(code.n, basis, codewords)
 
 
 @dataclass(frozen=True)

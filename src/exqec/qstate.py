@@ -141,10 +141,6 @@ class Amplitude:
             re, im = re * s, im * s
         return Amplitude(re, im, t)
 
-    @staticmethod
-    def rational(q) -> "Amplitude":
-        return Amplitude.make(q)
-
     def is_zero(self) -> bool:
         return not self.re and not self.im
 

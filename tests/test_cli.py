@@ -622,6 +622,37 @@ def test_non_finite_tolerance_is_usage_error(capsys, mode, tol):
     assert "tolerance must be finite and nonnegative" in err
 
 
+_EVERY_COMMAND = {
+    "verify": ["verify", "--code", "rep3"],
+    "dmatrix": ["dmatrix", "--code", "five-qubit", "--errors", "pauli"],
+    "gram": ["gram", "--code", "rep3"],
+    "stab-check": ["stab-check", "rep3"],
+    "search": ["search", "--n", "5", "--support0", "0,5", "--support1", "2"],
+    "survey": ["survey", "--n", "5"],
+    "demo-shor": ["demo-shor", "--samples", "1"],
+    "bounds": ["bounds", "--scenario", "single_bit"],
+}
+
+
+@pytest.mark.parametrize(
+    "option, readers", [("--tol", {"verify", "dmatrix"}), ("--seed", {"demo-shor"})]
+)
+@pytest.mark.parametrize("command", sorted(_EVERY_COMMAND))
+def test_global_option_on_a_command_that_ignores_it_is_usage_error(
+    capsys, option, readers, command
+):
+    """``--tol`` outside verify and dmatrix, and ``--seed`` outside
+    demo-shor, exit 2 naming the subcommand, even at the default's value;
+    the subcommands that read the option run as without it."""
+    argv = _EVERY_COMMAND[command]
+    rc, out, err = invoke(capsys, option, "0", *argv)
+    if command in readers:
+        assert (rc, out, err) == invoke(capsys, *argv)
+    else:
+        assert (rc, out) == (2, "")
+        assert err.startswith(f"error: {option} has no effect on {command}; only ")
+
+
 def test_overlapping_supports_are_usage_error(capsys):
     rc, _, err = invoke(
         capsys, "search", "--n", "9", "--support0", "0,3", "--support1", "3,9"

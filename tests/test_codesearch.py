@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import math
 import os
@@ -83,6 +84,65 @@ def test_closed_form_spot_values():
 # --------------------------------------------------------- orbit gram atoms
 
 
+def op_atom(op, kappa, mu):
+    """<O_kappa | op O_mu> as a Gaussian integer (re, im): ``i**phase``
+    times the integer atom of op's Pauli class."""
+    phase, *sizes = _pauli_class(op.phase, op.x_mask, op.z_mask)
+    t = _orbit_atom(op.n, *sizes, kappa, mu)
+    return ((t, 0), (0, t), (-t, 0), (0, -t))[phase]
+
+
+def support_oracle(n, ny, nx, nz, kappa, mu):
+    """The atom of class (ny, nx, nz) summed over the 2**s strings v on its
+    s = ny + nx + nz support qubits, with no signed binomial: v extends to
+    C(n - s, mu - |v|) weight-mu strings, each moved by X(x) Z(z) to weight
+    |v ^ x| + mu - |v| with sign (-1)**|z & v|."""
+    s = ny + nx + nz
+    x = (1 << (ny + nx)) - 1  # Y-type support bits, then X-type, then Z-type
+    z = ((1 << ny) - 1) | ((1 << nz) - 1) << (ny + nx)
+    total = 0
+    for v in range(1 << s):
+        rest = mu - v.bit_count()
+        if rest >= 0 and kappa - (v ^ x).bit_count() == rest:
+            total += (-1) ** (z & v).bit_count() * math.comb(n - s, rest)
+    return total
+
+
+_SMALL_CLASSES = [
+    (ny, nx, nz) for ny in range(5) for nx in range(5 - ny) for nz in range(5 - ny - nx)
+]
+
+
+@st.composite
+def small_classes_and_weights(draw):
+    n = draw(st.integers(min_value=1, max_value=128))
+    ny, nx, nz = draw(st.sampled_from([c for c in _SMALL_CLASSES if sum(c) <= n]))
+    mu = draw(st.integers(min_value=0, max_value=n))
+    near = st.integers(min_value=max(0, mu - 4), max_value=min(n, mu + 4))
+    kappa = draw(st.one_of(near, st.integers(min_value=0, max_value=n)))
+    return n, ny, nx, nz, kappa, mu
+
+
+@settings(max_examples=500, deadline=None)
+@given(small_classes_and_weights())
+def test_orbit_atom_matches_the_support_oracle(case):
+    """Past any state oracle: every class of support at most 4 against the
+    sum over its support strings, for n up to 128."""
+    assert _orbit_atom(*case) == support_oracle(*case)
+
+
+def test_orbit_atom_matches_the_support_oracle_on_every_small_class():
+    """All 35 classes of support at most 4 at n = 128, each mu, and each
+    kappa that a support of 4 can reach."""
+    assert len(_SMALL_CLASSES) == 35
+    for ny, nx, nz in _SMALL_CLASSES:
+        for mu in range(129):
+            for kappa in range(max(0, mu - 4), min(128, mu + 4) + 1):
+                assert _orbit_atom(128, ny, nx, nz, kappa, mu) == support_oracle(
+                    128, ny, nx, nz, kappa, mu
+                )
+
+
 @st.composite
 def operators_and_weights(draw):
     n = draw(st.integers(min_value=1, max_value=6))
@@ -107,7 +167,7 @@ def test_orbit_atom_matches_brute_force(case):
     op, kappa, mu = case
     left = orbit_sum(op.n, kappa)
     right = op.apply(orbit_sum(op.n, mu))
-    assert _orbit_atom(op, kappa, mu) == inner_product(left, right).as_gaussian()
+    assert op_atom(op, kappa, mu) == inner_product(left, right).as_gaussian()
 
 
 @pytest.mark.parametrize("n", [2, 3, 9, 17, 25, 40])
@@ -119,11 +179,11 @@ def test_orbit_atom_matches_public_closed_forms(n):
             left = ErrorOperator.single(n, kind, j)
             e = left.inverse().compose(ErrorOperator.single(n, kind, k))
             for kappa in range(n + 1):
-                assert _orbit_atom(e, kappa, kappa) == (closed(n, kappa), 0)
+                assert op_atom(e, kappa, kappa) == (closed(n, kappa), 0)
     for k in (1, n):
         z = ErrorOperator.single(n, "Z", k)
         for kappa in range(n + 1):
-            assert _orbit_atom(z, kappa, kappa) == (zk_diag(n, kappa), 0)
+            assert op_atom(z, kappa, kappa) == (zk_diag(n, kappa), 0)
 
 
 def test_constraint_assembly_builds_no_state(monkeypatch):
@@ -174,7 +234,7 @@ def reference_assembly(pattern, families):
             for word, sign, weights in ((0, 1, pattern.word0), (1, -1, pattern.word1)):
                 for ka in weights:
                     for mu in weights:
-                        re, im = _orbit_atom(e, ka, mu)
+                        re, im = op_atom(e, ka, mu)
                         add(re_terms, index[(word, ka)], index[(word, mu)], sign * re)
                         add(im_terms, index[(word, ka)], index[(word, mu)], sign * im)
             origin = f"word blocks must agree at <{p.label()} w, {q.label()} w>"
@@ -186,7 +246,7 @@ def reference_assembly(pattern, families):
             re_terms, im_terms = {}, {}
             for ka in pattern.word0:
                 for mu in pattern.word1:
-                    re, im = _orbit_atom(e, ka, mu)
+                    re, im = op_atom(e, ka, mu)
                     add(re_terms, index[(0, ka)], index[(1, mu)], re)
                     add(im_terms, index[(0, ka)], index[(1, mu)], im)
             origin = f"<{p.label()} w0, {q.label()} w1> must vanish"
@@ -256,9 +316,9 @@ def test_survey_evaluates_each_atom_once(monkeypatch):
     calls = Counter()
     atom = codesearch._orbit_atom
 
-    def counted_atom(e, kappa, mu):
-        calls[_pauli_class(e.phase, e.x_mask, e.z_mask), kappa, mu] += 1
-        return atom(e, kappa, mu)
+    def counted_atom(n, ny, nx, nz, kappa, mu):
+        calls[(ny, nx, nz), kappa, mu] += 1
+        return atom(n, ny, nx, nz, kappa, mu)
 
     monkeypatch.setattr(codesearch, "_orbit_atom", counted_atom)
     first = survey_patterns(7, 3)
@@ -297,7 +357,7 @@ def phase_keeping_assembly(pattern, families):
             for ka in (pattern.word0, pattern.word1)[wa]:
                 for mu in (pattern.word0, pattern.word1)[wb]:
                     i, j = sorted((index[wa, ka], index[wb, mu]))
-                    for dest, value in zip(rows, _orbit_atom(e, ka, mu)):
+                    for dest, value in zip(rows, op_atom(e, ka, mu)):
                         dest[i, j] = dest.get((i, j), 0) + sign * value
         for terms, suffix in zip(rows, ("", " (imaginary part)")):
             canon = codesearch._canonical(terms)
@@ -345,11 +405,10 @@ def test_survey_counts_each_phase_free_atom_once(monkeypatch):
     def counting(module):
         atom = module._orbit_atom
 
-        def counted(e, kappa, mu):
-            assert e.phase == 0
-            calls[_pauli_class(0, e.x_mask, e.z_mask)[1:], kappa, mu] += 1
+        def counted(n, ny, nx, nz, kappa, mu):
+            calls[(ny, nx, nz), kappa, mu] += 1
             sources[module.__name__] += 1
-            return atom(e, kappa, mu)
+            return atom(n, ny, nx, nz, kappa, mu)
 
         monkeypatch.setattr(module, "_orbit_atom", counted)
 
@@ -366,9 +425,8 @@ def test_survey_counts_each_phase_free_atom_once(monkeypatch):
     atoms = candidates[0][4]
     assert all(args[4] is atoms for args in candidates)
     assert sum(len(memo) for memo in atoms.values()) == len(calls)
-    for (y, x, z), memo in atoms.items():
-        e = ErrorOperator(7, (1 << (y + x)) - 1, ((1 << y) - 1) | ((1 << z) - 1) << (y + x))
-        assert all(count == _gram._orbit_atom(e, *km)[0] for km, count in memo.items())
+    for cls, memo in atoms.items():
+        assert all(count == support_oracle(7, *cls, *km) for km, count in memo.items())
     verdicts = Counter()
     for pattern, families, coefficients, squares, shared in candidates:
         weights = sorted(k for k, s in squares.items() if s)
@@ -426,6 +484,18 @@ def test_dual_orbit_pattern_solves_exactly():
     lines = result.to_lines()
     assert "feasible: true" in lines
     assert "square a_6^2: 1/112" in lines
+    assert "residual: 0" in lines
+
+
+def test_residual_is_read_off_the_verdict():
+    """``residual`` is no stored field: 0.0 on a feasible row, None (and no
+    printed line) on the others."""
+    assert "residual" not in {f.name for f in dataclasses.fields(codesearch.SolverResult)}
+    # sign-definite at n = 9, undecided at n = 5
+    for pattern in (SupportPattern(9, {0}, {9}), SupportPattern(5, {0, 1, 3}, {2, 4, 5})):
+        result = solve_coefficients(pattern)
+        assert not result.feasible and result.residual is None
+        assert not any(line.startswith("residual") for line in result.to_lines())
 
 
 def test_dual_orbit_solution_realizes_the_builtin(ruskai9):

@@ -143,7 +143,7 @@ def test_labels():
     assert PauliString.single(9, "X", 1).label() == "X1"
     assert PauliString.single(9, "Z", 9).label() == "Z9"
     assert PauliString.single(9, "Y", 4).label() == "Y4"
-    assert PauliString.identity(3).label() == "I"
+    assert PauliString(3, 0, 0).label() == "I"
     assert PauliString.from_letters("XZ").label() == "XZ"
     assert ExchangeOp(9, 4, 3).label() == "E(3,4)"
     assert IdentityOp(5).label() == "I"

@@ -18,6 +18,7 @@ from exqec.errorops import (
     ErrorOperator,
     ErrorSet,
     ExchangeOp,
+    IdentityOp,
     PauliString,
     apply,
     basic_error_set,
@@ -514,7 +515,7 @@ def _random_ops(n):
         st.integers(0, (1 << n) - 1),
         st.integers(0, 3),
         st.permutations(range(1, n + 1)).map(tuple),
-    ).filter(lambda e: e != ErrorOperator.identity(n))
+    ).filter(lambda e: e != IdentityOp(n))
     return st.lists(op, max_size=8, unique=True).map(lambda ops: ErrorSet.from_ops(n, ops))
 
 
@@ -1173,6 +1174,47 @@ def test_recovery_corrects_single_paulis(ruskai9, full_error_set_9, ruskai9_repo
         decoded = rec.recover(corrupted)
         ideal = encoded.dense / np.linalg.norm(encoded.dense)
         assert abs(np.vdot(ideal, decoded.dense)) == pytest.approx(1.0, abs=1e-10)
+
+
+def reference_recovery_basis(code, errors, d_matrix):
+    """The per-(r, i, p) loop that built the recovery basis before the one
+    contraction, kept as its reference: copy r of word i is
+    ``sum_p U[p, r] e_p C_i / sqrt(lam_r)`` over the kept eigenvalues."""
+    D = d_matrix.to_float()
+    lam, U = np.linalg.eigh((D + D.conj().T) / 2)
+    cutoff = DEFAULT_FLOAT_TOL * max(1.0, float(lam.max()))
+    keep = [r for r in range(len(lam)) if lam[r] > cutoff]
+    words = np.array([w.to_float().dense for w in code.words])
+    images = dense_images(errors.ops, words).reshape(len(errors), len(words), -1)
+    basis = np.empty((len(keep), len(words), 1 << code.n), dtype=np.complex128)
+    for out_r, r in enumerate(keep):
+        for i in range(len(words)):
+            vec = np.zeros(1 << code.n, dtype=np.complex128)
+            for p in range(len(errors)):
+                if U[p, r] != 0:
+                    vec += U[p, r] * images[p][i]
+            basis[out_r, i] = vec / math.sqrt(lam[r])
+    return basis
+
+
+@pytest.mark.parametrize(
+    "name, families", [("ruskai9", ("single_pauli", "exchange")), ("five-qubit", ("single_pauli",))]
+)
+def test_recovery_basis_matches_the_per_copy_loop(name, families):
+    code = builtin_code(name)
+    errors = basic_error_set(code.n, families=families)
+    d_matrix = verify_kl(code, errors).d_matrix
+    rec = build_recovery(code, errors, d_matrix)
+    expected = reference_recovery_basis(code, errors, d_matrix)
+    assert rec.basis.shape == expected.shape
+    assert np.abs(rec.basis - expected).max() < 1e-12
+
+
+def test_recovery_operation_keeps_only_what_recovery_reads(
+    ruskai9, full_error_set_9, ruskai9_report
+):
+    rec = build_recovery(ruskai9, full_error_set_9, ruskai9_report.d_matrix)
+    assert [f.name for f in dataclasses.fields(rec)] == ["n", "basis", "codewords"]
 
 
 def test_recovery_branches_weights_sum_to_norm(ruskai9, full_error_set_9, ruskai9_report):
