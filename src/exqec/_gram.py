@@ -163,8 +163,9 @@ def _exact_gram(
     first-seen order.  Every basis index adds ``conj(a) * b`` for each pair
     of its entries ``a`` (image ``u``, radicand index ``k``) and ``b``
     (image ``v >= u``, radicand index ``l``) to one integer sum per
-    ``(u, v, k, l)``; Python integers cannot overflow.  ``(v, u)`` holds
-    the conjugate of ``(u, v)``.
+    ``(u, v, k, l)``; Python integers cannot overflow.  The pairs with
+    equal sums share one ``_Values.ids`` call, and ``(v, u)`` holds the
+    conjugate of ``(u, v)``.
     """
     pool = _Values(amp for word in words for amp in word.terms.values())
     # per word and entry: (k, re, im) times i**0, i, i**2 and i**3
@@ -210,9 +211,13 @@ def _exact_gram(
         if re or im:
             pair, kl = divmod(key, nr * nr)
             sums.setdefault(pair, []).append((kl, re, im))
-    ids = np.zeros((size, size), dtype=np.intp)
+    # the pairs of each distinct sums list, interned once in first-seen order
+    groups: dict[tuple[tuple[int, int, int], ...], list[int]] = {}
     for pair, terms in sums.items():
-        u, v = divmod(pair, size)
+        groups.setdefault(tuple(sorted(terms)), []).append(pair)
+    ids = np.zeros((size, size), dtype=np.intp)
+    for terms, pairs in groups.items():
+        u, v = np.divmod(pairs, size)
         ids[u, v], ids[v, u] = pool.ids(terms)  # a norm is real: u == v takes one id
     return tuple(which), ids, tuple(pool.values)
 
@@ -245,11 +250,15 @@ def _float_gram(rows: np.ndarray) -> tuple[tuple[int, ...], np.ndarray]:
 
 
 def _signed_choices(k: int, minus: int, plus: int) -> int:
-    """Ways to pick k of ``minus + plus`` slots, each minus slot picked costing -1."""
-    return sum(
-        (-1) ** a * math.comb(minus, a) * math.comb(plus, k - a)
-        for a in range(min(k, minus) + 1)
-    )
+    """Ways to pick k >= 0 of ``minus + plus`` slots, each minus slot picked
+    costing -1."""
+    if not minus:
+        return math.comb(plus, k)
+    total = 0
+    for a in range(min(k, minus) + 1):
+        term = math.comb(minus, a) * math.comb(plus, k - a)
+        total += -term if a & 1 else term
+    return total
 
 
 def _orbit_atom(n: int, ny: int, nx: int, nz: int, kappa: int, mu: int) -> int:
@@ -267,6 +276,8 @@ def _orbit_atom(n: int, ny: int, nx: int, nz: int, kappa: int, mu: int) -> int:
     if twice_h % 2:
         return 0
     h = twice_h // 2
+    if h < 0 or h > ny + nx or mu < h:
+        return 0
     return _signed_choices(h, ny, nx) * _signed_choices(mu - h, nz, n - ny - nx - nz)
 
 
@@ -305,7 +316,9 @@ def _orbit_gram(
     ``P_u = i**p_u X(x_u) Z(z_u)`` and ``P_v`` of two errors,
     ``P_u^dagger P_v = i**(p_v - p_u + 2 |x_u & z_u| + 2 |z_u & x_v|)
     X(x_u ^ x_v) Z(z_u ^ z_v)``; every pair's class of that product is read
-    with numpy bit counts, and each class gets its ``(i, j)`` values once as
+    with numpy bit counts and written as one integer in base n + 1, which
+    one ``np.unique`` numbers in first-seen order (the order in which the
+    values are interned), and each class gets its ``(i, j)`` values once as
     the integer sums ``conj(a_kappa) b_mu atom(kappa, mu)`` per radicand
     pair, turned into ids by ``_Values``.  The atom of ``i**p X(x) Z(z)`` is
     ``i**p`` times its class's integer ``_orbit_atom``, read from ``atoms``
@@ -331,18 +344,20 @@ def _orbit_gram(
                     )
             products.append(list(groups.items()))
     p, x, z = (np.array(column, dtype=np.int64) for column in zip(*parts))
-    ones, x2, z2 = np.bitwise_count, x[:, None] ^ x, z[:, None] ^ z
-    # every (u, v) pair's class: the phase, then the Y-, X- and Z-type support sizes
-    classes = (
-        (p - p[:, None] + 2 * (ones(x & z)[:, None] + ones(z[:, None] & x))) & 3,
-        ones(x2 & z2), ones(x2 & ~z2), ones(z2 & ~x2),
-    )
-    number: dict[tuple[int, ...], int] = {}
-    cls = [number.setdefault(k, len(number)) for k in zip(*(a.ravel().tolist() for a in classes))]
+    ones, x2, z2, base = np.bitwise_count, x[:, None] ^ x, z[:, None] ^ z, n + 1
+    phase = (p - p[:, None] + 2 * (ones(x & z)[:, None] + ones(z[:, None] & x))) & 3
+    # every (u, v) pair's class, the phase and the Y-, X- and Z-type support
+    # sizes as the digits of one integer, the classes in first-seen order
+    code = ((phase * base + ones(x2 & z2)) * base + ones(x2 & ~z2)) * base + ones(z2 & ~x2)
+    _, first, inverse = np.unique(code.ravel(), return_index=True, return_inverse=True)
+    order = np.argsort(first)
+    cls = np.empty_like(order)
+    cls[order] = np.arange(len(order))
     w, size = len(coeffs), len(parts)
-    V = np.empty((len(number), w * w), dtype=np.intp)
-    for c, (rot, *sizes) in enumerate(number):
-        memo = atoms.setdefault(tuple(sizes), {})
+    V = np.empty((len(order), w * w), dtype=np.intp)
+    for c, key in enumerate(code.ravel()[first[order]].tolist()):
+        rot, ny, nx, nz = key // base**3, key // base**2 % base, key // base % base, key % base
+        memo = atoms.setdefault((ny, nx, nz), {})
         for k, terms in enumerate(products):
             sums = []
             for kl, group in terms:
@@ -350,14 +365,14 @@ def _orbit_gram(
                 for km, re, im in group:
                     t = memo.get(km)
                     if t is None:
-                        t = memo[km] = _orbit_atom(n, *sizes, *km)
+                        t = memo[km] = _orbit_atom(n, ny, nx, nz, *km)
                     sr += re * t
                     si += im * t
                 if sr or si:  # times i**phase
                     sums.append((kl, *((sr, si), (-si, sr), (-sr, -si), (si, -sr))[rot]))
             V[c, k] = pool.ids(sums)[0]
     # V[cls][u, v, i, j] = <P_u W_i | P_v W_j>, row u * w + i and column v * w + j
-    table = V[np.reshape(cls, (size, size))].reshape(size, size, w, w)
+    table = V[cls[inverse].reshape(size, size)].reshape(size, size, w, w)
     table = table.transpose(0, 2, 1, 3).reshape(size * w, size * w)
     return tuple(u * w + i for u in which for i in range(w)), table, tuple(pool.values)
 

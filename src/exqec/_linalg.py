@@ -67,8 +67,17 @@ def surd_rank(matrix: Sequence[Sequence[Sequence[tuple[int, Fraction, Fraction]]
     product of two of them.  Multiplying by an entry is a Q-linear map of
     K, so the matrix acts on K**cols as a rational matrix ``deg`` times
     larger (its regular representation), whose rank is ``deg`` times the
-    rank over K.  A rational matrix has ``deg`` 1.
+    rank over K.  A rational matrix has ``deg`` 1.  A 1x1 matrix has rank 1
+    exactly when its entry is nonzero, that is when the terms of some
+    radicand do not add up to zero.
     """
+    if len(matrix) == 1 and len(matrix[0]) == 1:
+        sums: dict[int, list] = {}
+        for r, re, im in matrix[0][0]:
+            slot = sums.setdefault(r, [0, 0])
+            slot[0] += re
+            slot[1] += im
+        return int(any(re or im for re, im in sums.values()))
     terms = [part for row in matrix for entry in row for part in entry]
     closure = {1}
     for r in {r for r, _, _ in terms}:

@@ -33,7 +33,12 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Exact verification and search for qubit error-correcting "
         "codes, including exchange (qubit-swap) errors.",
     )
-    parser.add_argument("--mode", choices=("exact", "float"), default="exact")
+    parser.add_argument(
+        "--mode",
+        choices=("exact", "float"),
+        default=None,
+        help="arithmetic for verify, dmatrix, gram and stab-check (default: exact)",
+    )
     parser.add_argument(
         "--tol",
         type=float,
@@ -291,17 +296,26 @@ _COMMANDS = {
 }
 
 
+# each global option that only some commands read, and those commands
+_READERS = {
+    "mode": ("verify", "dmatrix", "gram", "stab-check"),
+    "tol": ("verify", "dmatrix"),
+    "seed": ("demo-shor",),
+}
+
+
 def run(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        if args.tol is not None and args.command not in ("verify", "dmatrix"):
-            raise _UsageError(
-                f"--tol has no effect on {args.command}; only verify and dmatrix read it"
-            )
-        if args.seed is not None and args.command != "demo-shor":
-            raise _UsageError(f"--seed has no effect on {args.command}; only demo-shor reads it")
-        _resolve_tol(args.mode, args.tol)
+        for option, readers in _READERS.items():
+            if getattr(args, option) is not None and args.command not in readers:
+                *rest, last = readers
+                names, verb = (f"{', '.join(rest)} and {last}", "read") if rest else (last, "reads")
+                raise _UsageError(
+                    f"--{option} has no effect on {args.command}; only {names} {verb} it"
+                )
+        _resolve_tol(args.mode or "exact", args.tol)
         return _COMMANDS[args.command](args)
     except (_UsageError, CodeParseError, ValueError, ScanTooLarge) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -30,6 +30,7 @@ from typing import Mapping
 from .errors import CodeParseError, DimensionMismatch, InvalidCodeError
 from .qstate import (
     AMP_ONE,
+    AMP_ZERO,
     MAX_QUBITS,
     Amplitude,
     InnerProductValue,
@@ -261,7 +262,8 @@ _AMP_RE = _re.compile(
 
 
 def parse_amplitude(token: str) -> Amplitude:
-    """Parse an exact coefficient token such as ``1/sqrt(28)`` or ``-2/3*i``."""
+    """Parse an exact coefficient token such as ``1/sqrt(28)`` or ``-2/3*i``;
+    a zero is ``AMP_ZERO`` itself."""
     m = _AMP_RE.fullmatch(token.strip())
     if m is None or (m.group(2) is None and m.group(4) is None and m.group(6) is None):
         raise ValueError(f"cannot parse coefficient {token!r}")
@@ -364,21 +366,26 @@ def parse_code(text: str, validate: bool = True) -> Code:
         if len(parts) != 2:
             fail("entry line needs a coefficient and a ket or orbit term", lineno)
         coeff_tok, ket_tok = parts[0], parts[1].strip()
-        try:
-            amp = amps.get(coeff_tok) or amps.setdefault(coeff_tok, parse_amplitude(coeff_tok))
-        except ValueError as exc:
-            fail(str(exc), lineno)
+        amp = amps.get(coeff_tok)
+        if amp is None:
+            try:
+                amp = amps[coeff_tok] = parse_amplitude(coeff_tok)
+            except ValueError as exc:
+                fail(str(exc), lineno)
         bits = ket_tok[1:-1]
         try:
             if len(bits) == n and ket_tok[0] == "|" and ket_tok[-1] == ">" and not bits.strip("01"):
-                if not amp.is_zero():  # a well-formed ket: add in place, as _add_terms would
+                if amp is not AMP_ZERO:  # a well-formed ket: add in place, as _add_terms would
                     idx = int(bits, 2)
                     cur = current.get(idx)
-                    total = amp if cur is None else cur + amp
-                    if total.is_zero():
-                        del current[idx]
+                    if cur is None:
+                        current[idx] = amp
                     else:
-                        current[idx] = total
+                        total = cur + amp
+                        if total.is_zero():
+                            del current[idx]
+                        else:
+                            current[idx] = total
                 continue
             om = _ORBIT_RE.fullmatch(ket_tok)
             if om:
@@ -389,7 +396,7 @@ def parse_code(text: str, validate: bool = True) -> Code:
                     fail(f"ket has {basis.n} bits but the file declares {n} qubits",
                          lineno, len(coeff_tok) + 2)
                 kets = (basis.index,)
-            if not amp.is_zero():
+            if amp is not AMP_ZERO:
                 current = _add_terms(current, dict.fromkeys(kets, amp))
         except CodeParseError:
             raise
@@ -404,7 +411,8 @@ def parse_code(text: str, validate: bool = True) -> Code:
         raise CodeParseError("missing qubits: header", 1)
     if not words:
         raise CodeParseError("no word blocks found", 1)
-    code = Code(n, tuple(StateVector.from_terms(n, terms) for terms in words), label)
+    # every amplitude is nonzero and every index has n bits
+    code = Code(n, tuple(StateVector(n, terms=terms) for terms in words), label)
     if validate:
         code.validate()
     return code

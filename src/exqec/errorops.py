@@ -229,9 +229,9 @@ def ExchangeOp(n: int, j: int, k: int) -> ErrorOperator:
     if not (1 <= j <= n and 1 <= k <= n):
         raise DimensionMismatch(f"exchange qubits ({j},{k}) out of range 1..{n}")
     j, k = min(j, k), max(j, k)
-    return ErrorOperator(
-        n, 0, 0, 0, QubitPermutation.transposition(n, j, k).image, f"E({j},{k})"
-    )
+    image = list(range(1, n + 1))
+    image[j - 1], image[k - 1] = k, j
+    return ErrorOperator(n, 0, 0, 0, tuple(image), f"E({j},{k})")
 
 
 def PermutationOp(perm: QubitPermutation) -> ErrorOperator:

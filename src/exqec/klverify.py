@@ -29,6 +29,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from itertools import chain, groupby
 from typing import Sequence
 
@@ -176,15 +177,29 @@ class DMatrix:
 
 @dataclass
 class KLReport:
+    """A verdict: the violations, and when correctable the D matrix.
+
+    ``rank`` (D's rank, None when not correctable) and ``dimension_used``
+    (``num_words`` times it) are computed on first read, so a caller that
+    never reads them never ranks D.
+    """
+
     correctable: bool
     d_matrix: DMatrix | None
     violations: list[Violation]
     tolerance: float
     strict: bool
-    rank: int | None
-    dimension_used: int | None  # 2 * rank for a two-word code family
+    num_words: int
     dimension_total: int  # 2**n
     labels: tuple[str, ...]
+
+    @cached_property
+    def rank(self) -> int | None:
+        return None if self.d_matrix is None else self.d_matrix.rank()
+
+    @property
+    def dimension_used(self) -> int | None:
+        return None if self.rank is None else self.num_words * self.rank
 
     def to_lines(self) -> list[str]:
         lines = [
@@ -287,20 +302,18 @@ def _report(
     G: GramTensor, violations: list[Violation], tol: float, strict: bool
 ) -> KLReport:
     """The report; when correctable, word 0's block is the D matrix, read
-    off the Gram table, ranked by ``DMatrix.rank``."""
-    d_matrix = rank = None
+    off the Gram table and ranked when the report's ``rank`` is read."""
+    d_matrix = None
     if not violations:
         images = G.which[:: G.num_words]
         d_matrix = DMatrix.over(G.table, images, G.errors.labels, G.errors.families, G.values)
-        rank = d_matrix.rank()
     return KLReport(
         correctable=not violations,
         d_matrix=d_matrix,
         violations=violations,
         tolerance=tol,
         strict=strict,
-        rank=rank,
-        dimension_used=None if rank is None else G.num_words * rank,
+        num_words=G.num_words,
         dimension_total=1 << G.errors.n,
         labels=G.errors.labels,
     )

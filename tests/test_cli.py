@@ -635,22 +635,38 @@ _EVERY_COMMAND = {
 
 
 @pytest.mark.parametrize(
-    "option, readers", [("--tol", {"verify", "dmatrix"}), ("--seed", {"demo-shor"})]
+    "option, readers",
+    [
+        ("--tol", {"verify", "dmatrix"}),
+        ("--seed", {"demo-shor"}),
+        ("--mode", {"verify", "dmatrix", "gram", "stab-check"}),
+    ],
 )
 @pytest.mark.parametrize("command", sorted(_EVERY_COMMAND))
 def test_global_option_on_a_command_that_ignores_it_is_usage_error(
     capsys, option, readers, command
 ):
-    """``--tol`` outside verify and dmatrix, and ``--seed`` outside
-    demo-shor, exit 2 naming the subcommand, even at the default's value;
-    the subcommands that read the option run as without it."""
+    """``--tol`` outside verify and dmatrix, ``--seed`` outside demo-shor,
+    and ``--mode`` outside verify, dmatrix, gram and stab-check exit 2
+    naming the subcommand, even at the default's value; the subcommands
+    that read the option run as without it."""
     argv = _EVERY_COMMAND[command]
-    rc, out, err = invoke(capsys, option, "0", *argv)
+    rc, out, err = invoke(capsys, option, "exact" if option == "--mode" else "0", *argv)
     if command in readers:
         assert (rc, out, err) == invoke(capsys, *argv)
     else:
         assert (rc, out) == (2, "")
         assert err.startswith(f"error: {option} has no effect on {command}; only ")
+
+
+@pytest.mark.parametrize("mode", ["exact", "float"])
+def test_mode_on_a_command_without_arithmetic_names_its_readers(capsys, mode):
+    rc, out, err = invoke(capsys, "--mode", mode, *_EVERY_COMMAND["survey"])
+    assert (rc, out) == (2, "")
+    assert err == (
+        "error: --mode has no effect on survey; "
+        "only verify, dmatrix, gram and stab-check read it\n"
+    )
 
 
 def test_overlapping_supports_are_usage_error(capsys):

@@ -24,6 +24,7 @@ from exqec.codes import (
 )
 from exqec.errors import CodeParseError, ExactArithmeticError, InvalidCodeError
 from exqec.qstate import (
+    AMP_ZERO,
     Amplitude,
     QubitPermutation,
     StateVector,
@@ -478,6 +479,59 @@ def test_parse_code_parses_each_coefficient_token_once(monkeypatch):
     monkeypatch.setattr(codes, "parse_amplitude", counting)
     assert parse_code(text).words == relabelled.words
     assert calls == {"1": 1, "1/14*sqrt(7)": 1}
+
+
+def _parsed(text: str) -> tuple[list, str | None]:
+    """The words' terms without validation, and the validation message
+    (None when the file is valid)."""
+    terms = [list(w.terms.items()) for w in parse_code(text, validate=False).words]
+    try:
+        parse_code(text)
+    except (InvalidCodeError, CodeParseError) as exc:
+        return terms, str(exc)
+    return terms, None
+
+
+@pytest.mark.parametrize(
+    "entries",
+    [
+        ("0 |000>", "1 |011>"),  # a zero coefficient
+        ("0*i |001>", "1 |011>"),  # an imaginary zero
+        ("1 |010>", "1 |011>", "-1 |010>"),  # a ket added, then cancelled
+        ("1 |011>", "1/2 |011>", "1 |100>"),  # a ket given twice: word 0 has norm 13/4
+        ("0 |000>", "0*i |001>", "1 |010>", "-1 |010>", "1 |011>", "1/2 |011>"),
+    ],
+)
+def test_parse_code_compact_kets_match_the_spaced_spelling(entries):
+    """Compact kets decide zero once per token and skip the cancellation
+    test for a first-seen ket; a space inside each ket takes ``parse_ket``
+    and ``_add_terms`` instead.  Both spellings give the same terms and the
+    same validation message (word 1 is ``|111>``, of norm 1)."""
+    text = "qubits: 3\nword 0:\n" + "".join(f"{e}\n" for e in entries) + "word 1:\n1 |111>\n"
+    spaced = text.replace("|0", "|0 ").replace("|1", "|1 ")
+    assert spaced != text
+    terms, message = _parsed(text)
+    assert (terms, message) == _parsed(spaced)
+    assert all(not amp.is_zero() for word in terms for _, amp in word)
+
+
+def test_a_parsed_zero_is_the_zero_singleton():
+    assert parse_amplitude("0") is AMP_ZERO
+    assert parse_amplitude("0*i") is AMP_ZERO
+    assert parse_amplitude("-0/3*sqrt(7)") is AMP_ZERO
+
+
+def test_parse_code_tests_no_amplitude_for_zero_on_distinct_kets(monkeypatch):
+    """Every ket of a serialized file is distinct and every coefficient
+    nonzero: parsing it calls ``Amplitude.is_zero`` on no amplitude."""
+    ruskai9 = builtin_code("ruskai9")
+    text = serialize_code(ruskai9)
+    calls = []
+    is_zero = Amplitude.is_zero
+    monkeypatch.setattr(Amplitude, "is_zero", lambda amp: calls.append(amp) or is_zero(amp))
+    words = parse_code(text, validate=False).words
+    assert calls == []
+    assert words == ruskai9.words
 
 
 # ----------------------------------------------------------- orbit identity

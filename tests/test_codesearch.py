@@ -143,6 +143,22 @@ def test_orbit_atom_matches_the_support_oracle_on_every_small_class():
                 )
 
 
+def test_orbit_atom_is_zero_exactly_where_the_support_oracle_is():
+    """Every class of support at most 4 on n <= 10 qubits, every kappa and
+    mu in 0..n: the atom's explicit zeros (odd or negative h, h beyond the
+    X-type support, h beyond mu) and its signed counts vanish exactly
+    where the sum over the support strings does, kappa > mu + ny + nx
+    included."""
+    beyond = 0
+    for n in range(1, 11):
+        for ny, nx, nz in (c for c in _SMALL_CLASSES if sum(c) <= n):
+            for kappa, mu in product(range(n + 1), repeat=2):
+                atom = _orbit_atom(n, ny, nx, nz, kappa, mu)
+                assert (atom == 0) == (support_oracle(n, ny, nx, nz, kappa, mu) == 0)
+                beyond += kappa > mu + ny + nx
+    assert beyond > 0
+
+
 @st.composite
 def operators_and_weights(draw):
     n = draw(st.integers(min_value=1, max_value=6))

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from exqec import _gram, codesearch, klverify, qstate
+from exqec import _gram, cli, codesearch, klverify, qstate
 from exqec._linalg import surd_rank
 from exqec.codes import BUILTIN_CODES, Code, builtin_code, parse_code, ruskai9_code, serialize_code
 from exqec.errorops import (
@@ -140,6 +140,26 @@ def test_exact_gram_builds_each_distinct_value_once(shor9):
     for a, x in first.items():
         for b, y in first.items():
             assert values[ids[a, b]] == inner_product(images[x], images[y])
+
+
+def test_exact_gram_interns_each_distinct_sums_list_once(shor9, monkeypatch):
+    """shor9 under ``pauli+exchange`` has 908 nonzero pairs of distinct
+    images but few distinct lists of integer sums: ``_Values.ids``
+    is called once per distinct list, and the pairs that share a list share
+    its ids."""
+    calls = []
+    ids_of = _gram._Values.ids
+
+    def counted(pool, sums):
+        calls.append(tuple(sorted(sums)))
+        return ids_of(pool, sums)
+
+    monkeypatch.setattr(_gram._Values, "ids", counted)
+    which, ids, values = _gram._exact_gram(shor9.words, basic_error_set(9, families=_PAIR_ERRORS))
+    # one radicand and one denominator: distinct sums lists are distinct values
+    upper = ids[np.triu_indices(len(ids))]
+    assert len(calls) == len(set(calls)) == len(set(upper.tolist()) - {0}) == 4
+    assert np.count_nonzero(upper) == 908
 
 
 @st.composite
@@ -585,6 +605,59 @@ def test_orbit_engine_matches_the_sparse_engine(case):
     assert report.rank == expected.rank
 
 
+def reference_orbit_gram(n, coeffs, errors):
+    """``_orbit_gram`` with the per-pair class numbering it replaced: one
+    dict over each pair's ``(phase, ny, nx, nz)`` in row-major order, and
+    each atom summed straight into the radicand pair's sums."""
+    pool = _gram._Values(amp for c in coeffs for amp in c.values())
+    nr = len(pool.radicands)
+    ints = [{kappa: pool.gaussian(a) for kappa, a in c.items()} for c in coeffs]
+    parts = {}
+    which = [parts.setdefault((op.phase, op.x_mask, op.z_mask), len(parts)) for op in errors.ops]
+    number, cls = {}, []
+    for pu, xu, zu in parts:
+        for pv, xv, zv in parts:
+            phase = pv - pu + 2 * ((xu & zu).bit_count() + (zu & xv).bit_count())
+            key = _gram._pauli_class(phase & 3, xu ^ xv, zu ^ zv)
+            cls.append(number.setdefault(key, len(number)))
+    w, size = len(coeffs), len(parts)
+    V = np.empty((len(number), w * w), dtype=np.intp)
+    for c, (rot, ny, nx, nz) in enumerate(number):
+        for k, (left, right) in enumerate(itertools.product(ints, repeat=2)):
+            sums = {}
+            for kappa, (kk, ar, ai) in left.items():
+                for mu, (l, br, bi) in right.items():
+                    t = _gram._orbit_atom(n, ny, nx, nz, kappa, mu)
+                    slot = sums.setdefault(kk * nr + l, [0, 0])
+                    slot[0] += (ar * br + ai * bi) * t
+                    slot[1] += (ar * bi - ai * br) * t
+            turned = [
+                (kl, *((sr, si), (-si, sr), (-sr, -si), (si, -sr))[rot])
+                for kl, (sr, si) in sums.items() if sr or si
+            ]
+            V[c, k] = pool.ids(turned)[0]
+    table = V[np.reshape(cls, (size, size))].reshape(size, size, w, w)
+    table = table.transpose(0, 2, 1, 3).reshape(size * w, size * w)
+    return tuple(u * w + i for u in which for i in range(w)), table, tuple(pool.values)
+
+
+@settings(max_examples=120, deadline=None)
+@given(_orbit_cases().filter(lambda case: not case[2]))
+@example((ruskai9_code(), basic_error_set(9, families=_PAIR_ERRORS), False))
+def test_orbit_gram_numbers_classes_as_the_per_pair_dict(case):
+    """The classes numbered by one ``np.unique`` over base-(n + 1) codes,
+    reordered to first-seen order, give the same ``which``, the same id
+    table and the same values in the same order as the per-pair dict, on
+    drawn orbit codes under drawn errors (phases, masks, permutations)."""
+    code, errors, _ = case
+    coeffs = [_gram._orbit_coefficients(w) for w in code.words]
+    which, table, values = _gram._orbit_gram(code.n, coeffs, errors)
+    ref_which, ref_table, ref_values = reference_orbit_gram(code.n, coeffs, errors)
+    assert which == ref_which
+    assert np.array_equal(table, ref_table)
+    assert [v.parts for v in values] == [v.parts for v in ref_values]
+
+
 def test_orbit_words_are_read_off_their_terms():
     n = 4
     one, amp = Amplitude.make(1), Amplitude.make(Fraction(1, 3), 2, 7)
@@ -776,6 +849,46 @@ def test_dual_orbit_d_blocks(ruskai9_report):
     assert rep.off_block_max == 0.0
     assert rep.total_rank == 28
     assert any("block 0: indices 0..36" in line for line in rep.to_lines())
+
+
+def test_d_is_ranked_once_per_printed_rank(capsys):
+    """``dmatrix`` prints each block's rank and no rank of the whole D, so
+    it ranks each ``d_blocks`` block once; ``verify`` prints D's rank and
+    ranks D once.  A report ranks D when its ``rank`` is first read."""
+    rank = DMatrix.rank
+    with mock.patch.object(DMatrix, "rank", autospec=True, side_effect=rank) as spy:
+        assert cli.run(["dmatrix", "--code", "ruskai9"]) == 0
+        out = capsys.readouterr().out.splitlines()
+        blocks = [line for line in out if line.lstrip().startswith("block ")]
+        assert [d.size for (d,), _ in spy.call_args_list] == [37, 9, 9, 9]
+        assert spy.call_count == len(blocks)
+        spy.reset_mock()
+        assert cli.run(["verify", "--code", "ruskai9", "--errors", "pauli+exchange"]) == 0
+        assert "rank: 28" in capsys.readouterr().out
+        assert [d.size for (d,), _ in spy.call_args_list] == [64]
+        spy.reset_mock()
+        report = verify_kl(ruskai9_code(), basic_error_set(9, families=_PAIR_ERRORS))
+        assert spy.call_count == 0
+        assert (report.rank, report.dimension_used, report.rank) == (28, 56, 28)
+        assert spy.call_count == 1
+
+
+@pytest.mark.parametrize("mode", ["exact", "float"])
+@pytest.mark.parametrize("families", [("identity_only",), ("single_pauli",), _PAIR_ERRORS])
+@pytest.mark.parametrize("name", sorted(BUILTIN_CODES))
+def test_report_rank_is_the_rank_of_d(name, families, mode):
+    """On every builtin code and error set, a correctable report's rank is
+    its D's rank and ``dimension_used`` is the number of words times it; a
+    failing report has neither."""
+    code = builtin_code(name)
+    code = code.to_float() if mode == "float" else code
+    report = verify_kl(code, basic_error_set(code.n, families=families))
+    if not report.correctable:
+        assert families != ("identity_only",)  # every builtin code is valid
+        assert (report.d_matrix, report.rank, report.dimension_used) == (None, None, None)
+        return
+    assert report.rank == report.d_matrix.rank() > 0
+    assert report.dimension_used == len(code.words) * report.rank
 
 
 def test_two_value_blocks_take_the_closed_form(ruskai9_report, five_qubit, monkeypatch):

@@ -4,10 +4,11 @@ from fractions import Fraction
 from itertools import combinations
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from exqec._linalg import basic_solutions, rational_rank, solve_rational
+from exqec._linalg import basic_solutions, rational_rank, solve_rational, surd_rank
 
 
 @st.composite
@@ -79,6 +80,47 @@ def test_int_and_fraction_entries_agree(system):
 
 def test_rational_rank_of_empty_matrix_is_zero():
     assert rational_rank([]) == 0
+
+
+def _regular_rank(entry):
+    """The rank of the 1x1 matrix ``[[entry]]`` through the regular
+    representation: a zero row below it keeps the rank and takes the
+    general path."""
+    return surd_rank([[entry], [[]]])
+
+
+@pytest.mark.parametrize(
+    "entry, rank",
+    [
+        ([], 0),
+        ([(1, 1, 0), (1, -1, 0)], 0),
+        ([(7, 2, 0), (3, 0, 1), (7, -2, 0)], 1),
+        ([(7, 2, 0), (7, -2, 0)], 0),
+        ([(7, 2, 0), (1, -2, 0)], 1),  # 2 sqrt(7) - 2 is not zero
+        ([(1, 1, 1), (1, -1, 0), (1, 0, -1)], 0),
+        ([(1, 0, 1), (7, 0, -1)], 1),
+        ([(2, Fraction(1, 3), 0), (2, Fraction(-2, 6), 0), (3, 0, 0)], 0),
+    ],
+)
+def test_one_by_one_surd_rank_adds_each_radicand_first(entry, rank):
+    """A 1x1 entry's terms may repeat a radicand, as ``A + (n-1) B`` does
+    in the S_n split: they are added per radicand before the zero test."""
+    entry = [(r, Fraction(re), Fraction(im)) for r, re, im in entry]
+    assert surd_rank([[entry]]) == _regular_rank(entry) == rank
+
+
+_TERM = st.tuples(st.sampled_from((1, 2, 3, 7)), st.integers(-2, 2), st.integers(-2, 2))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(_TERM, max_size=4), st.lists(_TERM, max_size=4), st.booleans())
+def test_one_by_one_surd_rank_matches_the_regular_representation(terms, more, cancel):
+    """Drawn term lists, with their own negations mixed in when ``cancel``
+    so that radicands repeat and some entries add up to zero."""
+    if cancel:
+        more = more + [(r, -re, -im) for r, re, im in terms]
+    entry = [(r, Fraction(re), Fraction(im)) for r, re, im in terms + more]
+    assert surd_rank([[entry]]) == _regular_rank(entry)
 
 
 _BIG = st.one_of(st.just(0), st.integers(-3, 3), st.integers(-(10**7), 10**7))
