@@ -84,10 +84,25 @@ class GramTensor:
     @property
     def entries(self) -> tuple[InnerProductValue, ...]:
         """Every entry, flat over ``(x, y)`` with ``y`` fastest; equal image
-        pairs share one value object."""
-        read = InnerProductValue.from_complex if self.values is None else self.values.__getitem__
-        rows = [list(map(read, row)) for row in self.table.tolist()]
-        return tuple(rows[a][b] for a in self.which for b in self.which)
+        pairs share one value object (``_block``)."""
+        ids, values = _block(self.table, self.which, self.values)
+        return tuple(map(values.__getitem__, ids.ravel().tolist()))
+
+
+def _block(
+    table: np.ndarray, images: Sequence[int], values: tuple[InnerProductValue, ...] | None
+) -> tuple[np.ndarray, tuple[InnerProductValue, ...]]:
+    """``(ids, values)`` of a Gram table's block at ``images``:
+    ``<image images[s] | image images[t]> = values[ids[s, t]]``.  An exact
+    block keeps the table's own ids and ``values``.  A float block (``values``
+    None) gets one value per distinct pair of images, so repeated images
+    share ids and 0.0 and -0.0 stay apart."""
+    if values is not None:
+        return table[np.ix_(images, images)], values
+    pos: dict[int, int] = {}
+    at = np.array([pos.setdefault(a, len(pos)) for a in images], dtype=np.intp)
+    sub = table[np.ix_(list(pos), list(pos))].ravel().tolist()
+    return at[:, None] * len(pos) + at, tuple(map(InnerProductValue.from_complex, sub))
 
 
 class _Values:

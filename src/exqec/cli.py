@@ -189,8 +189,8 @@ def _cmd_dmatrix(args) -> int:
         _emit(report.to_lines(), args, f"dmatrix {code.label}")
         return 1
     d = report.d_matrix
-    # rendered once per id; a float D has one id per pair of distinct
-    # images, not per equal value: 0.0 == -0.0 prints "0" and "-0"
+    # a view of the Gram table read by the one block rule, each id rendered once;
+    # a float D has one id per distinct image pair: 0.0 == -0.0 prints "0" and "-0"
     ids, values = d.table
     text = {k: str(values[k]) for k in set(ids.ravel().tolist())}
     columns = [f"{label_q}]: " for label_q in d.labels]

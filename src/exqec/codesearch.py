@@ -227,10 +227,10 @@ def _class_table(n: int, families: Sequence[str], atoms: dict) -> dict[tuple, tu
 
 
 def _assemble_constraints(
-    pattern: SupportPattern, families: Sequence[str], classes: dict | None = None
+    pattern: SupportPattern, families: Sequence[str], classes: dict
 ) -> tuple[list[_Constraint], list[str], list[tuple[int, int]]]:
     """All correctability equations for the pattern, deduplicated, from
-    ``classes`` (a ``_class_table`` of its own when None).
+    ``classes`` (a ``_class_table``).
 
     Returns (constraints, variable names, variable keys) where each key
     is (word, weight) in variable order and names render as a_kappa.
@@ -238,7 +238,6 @@ def _assemble_constraints(
     keys = [(0, k) for k in sorted(pattern.word0)]
     keys += [(1, k) for k in sorted(pattern.word1)]
     names = [f"a_{k}" for _, k in keys]
-    classes = _class_table(pattern.n, families, {}) if classes is None else classes
     # (i, j, (kappa, mu), sign) per block: the two word blocks' difference
     # (True), or the cross block (False)
     by_word = [[(pos, k) for pos, (w, k) in enumerate(keys) if w == word] for word in (0, 1)]

@@ -12,13 +12,14 @@ of codes indexed by an extra label m:
 
     <e_p C_i^m | e_q C_j^m'> = delta_ij * delta_mm' * d_pq
 
-The Gram tensor and the comparison come from ``_gram``.  D keeps the
-array it was read from (``DMatrix``); the printer renders each id once,
-and a float value becomes an ``InnerProductValue`` only when it is printed
-or read.  ``DMatrix.rank`` takes the S_n split (``_split_rank``) whenever
-D's ids have its shape, as for an orbit code under I and every X_k, Y_k,
-Z_k: a 4x4 symmetric block and an (n-1)-fold 3x3 block.  Every
-``d_blocks`` block is ranked the same way.
+The Gram tensor and the comparison come from ``_gram``.  D and each
+``d_blocks`` block are views of the Gram table (``DMatrix``), read as
+``(ids, values)`` by one rule, ``_gram._block``; the printer renders each
+id once, and a float value becomes an ``InnerProductValue`` only when it
+is printed or read.  An exact ``DMatrix.rank`` takes the S_n split
+(``_split_rank``) whenever D's ids have its shape, as for an orbit code
+under I and every X_k, Y_k, Z_k: a 4x4 symmetric block and an (n-1)-fold
+3x3 block.
 
 Recovery construction diagonalizes D in float arithmetic; everything else
 runs exactly when given exact-mode codes.
@@ -38,7 +39,7 @@ import numpy as np
 from .codes import Code, shor_code
 from .errorops import ErrorSet, ExchangeOp, PauliString, dense_images
 from .qstate import DEFAULT_FLOAT_TOL, InnerProductValue, StateVector
-from ._gram import GramTensor, Violation, _gram, _resolve_tol, _violations
+from ._gram import GramTensor, Violation, _block, _gram, _resolve_tol, _violations
 from ._linalg import surd_rank
 
 __all__ = [
@@ -66,72 +67,32 @@ def gram_tensor(code: Code, errors: ErrorSet) -> GramTensor:
     return _gram(code.words, errors)
 
 
-def _ids_of(
-    entries: Sequence[Sequence[InnerProductValue]],
-) -> tuple[np.ndarray, tuple[InnerProductValue, ...]]:
-    """``(ids, values)`` of a matrix of values, equal values sharing one id."""
-    index: dict[InnerProductValue, int] = {}
-    ids = [[index.setdefault(v, len(index)) for v in row] for row in entries]
-    return np.array(ids, dtype=np.intp), tuple(index)
-
-
 class DMatrix:
-    """The common word block ``d_pq`` with the error labels that index it.
+    """The common word block ``d_pq`` with the error labels that index it,
+    a view of the Gram table it was read from.
 
-    ``table`` holds D as ``(ids, values)``, ``d_pq = values[ids[p, q]]``.
-    An exact D read off a Gram table (``over``) keeps the Gram's id
-    sub-array and values, a float one keeps the Gram array, and a D built
-    from ``entries`` has its equal values share one id.  Each form builds
-    the others only when they are read; a float D's ``table`` has one value
-    per distinct pair of error images.
+    ``gram`` is that table: an id array over ``values`` when D is exact, or
+    the complex array when ``values`` is None.  ``images[p]`` is the image
+    of error p on word 0.  ``table`` reads D as ``(ids, values)``, ``d_pq =
+    values[ids[p, q]]``, through ``_gram._block``, and ``entries`` as a
+    matrix of values; each is built when first read.
     """
 
-    def __init__(
-        self,
-        entries: tuple[tuple[InnerProductValue, ...], ...] | None,
-        labels: tuple[str, ...],
-        families: tuple[str, ...],
-    ):
-        self._entries = entries
-        self._table = None  # (ids, values)
-        self._array = None  # a float D's (Gram array, image of each error)
+    def __init__(self, table: np.ndarray, images: Sequence[int], labels, families, values):
+        self.gram = table
+        self.images = images
         self.labels = labels
         self.families = families
+        self.values = values
 
-    @classmethod
-    def over(
-        cls, table: np.ndarray, images: Sequence[int], labels, families, values=None
-    ) -> "DMatrix":
-        """D of the errors whose images are ``images``, read off a Gram
-        table: an id array over ``values``, or a complex array when
-        ``values`` is None."""
-        d = cls(None, labels, families)
-        if values is None:
-            d._array = table, images
-        else:
-            d._table = table[np.ix_(images, images)], values
-        return d
-
-    @property
+    @cached_property
     def table(self) -> tuple[np.ndarray, tuple[InnerProductValue, ...]]:
-        if self._table is None:
-            if self._entries is not None:
-                self._table = _ids_of(self._entries)
-            else:
-                table, images = self._array
-                distinct = list(dict.fromkeys(images))
-                pos = np.array([distinct.index(a) for a in images])
-                sub = table[np.ix_(distinct, distinct)].ravel().tolist()
-                values = tuple(map(InnerProductValue.from_complex, sub))
-                self._table = pos[:, None] * len(distinct) + pos, values
-        return self._table
+        return _block(self.gram, self.images, self.values)
 
-    @property
+    @cached_property
     def entries(self) -> tuple[tuple[InnerProductValue, ...], ...]:
-        if self._entries is None:
-            ids, values = self.table
-            self._entries = tuple(tuple(values[k] for k in row) for row in ids.tolist())
-        return self._entries
+        ids, values = self.table
+        return tuple(tuple(values[k] for k in row) for row in ids.tolist())
 
     @property
     def size(self) -> int:
@@ -145,31 +106,29 @@ class DMatrix:
         )
 
     def to_float(self) -> np.ndarray:
-        if self._array is not None:
-            table, images = self._array
-            return table[np.ix_(images, images)]
+        if self.values is None:
+            return self.gram[np.ix_(self.images, self.images)]
         ids, values = self.table
         return np.array([v.float_view for v in values], dtype=np.complex128)[ids]
 
     def rank(self) -> int:
-        """Exact rank over the field of the exact entries, else float rank.
+        """Exact rank over the field of the entries, else float rank.
 
         An exact D with the shape of the S_n split (``_split_rank``) is
         ranked through it.  Otherwise repeated rows and columns (errors with
         equal images, such as the exchanges on a permutation-invariant code)
-        add no rank and are dropped before ``surd_rank``.  A float D read
-        off a Gram array is ranked from the array, singular values up to
+        add no rank and are dropped before ``surd_rank``.  A float D is
+        ranked from its Gram array slice, singular values up to
         ``DEFAULT_FLOAT_TOL`` times its largest ``|entry|``, or times 1 when
         that is smaller, counting as zero.
         """
-        if self._array is None:
+        if self.values is not None:
             ids, values = self.table
             split = _split_rank(ids, values, self.families)
             if split is not None:
                 return split
-            if all(v.is_exact for v in values):
-                columns = dict.fromkeys(zip(*dict.fromkeys(map(tuple, ids.tolist()))))
-                return surd_rank([[values[k].parts for k in col] for col in columns])
+            columns = dict.fromkeys(zip(*dict.fromkeys(map(tuple, ids.tolist()))))
+            return surd_rank([[values[k].parts for k in col] for col in columns])
         m = self.to_float()
         cutoff = DEFAULT_FLOAT_TOL * max(1.0, float(np.abs(m).max()))
         return int(np.linalg.matrix_rank(m, tol=cutoff))
@@ -306,7 +265,7 @@ def _report(
     d_matrix = None
     if not violations:
         images = G.which[:: G.num_words]
-        d_matrix = DMatrix.over(G.table, images, G.errors.labels, G.errors.families, G.values)
+        d_matrix = DMatrix(G.table, images, G.errors.labels, G.errors.families, G.values)
     return KLReport(
         correctable=not violations,
         d_matrix=d_matrix,
@@ -395,15 +354,20 @@ def d_blocks(d_matrix: DMatrix) -> DBlockReport:
     family-ordered error set (identity first, any exchange operators
     immediately after it, then each Pauli family contiguously) gives one
     block per family, and a family that comes back after another, as in
-    ``X1, Y1, Z1, X2, ...``, opens a new block.
+    ``X1, Y1, Z1, X2, ...``, opens a new block.  Each block is a ``DMatrix``
+    over a slice of D's images with D's own ``values``: an exact block keeps
+    D's ids, and a float block is ranked from its Gram array slice.
     """
     ids, values = d_matrix.table
     infos = []
     total_rank = 0
     global_off = 0.0
     for name, a, b in _family_runs(d_matrix.families):
-        labels, families = d_matrix.labels[a:b], d_matrix.families[a:b]
-        rank = DMatrix.over(ids, range(a, b), labels, families, values).rank()
+        block = DMatrix(
+            d_matrix.gram, d_matrix.images[a:b], d_matrix.labels[a:b],
+            d_matrix.families[a:b], d_matrix.values,
+        )
+        rank = block.rank()
         total_rank += rank
         outside = set(ids[a:b, :a].ravel().tolist()) | set(ids[a:b, b:].ravel().tolist())
         off = max((values[k].magnitude() for k in outside), default=0.0)

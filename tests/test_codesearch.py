@@ -211,8 +211,9 @@ def test_constraint_assembly_builds_no_state(monkeypatch):
     monkeypatch.setattr(ErrorOperator, "apply", forbidden)
     monkeypatch.setattr(StateVector, "__init__", forbidden)
     pattern = SupportPattern(9, {0, 6}, {3, 9})
+    families = ("single_pauli", "exchange")
     constraints, names, keys = _assemble_constraints(
-        pattern, ("single_pauli", "exchange")
+        pattern, families, codesearch._class_table(pattern.n, families, {})
     )
     assert names == ["a_0", "a_6", "a_3", "a_9"]
     assert keys == [(0, 0), (0, 6), (1, 3), (1, 9)]
@@ -290,7 +291,9 @@ def test_class_assembly_matches_the_pair_loops(case):
     """One atom per Pauli class gives the same constraints, in the same
     order and with the same origins, as one atom per operator pair."""
     pattern, families = case
-    constraints, names, keys = _assemble_constraints(pattern, families)
+    constraints, names, keys = _assemble_constraints(
+        pattern, families, codesearch._class_table(pattern.n, families, {})
+    )
     got = [(con.terms, con.origin) for con in constraints]
     assert (got, names, keys) == reference_assembly(pattern, families)
 
@@ -314,7 +317,8 @@ def test_assembly_work_does_not_grow_with_n(monkeypatch):
 
     def work(pattern):
         counts.clear()
-        _assemble_constraints(pattern, ("single_pauli", "exchange"))
+        families = ("single_pauli", "exchange")
+        _assemble_constraints(pattern, families, codesearch._class_table(pattern.n, families, {}))
         return dict(counts)
 
     small = work(SupportPattern(7, {0, 5}, {2, 7}))
@@ -803,7 +807,9 @@ def test_integer_signs_match_the_fraction_reference(case, data):
     coefficient of 1, for drawn squares and for the candidate squares the
     solver itself tries, a feasible row's own among them."""
     pattern, families = case
-    constraints, _, keys = _assemble_constraints(pattern, families)
+    constraints, _, keys = _assemble_constraints(
+        pattern, families, codesearch._class_table(pattern.n, families, {})
+    )
     squares = None
     if data.draw(st.booleans(), label="solver's squares"):
         with mock.patch.object(codesearch, "_signs", wraps=codesearch._signs) as spy:

@@ -39,6 +39,19 @@ from exqec.klverify import (
 from exqec.qstate import Amplitude, InnerProductValue, StateVector, inner_product, orbit_sum
 
 
+def _ids_of(entries):
+    """``(ids, values)`` of a matrix of values, equal values sharing one id."""
+    index = {}
+    ids = [[index.setdefault(v, len(index)) for v in row] for row in entries]
+    return np.array(ids, dtype=np.intp), tuple(index)
+
+
+def _d_of(entries, labels, families):
+    """The D with these exact entries: a view of their own id table."""
+    ids, values = _ids_of(entries)
+    return DMatrix(ids, range(len(ids)), labels, families, values)
+
+
 # ---------------------------------------------------------------- gram tensor
 
 
@@ -457,8 +470,10 @@ _VALUES = st.one_of(
 
 @given(_VALUES, _VALUES)
 def test_equal_inner_product_values_hash_equally(a, b):
-    """``DMatrix.rank`` dedups rows by hash: equal values, built apart or
-    differing only in the sign of a zero, must hash alike."""
+    """Values are hashed by this file's ``_ids_of``, which gives equal
+    values one id, and by the hash of a ``Violation``, which a set of
+    violations takes: equal values, built apart or differing only in the
+    sign of a zero, must hash alike."""
     again = (
         InnerProductValue.exact({r: (re, im) for r, re, im in a.parts})
         if a.is_exact
@@ -921,6 +936,65 @@ def test_two_value_blocks_take_the_closed_form(ruskai9_report, five_qubit, monke
     assert d_blocks(ruskai9_report.d_matrix).total_rank == 28
 
 
+@pytest.mark.parametrize("case", ["ruskai9 pauli+exchange", "five-qubit pauli", "float ruskai9"])
+def test_d_blocks_are_views_of_d(case, ruskai9, five_qubit, full_error_set_9):
+    """Every ``d_blocks`` block holds the same bits as D's own slice; an
+    exact block shares D's ``values``, and a float block has none."""
+    code, errors = {
+        "ruskai9 pauli+exchange": (ruskai9, full_error_set_9),
+        "five-qubit pauli": (five_qubit, basic_error_set(5)),
+        "float ruskai9": (ruskai9.to_float(), full_error_set_9),
+    }[case]
+    d = verify_kl(code, errors).d_matrix
+    rank = DMatrix.rank
+    with mock.patch.object(DMatrix, "rank", autospec=True, side_effect=rank) as spy:
+        report = d_blocks(d)
+    blocks = [block for (block,), _ in spy.call_args_list]
+    assert len(blocks) == len(report.blocks) == 4
+    assert (d.values is None) == (case == "float ruskai9")
+    whole = d.to_float()
+    for block, info in zip(blocks, report.blocks):
+        a, b = info.start, info.stop
+        assert block.values is d.values
+        got = block.to_float().view(np.uint64)
+        assert np.array_equal(got, np.ascontiguousarray(whole[a:b, a:b]).view(np.uint64))
+
+
+def test_float_blocks_never_reach_the_exact_rank(ruskai9, full_error_set_9, monkeypatch):
+    """A float D's blocks are ranked from slices of its Gram array, with no
+    call to ``_split_rank`` or ``surd_rank``."""
+    d = verify_kl(ruskai9.to_float(), full_error_set_9).d_matrix
+
+    def forbidden(*args):
+        raise AssertionError("a float block reached the exact rank")
+
+    monkeypatch.setattr(klverify, "_split_rank", forbidden)
+    monkeypatch.setattr(klverify, "surd_rank", forbidden)
+    report = d_blocks(d)
+    assert [(b.name, b.rank) for b in report.blocks] == [("0", 1), ("X", 9), ("Y", 9), ("Z", 9)]
+    assert report.total_rank == 28
+
+
+def test_block_rule_keeps_exact_ids_and_one_float_value_per_image_pair():
+    """``_gram._block`` on a hand-built table: a float block has one value
+    per distinct image pair, repeated images share ids, and 0.0 and -0.0
+    print apart; an exact block keeps the table's own ids and values."""
+    table = np.array([[4, 0.0, 1j], [-0.0, 2, 0.5], [-1j, 0.5, 3]], dtype=np.complex128)
+    images = [0, 1, 0, 2, 1]
+    ids, values = _gram._block(table, images, None)
+    assert len(values) == len(set(ids.ravel().tolist())) == 9
+    assert np.array_equal(ids[0], ids[2]) and np.array_equal(ids[:, 1], ids[:, 4])
+    read = np.array([[values[k].float_view for k in row] for row in ids.tolist()])
+    assert np.array_equal(read.view(np.uint64), table[np.ix_(images, images)].view(np.uint64))
+    assert (str(values[ids[0, 1]]), str(values[ids[1, 0]])) == ("0", "-0")
+
+    exact = np.array([[0, 1, 2], [1, 3, 4], [2, 4, 5]], dtype=np.intp)
+    pool = tuple(InnerProductValue.exact_rational(k) for k in range(6))
+    ids, values = _gram._block(exact, images, pool)
+    assert values is pool
+    assert np.array_equal(ids, exact[np.ix_(images, images)])
+
+
 def test_dual_orbit_strict_form_fails(ruskai9, pauli_error_set_9):
     rep = verify_kl(ruskai9, pauli_error_set_9, strict=True)
     assert not rep.correctable
@@ -1340,7 +1414,7 @@ def test_recovery_branches_weights_sum_to_norm(ruskai9, full_error_set_9, ruskai
 
 def test_recovery_rejects_foreign_d_matrix(ruskai9, full_error_set_9, ruskai9_report):
     d = ruskai9_report.d_matrix
-    doubled = DMatrix(
+    doubled = _d_of(
         tuple(
             tuple(InnerProductValue.exact_rational(v.as_fraction() * 2) for v in row)
             for row in d.entries
@@ -1354,9 +1428,7 @@ def test_recovery_rejects_foreign_d_matrix(ruskai9, full_error_set_9, ruskai9_re
 
 def test_recovery_rejects_indefinite_d_matrix(rep3):
     errors = basic_error_set(3, families=("identity_only",))
-    fake = DMatrix(
-        ((InnerProductValue.exact_rational(-1),),), ("I",), ("identity",)
-    )
+    fake = _d_of(((InnerProductValue.exact_rational(-1),),), ("I",), ("identity",))
     with pytest.raises(ArithmeticError, match="positive semidefinite"):
         build_recovery(rep3, errors, fake)
 
@@ -1452,7 +1524,7 @@ def test_surd_rank_sees_what_float_tolerance_hides():
     assert p * p - 2 * q * q == 1
     diag = InnerProductValue.exact_rational(p)
     off = InnerProductValue.exact({2: (Fraction(q), Fraction(0))})
-    d = DMatrix(((diag, off), (off, diag)), ("I", "X1"), ("identity", "bitflip"))
+    d = _d_of(((diag, off), (off, diag)), ("I", "X1"), ("identity", "bitflip"))
     assert d.rank() == 2
     m = d.to_float()
     assert np.linalg.matrix_rank(m, tol=1e-9 * np.abs(m).max()) == 1
@@ -1506,9 +1578,16 @@ def _low_rank_matrices(draw):
 @settings(max_examples=200, deadline=None)
 @given(_low_rank_matrices())
 def test_exact_d_matrix_rank_matches_numpy(matrix):
+    """``surd_rank`` on every draw, rectangular ones too, and ``DMatrix.rank``
+    on the square ones, equal numpy's float rank."""
     entries = tuple(tuple(_exact(v) for v in row) for row in matrix)
-    d = DMatrix(entries, ("I",) * len(entries), ("identity",) * len(entries))
-    assert d.rank() == np.linalg.matrix_rank(d.to_float())
+    floats = np.array([[v.float_view for v in row] for row in entries], dtype=np.complex128)
+    expected = np.linalg.matrix_rank(floats)
+    assert surd_rank([[v.parts for v in row] for row in entries]) == expected
+    if len(entries) == len(entries[0]):
+        d = _d_of(entries, ("I",) * len(entries), ("identity",) * len(entries))
+        assert np.array_equal(d.to_float(), floats)
+        assert d.rank() == expected
 
 
 @settings(max_examples=150, deadline=None)
@@ -1523,7 +1602,7 @@ def test_two_value_rank_matches_dmatrix_rank(m, a, b, relation):
     a, b = _exact(a), _exact(b)
     entries = tuple(tuple(a if p == q else b for q in range(m)) for p in range(m))
     expected = surd_rank([[v.parts for v in row] for row in entries])
-    assert klverify._split_rank(*klverify._ids_of(entries), ("X",) * m) == expected
+    assert klverify._split_rank(*_ids_of(entries), ("X",) * m) == expected
     if relation == "equal":
         assert expected == (1 if b.parts else 0)
     elif relation == "cancel":
@@ -1537,7 +1616,7 @@ def test_two_value_rank_leaves_other_blocks_to_elimination():
     two = InnerProductValue.exact_rational(2)
     zero = InnerProductValue.exact_rational(0)
     def split(entries, families):
-        return klverify._split_rank(*klverify._ids_of(entries), families)
+        return klverify._split_rank(*_ids_of(entries), families)
 
     assert split(((one,),), ("X",)) == 1
     assert split(((zero,),), ("X",)) == 0
@@ -1585,10 +1664,10 @@ def test_split_rank_matches_elimination_of_the_full_matrix(case):
     """``DMatrix.rank`` of an S_n-shaped D, which takes the split, and of the
     same D with one entry changed, equals ``surd_rank`` of the whole matrix."""
     families, entries, perturbed = case
-    assert klverify._split_rank(*klverify._ids_of(entries), families) is not None
+    assert klverify._split_rank(*_ids_of(entries), families) is not None
     for d in (entries, perturbed) if perturbed else (entries,):
         full = surd_rank([[v.parts for v in row] for row in d])
-        assert DMatrix(d, families, families).rank() == full
+        assert _d_of(d, families, families).rank() == full
 
 
 @settings(max_examples=50, deadline=None)
@@ -1597,12 +1676,12 @@ def test_split_rank_declines_non_square_and_float_matrices(matrix):
     entries = tuple(tuple(_exact(v) for v in row) for row in matrix)
     rows, cols = len(entries), len(entries[0])
     if rows != cols:
-        assert klverify._split_rank(*klverify._ids_of(entries), ("X",) * rows) is None
-        assert klverify._split_rank(*klverify._ids_of(entries), ("X",) * cols) is None
+        assert klverify._split_rank(*_ids_of(entries), ("X",) * rows) is None
+        assert klverify._split_rank(*_ids_of(entries), ("X",) * cols) is None
     floats = tuple(
         tuple(InnerProductValue.from_complex(v.float_view) for v in row) for row in entries
     )
-    assert klverify._split_rank(*klverify._ids_of(floats), ("X",) * rows) is None
+    assert klverify._split_rank(*_ids_of(floats), ("X",) * rows) is None
 
 
 def test_split_rank_declines_the_float_d_of_ruskai9(ruskai9, full_error_set_9):
