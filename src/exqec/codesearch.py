@@ -17,20 +17,22 @@ Z-type supports), and on the phase only as a factor i**phase, so assembly
 uses one integer atom per phase-free class (10 for the word blocks and 10
 for the cross block with single-qubit Paulis), and the first error pair
 of a class names the constraint it yields; the work per pattern does not
-grow with n, and each constraint is an integer row.  A survey or search
-call keeps one class table and one atom table for all its patterns, and
-the exact gate reads and extends that atom table.  Feasibility is
-decided in one exact step: a constraint that is a positive combination of
-squares can force a word to zero (``sign-definite``); otherwise the
-diagonal constraints pin the squared coefficients or leave finitely many
-nonnegative basic solutions, all read from one elimination, and a finite
-choice of signs is checked in exact surd arithmetic on integers
-(``exact-linear``).  A row that step
-leaves open is reported ``undecided``, never as infeasible.  Every
-feasible result has exact squares that pass the exact gate (``_gate``),
-again with no state: the layer holds weight maps only, and
-``realize_code`` is the one place a result becomes a ``Code`` of exact
-words.
+grow with n.  Each constraint is an integer row read in slot order: each
+monomial a_i a_j sums its atoms once, and the slots come sorted, so a
+row needs no sort.  A survey or search call keeps one class table and
+one atom table for all its patterns, and the exact gate reads and
+extends that atom table.  Feasibility is decided in one exact step: a
+constraint that is a positive combination of squares can force a word to
+zero (``sign-definite``); otherwise the diagonal constraints pin the
+squared coefficients or leave finitely many nonnegative basic solutions,
+all read from one elimination, and a finite choice of signs is checked
+in exact surd arithmetic on integers (``exact-linear``).  Every
+candidate solves the diagonal constraints exactly, so the sign check
+reads only the constraints with a cross term.  A row that step leaves
+open is reported ``undecided``, never as infeasible.  Every feasible
+result has exact squares that pass the exact gate (``_gate``), again
+with no state: the layer holds weight maps only, and ``realize_code`` is
+the one place a result becomes a ``Code`` of exact words.
 """
 
 from __future__ import annotations
@@ -187,14 +189,14 @@ def _family_ops(n: int, families: Sequence[str], top: int) -> list[ErrorOperator
     return [ErrorOperator.single(n, kind, k) for kind in kinds for k in range(1, top + 1)]
 
 
-def _canonical(terms: dict[tuple[int, int], int]) -> tuple | None:
-    """The nonzero terms, sorted, as a primitive integer row with a positive
-    first coefficient: one tuple per class of proportional rows."""
-    items = [(i, j, c) for (i, j), c in sorted(terms.items()) if c]
+def _canonical(items: Sequence[tuple[int, int, int]]) -> tuple | None:
+    """Nonzero ``(i, j, c)`` terms, given in sorted order, as a primitive
+    integer row with a positive first coefficient: one tuple per class of
+    proportional rows."""
     if not items:
         return None
-    g = math.gcd(*(c for _, _, c in items)) * (1 if items[0][2] > 0 else -1)
-    return tuple((i, j, c // g) for i, j, c in items)
+    g = math.gcd(*[c for _, _, c in items]) * (1 if items[0][2] > 0 else -1)
+    return tuple([(i, j, c // g) for i, j, c in items])
 
 
 def _class_table(n: int, families: Sequence[str], atoms: dict) -> dict[tuple, tuple]:
@@ -232,33 +234,43 @@ def _assemble_constraints(
     """All correctability equations for the pattern, deduplicated, from
     ``classes`` (a ``_class_table``).
 
+    Each monomial a_i a_j (i <= j) is a slot, and each block's slots come
+    in sorted order: the word blocks' difference has the slots inside one
+    word, signed +1 for word 0 and -1 for word 1, and reads atom
+    (kappa_i, kappa_j) and, off the diagonal, (kappa_j, kappa_i); the cross
+    block has the slots with i in word 0 and j in word 1.  A class's row
+    is its nonzero slot sums in that order, so ``_canonical`` needs no sort.
+
     Returns (constraints, variable names, variable keys) where each key
     is (word, weight) in variable order and names render as a_kappa.
     """
     keys = [(0, k) for k in sorted(pattern.word0)]
     keys += [(1, k) for k in sorted(pattern.word1)]
     names = [f"a_{k}" for _, k in keys]
-    # (i, j, (kappa, mu), sign) per block: the two word blocks' difference
-    # (True), or the cross block (False)
     by_word = [[(pos, k) for pos, (w, k) in enumerate(keys) if w == word] for word in (0, 1)]
-    pairs = {
+    # (i, j, sign, atoms) per block: the word blocks' difference (True), or
+    # the cross block (False)
+    slots = {
         True: [
-            (min(i, j), max(i, j), (ka, mu), sign)
+            (i, j, sign, ((ka, mu), (mu, ka)) if i < j else ((ka, mu),))
             for word, sign in ((0, 1), (1, -1))
-            for i, ka in by_word[word] for j, mu in by_word[word]
+            for a, (i, ka) in enumerate(by_word[word]) for j, mu in by_word[word][a:]
         ],
-        False: [(i, j, (ka, mu), 1) for i, ka in by_word[0] for j, mu in by_word[1]],
+        False: [(i, j, 1, ((ka, mu),)) for i, ka in by_word[0] for j, mu in by_word[1]],
     }
     seen: dict[tuple, _Constraint] = {}
     for (block, *sizes), (origin, memo) in classes.items():
-        terms: dict[tuple[int, int], int] = {}
-        for i, j, km, sign in pairs[block]:
-            count = memo.get(km)
-            if count is None:
-                count = memo[km] = _orbit_atom(pattern.n, *sizes, *km)
-            if count:
-                terms[i, j] = terms.get((i, j), 0) + sign * count
-        canon = _canonical(terms)
+        items = []
+        for i, j, sign, kms in slots[block]:
+            c = 0
+            for km in kms:
+                count = memo.get(km)
+                if count is None:
+                    count = memo[km] = _orbit_atom(pattern.n, *sizes, *km)
+                c += count
+            if c:
+                items.append((i, j, sign * c))
+        canon = _canonical(items)
         if canon is not None and canon not in seen:
             seen[canon] = _Constraint(canon, origin)
     return list(seen.values()), names, keys
@@ -398,8 +410,10 @@ def _forced_zero_analysis(
 def _signs(
     constraints: list[_Constraint], keys: list[tuple[int, int]], nums: Sequence[int], den: int
 ) -> list[int] | None:
-    """First sign choice under which every constraint sums to exactly 0, for
-    the squares ``s_i = nums[i] / den``.
+    """First sign choice under which every constraint given sums to exactly
+    0, for the squares ``s_i = nums[i] / den``.  ``_solve_exact`` passes
+    only the constraints with a cross term: its candidates solve the
+    diagonal ones exactly, whatever the signs.
 
     Each word's first nonzero coefficient is +: flipping a whole word's
     sign changes no constraint's zero set.  With ``nums[i] den = u_i^2 t_i``
@@ -444,23 +458,30 @@ def _solve_exact(
 ) -> SolverResult:
     """Exact path: candidate squares from the diagonal constraints, then signs.
 
-    The diagonal constraints and the word-0 norm are linear in the squares
-    s_i = a_i^2.  Their unique solution, or else each nonnegative basic
-    solution (len(free) squares set to zero), is a candidate.  All basic
-    solutions come from one elimination (``basic_solutions``); each is
-    tested for nonnegativity on its integer numerators, and a candidate
-    stays integers over one denominator, in lowest terms, through the sign
-    check; only a code's squares become Fractions.  The first candidate
-    with a sign choice that zeroes every constraint exactly and passes the
-    exact gate is the code.  Without one the row is infeasible when that
-    is proved (inconsistent system, no nonnegative candidate, or pinned
+    The constraints are split once.  The diagonal ones, each filled into a
+    row by index, and the word-0 norm are linear in the squares s_i = a_i^2.
+    Their unique solution, or else each nonnegative basic solution
+    (len(free) squares set to zero), is a candidate.  All basic solutions
+    come from one elimination (``basic_solutions``); each is tested for
+    nonnegativity on its integer numerators, and a candidate stays integers
+    over one denominator, in lowest terms, through the sign check; only a
+    code's squares become Fractions.  Every candidate solves the diagonal
+    rows exactly, so they vanish under any sign choice, and ``_signs``
+    reads only the constraints with a cross term.  The first candidate with
+    a sign choice that zeroes every constraint exactly and passes the exact
+    gate is the code.  Without one the row is infeasible when that is
+    proved (inconsistent system, no nonnegative candidate, or pinned
     squares without a sign choice) and undecided otherwise.
     """
-    d = len(keys)
-    rows = [
-        [next((c for i, _, c in con.terms if i == pos), 0) for pos in range(d)]
-        for con in constraints if con.is_diagonal()
-    ]
+    rows, crossing = [], []
+    for con in constraints:
+        if con.is_diagonal():
+            row = [0] * len(keys)
+            for i, _, c in con.terms:
+                row[i] = c
+            rows.append(row)
+        else:
+            crossing.append(con)
     # fix the free overall scale: word-0 squared norm = 1
     rows.append([math.comb(pattern.n, k) if w == 0 else 0 for w, k in keys])
     rhs = [0] * (len(rows) - 1) + [1]
@@ -494,7 +515,7 @@ def _solve_exact(
 
     rejected = False
     for nums, den in candidates:
-        sign = _signs(constraints, keys, nums, den)
+        sign = _signs(crossing, keys, nums, den)
         if sign is None:
             continue
         squares = {k: Fraction(nums[pos], den) for pos, (_, k) in enumerate(keys)}

@@ -356,9 +356,12 @@ def d_blocks(d_matrix: DMatrix) -> DBlockReport:
     block per family, and a family that comes back after another, as in
     ``X1, Y1, Z1, X2, ...``, opens a new block.  Each block is a ``DMatrix``
     over a slice of D's images with D's own ``values``: an exact block keeps
-    D's ids, and a float block is ranked from its Gram array slice.
+    D's ids, and a float block is ranked from its Gram array slice.  The
+    off-block magnitudes are Python's ``abs`` of each distinct entry, as in
+    ``InnerProductValue.magnitude``: read off D's ids when exact, and off its
+    Gram array slice, with no value built, when float.
     """
-    ids, values = d_matrix.table
+    table, values = (d_matrix.to_float(), None) if d_matrix.values is None else d_matrix.table
     infos = []
     total_rank = 0
     global_off = 0.0
@@ -369,8 +372,10 @@ def d_blocks(d_matrix: DMatrix) -> DBlockReport:
         )
         rank = block.rank()
         total_rank += rank
-        outside = set(ids[a:b, :a].ravel().tolist()) | set(ids[a:b, b:].ravel().tolist())
-        off = max((values[k].magnitude() for k in outside), default=0.0)
+        outside = set(table[a:b, :a].ravel().tolist()) | set(table[a:b, b:].ravel().tolist())
+        if values is not None:
+            outside = {values[k].float_view for k in outside}
+        off = max(map(abs, outside), default=0.0)
         infos.append(BlockInfo(name, a, b, rank, off))
         global_off = max(global_off, off)
     return DBlockReport(tuple(infos), global_off, total_rank)

@@ -236,7 +236,7 @@ def reference_assembly(pattern, families):
     seen = {}
 
     def push(terms, origin):
-        canon = codesearch._canonical(terms)
+        canon = codesearch._canonical([(i, j, c) for (i, j), c in sorted(terms.items()) if c])
         if canon is not None and canon not in seen:
             seen[canon] = origin
 
@@ -380,7 +380,7 @@ def phase_keeping_assembly(pattern, families):
                     for dest, value in zip(rows, op_atom(e, ka, mu)):
                         dest[i, j] = dest.get((i, j), 0) + sign * value
         for terms, suffix in zip(rows, ("", " (imaginary part)")):
-            canon = codesearch._canonical(terms)
+            canon = codesearch._canonical([(i, j, c) for (i, j), c in sorted(terms.items()) if c])
             if canon is not None and canon not in seen:
                 seen[canon] = origin + suffix
     return list(seen.items()), len(classes)
@@ -830,6 +830,38 @@ def test_integer_signs_match_the_fraction_reference(case, data):
         for con in constraints
     ]
     assert codesearch._signs(constraints, keys, nums, den) == reference_signs(scaled, keys, squares)
+
+
+@pytest.mark.parametrize("n", range(2, 10))
+def test_sign_check_skips_only_rows_every_candidate_solves(n, monkeypatch):
+    """``_solve_exact`` passes ``_signs`` only the constraints with a cross
+    term.  On every call a survey makes, each diagonal constraint of the
+    row sums to exactly 0 at the candidate squares, and ``_signs`` over
+    the row's full constraint list gives the same sign list, or None."""
+    solve_exact, signs = codesearch._solve_exact, codesearch._signs
+    row, calls = {}, []
+
+    def recording_solve(pattern, constraints, *args):
+        row["constraints"] = constraints
+        return solve_exact(pattern, constraints, *args)
+
+    def recording_signs(constraints, keys, nums, den):
+        sign = signs(constraints, keys, nums, den)
+        calls.append((row["constraints"], constraints, keys, nums, den, sign))
+        return sign
+
+    monkeypatch.setattr(codesearch, "_solve_exact", recording_solve)
+    monkeypatch.setattr(codesearch, "_signs", recording_signs)
+    for families in (("single_pauli",), ("bitflip",), ("phase",), ("bitflip", "phase")):
+        survey_patterns(n, 3, families)
+    assert calls
+    for full, passed, keys, nums, den, sign in calls:
+        assert passed == [con for con in full if not con.is_diagonal()]
+        squares = [Fraction(x, den) for x in nums]
+        for con in full:
+            if con.is_diagonal():
+                assert sum(c * squares[i] for i, _, c in con.terms) == 0
+        assert signs(full, keys, nums, den) == sign
 
 
 _PINNED = re.compile(r"a_(\d+)\^2 = (-?\d+(?:/\d+)?)")

@@ -975,6 +975,31 @@ def test_float_blocks_never_reach_the_exact_rank(ruskai9, full_error_set_9, monk
     assert report.total_rank == 28
 
 
+@pytest.mark.parametrize("case", ["float ruskai9 pauli+exchange", "float five-qubit pauli"])
+def test_float_d_blocks_read_magnitudes_off_the_gram_array(case, ruskai9, five_qubit,
+                                                           full_error_set_9):
+    """A float D's off-block magnitudes come from its Gram array slice with
+    no ``InnerProductValue`` built, bit-equal to the reading off D's value
+    table."""
+    code, errors = {
+        "float ruskai9 pauli+exchange": (ruskai9.to_float(), full_error_set_9),
+        "float five-qubit pauli": (five_qubit.to_float(), basic_error_set(5)),
+    }[case]
+    d = verify_kl(code, errors).d_matrix
+    with mock.patch.object(InnerProductValue, "from_complex",
+                           side_effect=AssertionError("built a value")):
+        report = d_blocks(d)
+    ids, values = d.table
+    for info in report.blocks:
+        a, b = info.start, info.stop
+        outside = set(ids[a:b, :a].ravel().tolist()) | set(ids[a:b, b:].ravel().tolist())
+        expect = max((values[k].magnitude() for k in outside), default=0.0)
+        assert info.off_block_max.hex() == expect.hex()
+    assert report.off_block_max.hex() == max(i.off_block_max for i in report.blocks).hex()
+    if case == "float ruskai9 pauli+exchange":
+        assert report.off_block_max > 0  # rounding noise, so the bits are compared
+
+
 def test_block_rule_keeps_exact_ids_and_one_float_value_per_image_pair():
     """``_gram._block`` on a hand-built table: a float block has one value
     per distinct image pair, repeated images share ids, and 0.0 and -0.0
