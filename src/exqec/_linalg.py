@@ -175,10 +175,10 @@ def basic_solutions(
     numerators over one positive denominator.  The ``_reduced`` rows whose
     pivot a subset drops must be met by its kept free columns alone: that
     square system (at most ``len(free)`` rows) goes to ``_bareiss``, and is
-    singular exactly when the subset is not a basis; a subset that keeps no
-    free column has none.  Each kept pivot is then read off its own row.
-    The pivot rows are indexed by pivot column once, so a subset finds its
-    free columns, dropped rows and held pivots by lookup.
+    singular exactly when the subset is not a basis.  Each kept pivot is
+    then read off its own row.  The pivot rows are indexed by pivot column
+    once, so a subset finds its free columns, dropped rows and held pivots
+    by lookup.
     """
     ncols = len(matrix[0]) if matrix else 0
     reduced = _reduced(matrix, rhs)
@@ -190,15 +190,13 @@ def basic_solutions(
     solutions = []
     for kept in combinations(range(ncols), len(pivots)):
         cols = [c for c in kept if c not in row_of]
-        y, det = [], 1
-        if cols:
-            keep = set(kept)
-            solved = _bareiss([
-                [row[c] for c in cols] + [row[ncols]] for p, row in row_of.items() if p not in keep
-            ])
-            if solved is None:
-                continue
-            y, det = solved  # x_c = y_c / det on the kept free columns
+        keep = set(kept)
+        solved = _bareiss([
+            [row[c] for c in cols] + [row[ncols]] for p, row in row_of.items() if p not in keep
+        ])
+        if solved is None:
+            continue
+        y, det = solved  # x_c = y_c / det on the kept free columns
         held = [(row_of[p], p) for p in kept if p in row_of]
         den = abs(det) * math.lcm(*[row[p] for row, p in held])
         nums = [0] * ncols

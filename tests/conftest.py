@@ -1,10 +1,8 @@
 from __future__ import annotations
 
-import os
 import re
 
 import pytest
-from hypothesis import settings
 
 from exqec import (
     basic_error_set,
@@ -14,12 +12,6 @@ from exqec import (
     shor_code,
     verify_kl,
 )
-
-# HYPOTHESIS_PROFILE=ci prints the @reproduce_failure blob of a failing
-# example, so a failure seen only in CI can be replayed locally; example
-# counts and deadlines stay as each test sets them
-settings.register_profile("ci", print_blob=True)
-settings.load_profile(os.environ.get("HYPOTHESIS_PROFILE", "default"))
 
 
 @pytest.fixture(scope="session")
