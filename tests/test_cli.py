@@ -417,6 +417,28 @@ def test_output_is_deterministic(capsys):
             "724701db668a57e2823795b000a86c576f676ae13d88106a22c56da8886977ea",
         ),
         (
+            # 98 distinct image rows of 128
+            "gram --code shor9 --errors pauli+exchange",
+            0,
+            "30e3cd1366fd58d304f7cdca01281a78795186c47617d616a387009a69ba417f",
+        ),
+        (
+            "--output structured gram --code ruskai9 --errors pauli+exchange",
+            0,
+            "c0b3c1df266c07652176e7300f7f1a0de7ed8b5902d2e3b6b17a549fb42090f4",
+        ),
+        (
+            # repeated float rows and signed zeros
+            "--mode float gram --code ruskai9 --errors pauli+exchange",
+            0,
+            "1f28d528f528dacf977dcebe871d3378230922d5ffced87283528d3bfd352d11",
+        ),
+        (
+            "--mode float --output structured dmatrix --code ruskai9",
+            0,
+            "0b91dd7d068129c9d002f746627f76db420a7bfc058244f42febbd6b3e56efdc",
+        ),
+        (
             # 255 findings
             "stab-check shor9",
             1,
