@@ -15,7 +15,7 @@ import sys
 from pathlib import Path
 
 from . import codesearch, klverify, stabcheck
-from ._gram import _resolve_tol
+from ._gram import _block, _resolve_tol
 from .codes import BUILTIN_CODES, Code, builtin_code, parse_code
 from .errorops import ErrorSet, PauliString, basic_error_set, parse_error_ops
 from .errors import CodeParseError, ScanTooLarge
@@ -166,11 +166,28 @@ def _parse_mask(text: str, n: int) -> int:
     return value
 
 
+# the separator between output lines, per --output
+_SEPARATOR = {"human": "\n  ", "structured": "\n"}
+
+
 def _emit(lines: list[str], args, title: str) -> None:
+    sep = _SEPARATOR[args.output]
     if args.output == "human":
-        print("\n  ".join([title, *lines]))
+        print(sep.join([title, *lines]))
     elif lines:
-        print("\n".join(lines))
+        print(sep.join(lines))
+
+
+def _table_lines(table, heads, columns, sep: str) -> list[str]:
+    """An ``(ids, values)`` table as ``_emit`` lines, one string per row that
+    ``sep`` joins: entry ``(s, t)`` reads ``heads[s] + columns[t] +
+    str(values[ids[s, t]])``.  Each distinct id is rendered once and each
+    distinct row of ids gets one list of ``column + text`` tails."""
+    ids, values = table
+    text = {k: str(values[k]) for k in set(ids.ravel().tolist())}
+    rows = list(map(tuple, ids.tolist()))
+    tails = {row: [col + text[k] for col, k in zip(columns, row)] for row in set(rows)}
+    return [head + (sep + head).join(tails[row]) for head, row in zip(heads, rows)]
 
 
 def _cmd_verify(args) -> int:
@@ -189,15 +206,11 @@ def _cmd_dmatrix(args) -> int:
         _emit(report.to_lines(), args, f"dmatrix {code.label}")
         return 1
     d = report.d_matrix
-    # a view of the Gram table read by the one block rule, each id rendered once;
     # a float D has one id per distinct image pair: 0.0 == -0.0 prints "0" and "-0"
-    ids, values = d.table
-    text = {k: str(values[k]) for k in set(ids.ravel().tolist())}
-    columns = [f"{label_q}]: " for label_q in d.labels]
-    lines = [f"size: {d.size}"]
-    for label_p, row in zip(d.labels, ids.tolist()):
-        lines += [f"d[{label_p},{col}{text[k]}" for col, k in zip(columns, row)]
-    lines += klverify.d_blocks(d).to_lines()
+    heads = [f"d[{label}," for label in d.labels]
+    columns = [f"{label}]: " for label in d.labels]
+    rows = _table_lines(d.table, heads, columns, _SEPARATOR[args.output])
+    lines = [f"size: {d.size}", *rows, *klverify.d_blocks(d).to_lines()]
     _emit(lines, args, f"dmatrix {code.label}")
     return 0
 
@@ -206,15 +219,12 @@ def _cmd_gram(args) -> int:
     code = _load_code(args)
     errors = _load_errors(args.errors, code.n)
     tensor = klverify.gram_tensor(code, errors)
-    lines = []
-    for p, label_p in enumerate(errors.labels):
-        for i in range(tensor.num_words):
-            for q, label_q in enumerate(errors.labels):
-                for j in range(tensor.num_words):
-                    lines.append(
-                        f"g[{label_p} w{i}, {label_q} w{j}]: "
-                        f"{tensor.entry(p, i, q, j)}"
-                    )
+    # rows and columns x = p * num_words + i, the order of tensor.which
+    images = [(label, i) for label in errors.labels for i in range(tensor.num_words)]
+    heads = [f"g[{label} w{i}, " for label, i in images]
+    columns = [f"{label} w{i}]: " for label, i in images]
+    table = _block(tensor.table, tensor.which, tensor.values)
+    lines = _table_lines(table, heads, columns, _SEPARATOR[args.output])
     _emit(lines, args, f"gram {code.label}")
     return 0
 
