@@ -1,0 +1,87 @@
+#!/usr/bin/env python3
+"""Write a BENCH record: two sides of untraced perfbench runs as one JSON file.
+
+    python3 scripts/bench_record.py BEFORE AFTER --out BENCH_name.json
+
+BEFORE and AFTER are perfbench result files or directories of them
+(``.perfbench/results`` of a checkout).  Runs are paired in file order and
+judged against the bounds of ``BENCHMARK.json`` with perfbench's own
+``compare.quartiles`` and ``compare.verdict``, as ``run.py --compare``
+does.  Per workload the record keeps the seeds and run lengths, every
+run's end-to-end metrics and failures, each side's quartiles per metric,
+the pairs the second side won, the verdict, and every run's ``machine``
+record.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+sys.path.insert(0, str(ROOT / "perfbench"))
+
+from compare import _by_workload, load, quartiles, verdict  # noqa: E402
+
+
+def _side(runs: list[dict], names: list[str]) -> dict:
+    return {
+        "seeds": [r["seed"] for r in runs],
+        "seconds": [r["seconds"] for r in runs],
+        "runs": [
+            {"seed": r["seed"], "attempted": r["attempted"], "failed": r["failed"],
+             "metrics": {name: r["metrics"][name]["value"] for name in names}}
+            for r in runs
+        ],
+        "machine": [r["machine"] for r in runs],
+    }
+
+
+def record(before: list[dict], after: list[dict], spec: dict) -> dict:
+    sides = _by_workload(before), _by_workload(after)
+    names = [entry["name"] for entry in spec["end_to_end"]]
+    workloads = {}
+    for workload in sorted(set(sides[0]) & set(sides[1])):
+        a_runs, b_runs = sides[0][workload], sides[1][workload]
+        metrics = {}
+        for entry in spec["end_to_end"]:
+            name = entry["name"]
+            a = [r["metrics"][name]["value"] for r in a_runs]
+            b = [r["metrics"][name]["value"] for r in b_runs]
+            result, won, pairs = verdict(a, b, entry["better"], entry["bound"])
+            metrics[name] = {
+                "unit": entry["unit"], "better": entry["better"], "bound": entry["bound"],
+                **{side: dict(zip(("q1", "median", "q3"), quartiles(values)))
+                   for side, values in (("before", a), ("after", b))},
+                "won": won, "pairs": pairs, "verdict": result,
+            }
+        workloads[workload] = {
+            "metrics": metrics,
+            "before": _side(a_runs, names),
+            "after": _side(b_runs, names),
+        }
+    return {"workloads": workloads}
+
+
+def main() -> int:
+    parser = argparse.ArgumentParser(
+        description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter
+    )
+    parser.add_argument("before", type=Path)
+    parser.add_argument("after", type=Path)
+    parser.add_argument("--out", type=Path, required=True)
+    args = parser.parse_args()
+    spec = json.loads((ROOT / "BENCHMARK.json").read_text())
+    out = record(load(args.before), load(args.after), spec)
+    args.out.write_text(json.dumps(out, indent=1) + "\n")
+    for workload, entry in out["workloads"].items():
+        for name, m in entry["metrics"].items():
+            print(f"{workload} {name}: {m['before']['median']:.4g} -> "
+                  f"{m['after']['median']:.4g}, won {m['won']}/{m['pairs']}, {m['verdict']}")
+    return 0
+
+
+if __name__ == "__main__":
+    raise SystemExit(main())

@@ -12,9 +12,11 @@ from pathlib import Path
 
 import pytest
 
+from exqec import cli, klverify
 from exqec.cli import entry, run
-from exqec.codes import Code, builtin_code, serialize_code
-from exqec.qstate import QubitPermutation, apply_permutation
+from exqec.codes import BUILTIN_CODES, Code, builtin_code, serialize_code
+from exqec.errorops import ErrorSet, basic_error_set, parse_error_ops
+from exqec.qstate import InnerProductValue, QubitPermutation, apply_permutation
 
 
 def invoke(capsys, *argv):
@@ -126,6 +128,100 @@ def test_gram_output(capsys):
         "g[I w1, I w0]: 0",
         "g[I w1, I w1]: 1",
     ]
+
+
+# Per-entry reference printers: D read from ``d.entries`` and the Gram tensor
+# from ``tensor.entry``, one f-string per entry.
+
+
+def _reference_out(lines, title, output):
+    if output == "human":
+        return "\n  ".join([title, *lines]) + "\n"
+    return "\n".join(lines) + "\n" if lines else ""
+
+
+def reference_dmatrix(code, errors, output):
+    report = klverify.verify_kl(code, errors)
+    title = f"dmatrix {code.label}"
+    if not report.correctable:
+        return 1, _reference_out(report.to_lines(), title, output)
+    d = report.d_matrix
+    lines = [f"size: {d.size}"]
+    for label_p, row in zip(d.labels, d.entries):
+        lines += [f"d[{label_p},{label_q}]: {v}" for label_q, v in zip(d.labels, row)]
+    lines += klverify.d_blocks(d).to_lines()
+    return 0, _reference_out(lines, title, output)
+
+
+def reference_gram(code, errors, output):
+    tensor = klverify.gram_tensor(code, errors)
+    w = tensor.num_words
+    lines = [
+        f"g[{label_p} w{i}, {label_q} w{j}]: {tensor.entry(p, i, q, j)}"
+        for p, label_p in enumerate(errors.labels)
+        for i in range(w)
+        for q, label_q in enumerate(errors.labels)
+        for j in range(w)
+    ]
+    return 0, _reference_out(lines, f"gram {code.label}", output)
+
+
+_FAMILIES = {"pauli": "single_pauli", "exchange": "exchange", "identity": "identity_only"}
+
+
+def _operator_list(n):
+    """An explicit list with a cyclic qubit permutation and an exchange."""
+    cycle = " ".join(map(str, [*range(2, n + 1), 1]))
+    return f"I, X1 Z{n}, P({cycle}), Y{n} E(1,2)"
+
+
+@pytest.mark.parametrize(
+    "command, reference", [("dmatrix", reference_dmatrix), ("gram", reference_gram)]
+)
+@pytest.mark.parametrize("spec", ["pauli", "pauli+exchange", "exchange", "identity", "list"])
+@pytest.mark.parametrize("name", sorted(BUILTIN_CODES))
+def test_table_output_matches_per_entry_reference(capsys, name, spec, command, reference):
+    """``dmatrix`` and ``gram`` print each distinct row once, byte for byte
+    what one f-string per entry prints, in both modes and both outputs."""
+    exact = builtin_code(name)
+    n = exact.n
+    if spec == "list":
+        spec = _operator_list(n)
+        errors = ErrorSet.from_ops(n, parse_error_ops(spec, n))
+    else:
+        errors = basic_error_set(n, families=tuple(_FAMILIES[f] for f in spec.split("+")))
+    for mode, code in (("exact", exact), ("float", exact.to_float())):
+        for output in ("human", "structured"):
+            argv = ["--mode", mode, "--output", output, command, "--code", name]
+            rc, out, _ = invoke(capsys, *argv, "--errors", spec)
+            assert (rc, out) == reference(code, errors, output), (mode, output)
+
+
+def test_dmatrix_renders_each_distinct_row_and_value_once(capsys, monkeypatch):
+    """ruskai9's D has 64 rows but 28 distinct rows of ids: ``dmatrix``
+    builds one ``column + text`` tail list per distinct row and calls
+    ``str`` once per distinct id."""
+    errors = basic_error_set(9, families=("single_pauli", "exchange"))
+    ids, _ = klverify.verify_kl(builtin_code("ruskai9"), errors).d_matrix.table
+    assert ids.shape == (64, 64) and len(set(map(tuple, ids.tolist()))) == 28
+    joined, rendered = [], []
+
+    class Column(str):
+        def __add__(self, text):
+            joined.append(text)
+            return str.__add__(self, text)
+
+    def counted_columns(table, heads, columns, sep):
+        return table_lines(table, heads, [Column(c) for c in columns], sep)
+
+    table_lines, value_str = cli._table_lines, InnerProductValue.__str__
+    monkeypatch.setattr(cli, "_table_lines", counted_columns)
+    monkeypatch.setattr(InnerProductValue, "__str__", lambda v: rendered.append(v) or value_str(v))
+    rc, out, _ = invoke(capsys, "dmatrix", "--code", "ruskai9")
+    assert rc == 0
+    assert sum(line.startswith("  d[") for line in out.splitlines()) == 64 * 64
+    assert len(joined) == 28 * 64
+    assert len(rendered) == len(set(ids.ravel().tolist()))
 
 
 # --------------------------------------------------------------- stab-check

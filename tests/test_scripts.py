@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import json
 import os
 import subprocess
 import sys
@@ -56,3 +57,33 @@ def test_script_reports_bad_input_without_traceback(script, message):
     assert done.stderr.startswith(message)
     assert "Traceback" not in done.stderr
     assert done.stdout == ""
+
+
+def _result(path, seed, ops_per_probe):
+    """A perfbench result file with only the fields a BENCH record reads."""
+    metrics = {"ops_per_probe": (ops_per_probe, "1/probe"), "verdict_p50_probes": (2.5, "probe"),
+               "setup_s": (0.2, "s"), "peak_rss_mib": (40.0, "MiB")}
+    path.write_text(json.dumps({
+        "workload": "verify-ruskai9", "seed": seed, "seconds": 1.0, "trace": 0,
+        "machine": {"nproc": 2, "commit": None}, "attempted": 4, "failed": 0,
+        "metrics": {k: {"value": v, "unit": u} for k, (v, u) in metrics.items()},
+    }))
+    return path
+
+
+def test_bench_record_judges_two_result_files(tmp_path):
+    """The record carries each run, each side's quartiles and compare's verdict."""
+    before = _result(tmp_path / "before.json", 7, 0.4)
+    after = _result(tmp_path / "after.json", 7, 0.2)
+    out = tmp_path / "BENCH_test.json"
+    done = run_script(f"bench_record.py {before} {after} --out {out}")
+    assert done.returncode == 0, done.stderr
+    assert "verify-ruskai9 ops_per_probe: 0.4 -> 0.2, won 0/1, worse" in done.stdout
+    entry = json.loads(out.read_text())["workloads"]["verify-ruskai9"]
+    ops = entry["metrics"]["ops_per_probe"]
+    assert ops["before"] == {"q1": 0.4, "median": 0.4, "q3": 0.4}
+    assert (ops["won"], ops["pairs"], ops["verdict"], ops["bound"]) == (0, 1, "worse", 0.25)
+    assert entry["metrics"]["setup_s"]["verdict"] == "unchanged"
+    assert entry["after"]["seeds"] == [7] and entry["after"]["seconds"] == [1.0]
+    assert entry["after"]["runs"][0]["metrics"]["ops_per_probe"] == 0.2
+    assert entry["after"]["machine"] == [{"nproc": 2, "commit": None}]
