@@ -4,7 +4,11 @@
     python3 scripts/bench_record.py BEFORE AFTER --out BENCH_name.json
 
 BEFORE and AFTER are perfbench result files or directories of them
-(``.perfbench/results`` of a checkout).  Runs are paired in file order and
+(``.perfbench/results`` of a checkout).  Each side must hold the runs of
+one source tree (one ``machine.source_sha256``) on workloads that
+``BENCHMARK.json`` declares: a directory that also holds runs of another
+commit, or the self-tests' ``smoke`` runs, exits 2 naming the files.
+Runs are paired in file order and
 judged against the bounds of ``BENCHMARK.json`` with perfbench's own
 ``compare.quartiles`` and ``compare.verdict``, as ``run.py --compare``
 does.  Per workload the record keeps the seeds and run lengths, every
@@ -23,7 +27,33 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 sys.path.insert(0, str(ROOT / "perfbench"))
 
-from compare import _by_workload, load, quartiles, verdict  # noqa: E402
+from compare import _by_workload, quartiles, verdict  # noqa: E402
+
+
+class MixedSide(Exception):
+    pass
+
+
+def load_side(path: Path, workloads: set[str]) -> list[dict]:
+    """The runs of one side, as ``compare.load`` reads them; raises
+    ``MixedSide`` naming the files when they hold more than one
+    ``machine.source_sha256`` or a workload not in ``workloads``."""
+    files = sorted(path.glob("*.json")) if path.is_dir() else [path]
+    runs = [json.loads(f.read_text()) for f in files]
+    by_source: dict[str | None, list[str]] = {}
+    undeclared = []
+    for f, run in zip(files, runs):
+        by_source.setdefault(run["machine"].get("source_sha256"), []).append(f.name)
+        if run["workload"] not in workloads:
+            undeclared.append(f"{f.name} ({run['workload']})")
+    if len(by_source) > 1:
+        groups = "; ".join(f"{sha}: {', '.join(names)}" for sha, names in by_source.items())
+        raise MixedSide(f"{path} mixes source trees: {groups}")
+    if undeclared:
+        raise MixedSide(
+            f"{path} holds workloads that BENCHMARK.json does not declare: {', '.join(undeclared)}"
+        )
+    return runs
 
 
 def _side(runs: list[dict], names: list[str]) -> dict:
@@ -74,7 +104,13 @@ def main() -> int:
     parser.add_argument("--out", type=Path, required=True)
     args = parser.parse_args()
     spec = json.loads((ROOT / "BENCHMARK.json").read_text())
-    out = record(load(args.before), load(args.after), spec)
+    workloads = {entry["name"] for entry in spec["workloads"]}
+    try:
+        before, after = (load_side(path, workloads) for path in (args.before, args.after))
+    except MixedSide as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
+    out = record(before, after, spec)
     args.out.write_text(json.dumps(out, indent=1) + "\n")
     for workload, entry in out["workloads"].items():
         for name, m in entry["metrics"].items():

@@ -24,6 +24,8 @@ Each engine also gives every entry's image index (``GramTensor``), so
 images on every word, in array operations: float values against the
 tolerance, exact ids for equality, with ``_excess`` once per distinct pair
 of unequal ids.  ``_resolve_tol`` is the one rule for that tolerance.
+``_offenders`` reads a code's validity (orthogonal words of equal norm)
+off the identity images of any Gram through that comparison.
 """
 
 from __future__ import annotations
@@ -556,3 +558,18 @@ def _violations(
             bad = diag[cls[p],] if p == q else off[cls[p], cls[q]]
             out.append(Violation("strict", keys[0], keys[0], p, q, *bad))
     return out
+
+
+def _offenders(G: GramTensor, tol: float) -> list[tuple[int, int, InnerProductValue]]:
+    """The words' orthogonality and equal-norm offenders, read off the
+    identity images of any Gram, ``G.which[:num_words]``: ``(i, j, value)``
+    with i < j for a nonzero ``<C_i|C_j>``, ``(i, i, value)`` for a norm
+    that differs from word 0's.  This is the correctability comparison,
+    ``_violations``, at the first error, which must have the identity's
+    form (``ErrorSet`` checks only its label)."""
+    first = G.errors.ops[0]
+    if first.x_mask or first.z_mask or first.phase or first.perm:
+        raise ValueError(f"the first error {G.errors.labels[0]} is not the identity")
+    w = G.num_words
+    at_identity = GramTensor(ErrorSet(G.errors.n, (first,)), w, G.which[:w], G.table, G.values)
+    return [(v.i, v.j, v.value) for v in _violations(at_identity, range(w), tol)]

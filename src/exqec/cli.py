@@ -15,8 +15,8 @@ import sys
 from pathlib import Path
 
 from . import codesearch, klverify, stabcheck
-from ._gram import _block, _resolve_tol
-from .codes import BUILTIN_CODES, Code, builtin_code, parse_code
+from ._gram import GramTensor, _block, _offenders, _resolve_tol
+from .codes import BUILTIN_CODES, Code, _raise_invalid, builtin_code, parse_code
 from .errorops import ErrorSet, PauliString, basic_error_set, parse_error_ops
 from .errors import CodeParseError, ScanTooLarge
 
@@ -120,23 +120,36 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _load_code(args) -> Code:
+def _load_code(args, validate: bool = True) -> tuple[Code, bool]:
+    """The code, in ``--mode``, and whether it has been validated: a builtin
+    always is, in its constructor, and a code file is when ``validate``."""
     name = getattr(args, "code", None)
     path = getattr(args, "codefile", None)
-    if name:
-        code = builtin_code(name)
+    if name or path in BUILTIN_CODES:
+        code, validate = builtin_code(name or path), True
     else:
-        if path in BUILTIN_CODES:
-            code = builtin_code(path)
-        else:
-            try:
-                text = Path(path).read_text()
-            except OSError as exc:
-                raise _UsageError(f"cannot read code file {path}: {exc}")
-            code = parse_code(text)
+        try:
+            text = Path(path).read_text()
+        except OSError as exc:
+            raise _UsageError(f"cannot read code file {path}: {exc}")
+        code = parse_code(text, validate)
     if args.mode == "float":
         code = code.to_float()
-    return code
+    return code, validate
+
+
+def _load_gram(args) -> tuple[Code, GramTensor]:
+    """The code and its Gram under ``--errors``, for verify, dmatrix and
+    gram.  An exact code file is parsed unvalidated and checked on this
+    Gram's identity images (``_offenders``) at tolerance 0, whatever
+    ``--tol`` says, as ``Code.validate`` checks it; so ``--errors`` is read
+    before that check, and an invalid code prints nothing.  In float mode
+    the file is validated when parsed."""
+    code, validated = _load_code(args, validate=args.mode == "float")
+    G = klverify.gram_tensor(code, _load_errors(args.errors, code.n))
+    if not validated:
+        _raise_invalid(_offenders(G, 0.0))
+    return code, G
 
 
 def _load_errors(spec: str, n: int) -> ErrorSet:
@@ -191,17 +204,18 @@ def _table_lines(table, heads, columns, sep: str) -> list[str]:
 
 
 def _cmd_verify(args) -> int:
-    code = _load_code(args)
-    errors = _load_errors(args.errors, code.n)
-    report = klverify.verify_kl(code, errors, tol=args.tol, strict=args.strict)
+    """``verify_kl`` on the Gram of ``_load_gram``."""
+    code, G = _load_gram(args)
+    report = klverify._report(G, _resolve_tol(code.mode, args.tol), args.strict)
     _emit(report.to_lines(), args, f"verify {code.label}")
     return 0 if report.correctable else 1
 
 
 def _cmd_dmatrix(args) -> int:
-    code = _load_code(args)
-    errors = _load_errors(args.errors, code.n)
-    report = klverify.verify_kl(code, errors, tol=args.tol)
+    """``verify_kl`` on the Gram of ``_load_gram``; when correctable, D and
+    its blocks."""
+    code, G = _load_gram(args)
+    report = klverify._report(G, _resolve_tol(code.mode, args.tol))
     if not report.correctable:
         _emit(report.to_lines(), args, f"dmatrix {code.label}")
         return 1
@@ -216,11 +230,10 @@ def _cmd_dmatrix(args) -> int:
 
 
 def _cmd_gram(args) -> int:
-    code = _load_code(args)
-    errors = _load_errors(args.errors, code.n)
-    tensor = klverify.gram_tensor(code, errors)
+    """Every entry of the Gram of ``_load_gram``."""
+    code, tensor = _load_gram(args)
     # rows and columns x = p * num_words + i, the order of tensor.which
-    images = [(label, i) for label in errors.labels for i in range(tensor.num_words)]
+    images = [(label, i) for label in tensor.errors.labels for i in range(tensor.num_words)]
     heads = [f"g[{label} w{i}, " for label, i in images]
     columns = [f"{label} w{i}]: " for label, i in images]
     table = _block(tensor.table, tensor.which, tensor.values)
@@ -230,7 +243,7 @@ def _cmd_gram(args) -> int:
 
 
 def _cmd_stab_check(args) -> int:
-    code = _load_code(args)
+    code, _ = _load_code(args)
     if args.witness is not None:
         a = _parse_mask(args.witness[0], code.n)
         b = _parse_mask(args.witness[1], code.n)

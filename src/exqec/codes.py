@@ -40,7 +40,7 @@ from .qstate import (
     parse_ket,
 )
 from .errorops import ErrorSet, IdentityOp, PauliString
-from ._gram import _gram, _resolve_tol, _violations
+from ._gram import _gram, _offenders, _resolve_tol
 
 __all__ = [
     "Code",
@@ -93,22 +93,28 @@ class Code:
 
         ``(i, j, value)`` with i < j is a nonzero cross inner product;
         ``(i, i, value)`` is word i's norm when it differs from word 0's.
-        This is the correctability check at the identity alone, so orbit
-        words take the orbit engine and build no Gram of their states, and
-        ``tol`` defaults and is checked as in ``verify_kl``.
+        This is ``_gram._offenders``, the correctability comparison at the
+        identity, on a Gram of the identity alone, so orbit words take the
+        orbit engine and build no Gram of their states, and ``tol``
+        defaults and is checked as in ``verify_kl``.  A caller that builds
+        a Gram anyway reads the same list off it with ``_offenders``.
         """
         tol = _resolve_tol(self.mode, tol)
-        G = _gram(self.words, ErrorSet(self.n, (IdentityOp(self.n),)))
-        return [(v.i, v.j, v.value) for v in _violations(G, range(len(self.words)), tol)]
+        return _offenders(_gram(self.words, ErrorSet(self.n, (IdentityOp(self.n),))), tol)
 
     def validate(self, tol: float | None = None) -> None:
-        offenders = self.check(tol)
-        if offenders:
-            parts = ", ".join(
-                f"<w{i}|w{j}> = {v}" if i != j else f"|w{i}|^2 = {v}"
-                for i, j, v in offenders
-            )
-            raise InvalidCodeError(f"invalid code: {parts}", offenders)
+        """Raise :class:`InvalidCodeError` naming every offender of ``check``."""
+        _raise_invalid(self.check(tol))
+
+
+def _raise_invalid(offenders: list[tuple[int, int, InnerProductValue]]) -> None:
+    """Raise :class:`InvalidCodeError` listing ``offenders`` (``Code.check``'s
+    form), when there are any."""
+    if offenders:
+        parts = ", ".join(
+            f"<w{i}|w{j}> = {v}" if i != j else f"|w{i}|^2 = {v}" for i, j, v in offenders
+        )
+        raise InvalidCodeError(f"invalid code: {parts}", offenders)
 
 
 @dataclass(frozen=True)
@@ -321,7 +327,13 @@ _WORD_RE = _re.compile(r"word\s+(\d+)\s*:")
 
 
 def parse_code(text: str, validate: bool = True) -> Code:
-    """Parse the code file format; raises CodeParseError with line/column."""
+    """Parse the code file format; raises CodeParseError with line/column.
+
+    With ``validate`` the words must pass ``Code.validate``.  A caller that
+    builds an exact Gram of the code parses with ``validate=False`` and
+    reads the same check off that Gram (``_gram._offenders``), as the CLI's
+    exact ``verify``, ``dmatrix`` and ``gram`` do.
+    """
     n: int | None = None
     label = ""
     words: list[dict[int, Amplitude]] = []

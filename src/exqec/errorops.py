@@ -228,10 +228,19 @@ def ExchangeOp(n: int, j: int, k: int) -> ErrorOperator:
         raise ValueError("exchange requires two distinct qubits")
     if not (1 <= j <= n and 1 <= k <= n):
         raise DimensionMismatch(f"exchange qubits ({j},{k}) out of range 1..{n}")
-    j, k = min(j, k), max(j, k)
+    return _exchange(n, min(j, k), max(j, k))
+
+
+def _exchange(n: int, j: int, k: int) -> ErrorOperator:
+    """``E(j,k)`` for ``1 <= j < k <= n``, valid by construction: the
+    transposition of two distinct qubits in range is a canonical,
+    non-identity image, so ``ErrorOperator.__post_init__``'s checks are not
+    run."""
     image = list(range(1, n + 1))
     image[j - 1], image[k - 1] = k, j
-    return ErrorOperator(n, 0, 0, 0, tuple(image), f"E({j},{k})")
+    op = object.__new__(ErrorOperator)
+    vars(op).update(n=n, x_mask=0, z_mask=0, phase=0, perm=tuple(image), text=f"E({j},{k})")
+    return op
 
 
 def PermutationOp(perm: QubitPermutation) -> ErrorOperator:
@@ -374,7 +383,7 @@ def basic_error_set(n: int, families: Iterable[str] = ("single_pauli",)) -> Erro
     if "exchange" in fams:
         for j in range(1, n + 1):
             for k in range(j + 1, n + 1):
-                ops.append(ExchangeOp(n, j, k))
+                ops.append(_exchange(n, j, k))
     if "single_pauli" in fams:
         for kind in "XYZ":
             for k in range(1, n + 1):

@@ -258,10 +258,16 @@ def _split_rank(
 
 
 def _report(
-    G: GramTensor, violations: list[Violation], tol: float, strict: bool
+    G: GramTensor, tol: float, strict: bool = False, keys: Sequence | None = None
 ) -> KLReport:
-    """The report; when correctable, word 0's block is the D matrix, read
-    off the Gram table and ranked when the report's ``rank`` is read."""
+    """The report on a Gram: its violations at tolerance ``tol``
+    (``_violations``, word a named ``keys[a]``, by default ``a``) and, when
+    correctable, word 0's block as the D matrix, read off the Gram table
+    and ranked when the report's ``rank`` is read.  Every check goes from
+    Gram to report through this step: ``verify_kl``, ``verify_kl_extended``
+    and the CLI, which checks a code file's validity on the same Gram
+    first."""
+    violations = _violations(G, range(G.num_words) if keys is None else keys, tol, strict)
     d_matrix = None
     if not violations:
         images = G.which[:: G.num_words]
@@ -285,11 +291,11 @@ def verify_kl(
 
     Exact codes are compared with tolerance 0 by default; float codes with
     1e-9.  When correctable, the report carries the word-0 block as the D
-    matrix together with its rank and the dimension count 2*rank.
+    matrix together with its rank and the dimension count 2*rank.  This is
+    ``_report`` on the code's Gram (``_gram._gram``); the code's own
+    validity is not checked here.
     """
-    tol = _resolve_tol(code.mode, tol)
-    G = _gram(code.words, errors)
-    return _report(G, _violations(G, range(len(code.words)), tol, strict), tol, strict)
+    return _report(_gram(code.words, errors), _resolve_tol(code.mode, tol), strict)
 
 
 def verify_kl_extended(
@@ -312,8 +318,7 @@ def verify_kl_extended(
         raise ValueError("family members must share exact/float mode")
     tol = _resolve_tol(family[0].mode, tol)
     keys = [(i, m) for m in range(len(family)) for i in range(w)]
-    G = _gram([family[m].words[i] for i, m in keys], errors)
-    return _report(G, _violations(G, keys, tol), tol, False)
+    return _report(_gram([family[m].words[i] for i, m in keys], errors), tol, keys=keys)
 
 
 @dataclass(frozen=True)

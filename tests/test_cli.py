@@ -12,7 +12,7 @@ from pathlib import Path
 
 import pytest
 
-from exqec import cli, klverify
+from exqec import _gram, cli, klverify
 from exqec.cli import entry, run
 from exqec.codes import BUILTIN_CODES, Code, builtin_code, serialize_code
 from exqec.errorops import ErrorSet, basic_error_set, parse_error_ops
@@ -655,6 +655,41 @@ def test_codefile_output_matches_golden_digest(capsys, ruskai9_file, command, di
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
+@pytest.mark.parametrize("command", ["verify", "dmatrix", "gram"])
+@pytest.mark.parametrize(
+    "name, engine, rc", [("ruskai9", "_orbit_gram", 0), ("shor9", "_exact_gram", 1)]
+)
+def test_exact_command_on_a_code_file_builds_one_gram(
+    tmp_path, capsys, monkeypatch, command, name, engine, rc
+):
+    """An exact verify, dmatrix or gram of a relabelled code file checks the
+    code on the Gram it prints from: one Gram engine call and one
+    ``_orbit_coefficients`` call per word."""
+    code = builtin_code(name)
+    perm = QubitPermutation((4, 9, 2, 7, 1, 6, 3, 8, 5))
+    path = tmp_path / f"{name}.code"
+    path.write_text(
+        serialize_code(Code(9, tuple(apply_permutation(w, perm) for w in code.words), name))
+    )
+    calls = dict.fromkeys(["_orbit_gram", "_exact_gram", "_float_gram", "_orbit_coefficients"], 0)
+
+    def counted(fn):
+        original = getattr(_gram, fn)
+
+        def call(*args, **kwargs):
+            calls[fn] += 1
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(_gram, fn, call)
+
+    for fn in calls:
+        counted(fn)
+    got, out, err = invoke(capsys, command, "--codefile", str(path), "--errors", "pauli+exchange")
+    assert (got, err) == (0 if command == "gram" else rc, "")
+    assert out.startswith(f"{command} {name}\n")
+    assert calls == {**dict.fromkeys(calls, 0), engine: 1, "_orbit_coefficients": 2}
+
+
 # --------------------------------------------------------------- exit code 2
 
 
@@ -671,6 +706,71 @@ def test_malformed_codefile_is_usage_error(tmp_path, capsys):
     rc, _, err = invoke(capsys, "verify", "--codefile", str(path))
     assert rc == 2
     assert "line 3" in err
+
+
+_INVALID_CODES = {
+    # two words of equal norm that share the ket |00>
+    "shared-ket": ("qubits: 2\nword 0:\n1 |00>\n1 |01>\nword 1:\n1 |00>\n1 |11>\n",
+                   "<w0|w1> = 1"),
+    "unequal-norms": ("qubits: 2\nword 0:\n1 |00>\nword 1:\n2 |11>\n", "|w1|^2 = 4"),
+    "three-words": (
+        "qubits: 3\nword 0:\n1 |000>\n1 |001>\nword 1:\nsqrt(2) |001>\n1 |110>\n"
+        "word 2:\ni |111>\n-1/2 |000>\n",
+        "<w0|w1> = sqrt(2), <w0|w2> = -1/2, |w1|^2 = 3, |w2|^2 = 5/4",
+    ),
+    # whole weight orbits (the orbit engine) with norms 7 and 4
+    "orbit-norms": (
+        "qubits: 9\nword 0:\n1 |000000000>\n1/sqrt(14) orbit(k=6)\n"
+        "word 1:\n1 |111111111>\n1/sqrt(28) orbit(k=3)\n",
+        "|w1|^2 = 4",
+    ),
+}
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("verify", "--codefile", "{path}", "--errors", "pauli+exchange"),
+        ("verify", "--codefile", "{path}", "--strict"),
+        ("--tol", "10", "verify", "--codefile", "{path}"),
+        ("dmatrix", "--codefile", "{path}"),
+        ("gram", "--codefile", "{path}"),
+        ("--mode", "float", "verify", "--codefile", "{path}"),
+        ("--mode", "float", "dmatrix", "--codefile", "{path}"),
+        ("--mode", "float", "gram", "--codefile", "{path}"),
+        ("stab-check", "{path}"),
+    ],
+)
+@pytest.mark.parametrize("name", sorted(_INVALID_CODES))
+def test_invalid_codefile_is_usage_error(tmp_path, capsys, name, argv):
+    """A code file whose words overlap or differ in norm exits 2 before any
+    output, with every offender in word order, under every command that
+    loads a code; a tolerance given with ``--tol`` does not loosen the
+    exact check."""
+    text, offenders = _INVALID_CODES[name]
+    path = tmp_path / f"{name}.code"
+    path.write_text(text)
+    rc, out, err = invoke(capsys, *(arg.format(path=path) for arg in argv))
+    assert (rc, out, err) == (2, "", f"error: invalid code: {offenders}\n")
+
+
+@pytest.mark.parametrize(
+    "mode, message",
+    [
+        # the operator list is read before the Gram that the check reads
+        ("exact", "cannot parse operator token 'Q9'"),
+        # float mode checks the file when it is parsed, before the errors
+        ("float", "invalid code: <w0|w1> = 1"),
+    ],
+)
+@pytest.mark.parametrize("command", ["verify", "dmatrix", "gram"])
+def test_invalid_codefile_with_malformed_errors(tmp_path, capsys, command, mode, message):
+    path = tmp_path / "shared-ket.code"
+    path.write_text(_INVALID_CODES["shared-ket"][0])
+    rc, out, err = invoke(
+        capsys, "--mode", mode, command, "--codefile", str(path), "--errors", "Q9"
+    )
+    assert (rc, out, err) == (2, "", f"error: {message}\n")
 
 
 @pytest.mark.parametrize(

@@ -22,6 +22,7 @@ from exqec.codes import (
     ruskai9_code,
     serialize_code,
 )
+from exqec.errorops import ErrorOperator, ErrorSet, basic_error_set
 from exqec.errors import CodeParseError, ExactArithmeticError, InvalidCodeError
 from exqec.qstate import (
     AMP_ZERO,
@@ -243,6 +244,96 @@ def _assert_check_matches_reference(code):
 @given(_small_codes(), st.booleans())
 def test_check_matches_the_per_pair_loop(code, float_mode):
     _assert_check_matches_reference(code.to_float() if float_mode else code)
+
+
+_AMPS = st.builds(
+    Amplitude.make,
+    st.fractions(min_value=-3, max_value=3, max_denominator=6),
+    st.fractions(min_value=-3, max_value=3, max_denominator=6),
+    st.sampled_from((1, 2, 3, 7)),
+).filter(lambda a: not a.is_zero())
+
+
+@st.composite
+def _valid_sparse_codes(draw):
+    """Two or three words on disjoint kets, each word the same amplitudes
+    in its own order times its own unit phase: orthogonal, equal norms."""
+    n = draw(st.integers(min_value=2, max_value=5))
+    w = draw(st.integers(min_value=2, max_value=3))
+    m = draw(st.integers(min_value=1, max_value=min(4, (1 << n) // w)))
+    kets = draw(st.permutations(range(1 << n)))[: w * m]
+    amps = draw(st.lists(_AMPS, min_size=m, max_size=m))
+    words = []
+    for i in range(w):
+        order, turn = draw(st.permutations(amps)), draw(st.integers(0, 3))
+        words.append({k: a.times_i(turn) for k, a in zip(kets[i * m : (i + 1) * m], order)})
+    return n, words
+
+
+@st.composite
+def _valid_orbit_codes(draw):
+    """Complement-dual orbit codes: word 0 sums whole weight orbits over
+    weights A, with A and n - A disjoint, and word 1 is its bit complement
+    times a unit phase."""
+    n = draw(st.integers(min_value=2, max_value=9))
+    weights = draw(
+        st.sets(st.integers(0, n), min_size=1, max_size=3).filter(
+            lambda ws: not ws & {n - w for w in ws}
+        )
+    )
+    coeffs = {w: draw(_AMPS) for w in sorted(weights)}
+    turn = draw(st.integers(0, 3))
+    word = lambda cs: {k: a for w, a in cs.items() for k in orbit_sum(n, w).terms}  # noqa: E731
+    return n, [word(coeffs), word({n - w: a.times_i(turn) for w, a in coeffs.items()})], coeffs
+
+
+@st.composite
+def _valid_and_broken_codes(draw):
+    """A drawn valid code, kept or broken: one amplitude changed (a whole
+    weight orbit's, for an orbit code) or one ket of word 0 put in word 1."""
+    kind = draw(st.sampled_from(("sparse", "orbit")))
+    if kind == "sparse":
+        n, words = draw(_valid_sparse_codes())
+    else:
+        n, words, coeffs = draw(_valid_orbit_codes())
+    how = draw(st.sampled_from(("valid", "amplitude", "shared")))
+    if how == "amplitude" and kind == "orbit":
+        weight = draw(st.sampled_from(sorted(coeffs)))
+        new = draw(_AMPS.filter(lambda a: a != coeffs[weight]))
+        words[0].update(dict.fromkeys(orbit_sum(n, weight).terms, new))
+    elif how == "amplitude":
+        i = draw(st.integers(0, len(words) - 1))
+        ket = draw(st.sampled_from(sorted(words[i])))
+        words[i][ket] = draw(_AMPS.filter(lambda a: a != words[i][ket]))
+    elif how == "shared":
+        words[1][draw(st.sampled_from(sorted(words[0])))] = draw(_AMPS)
+    return how, Code(n, tuple(StateVector.from_terms(n, w) for w in words))
+
+
+@settings(max_examples=150, deadline=None)
+@given(_valid_and_broken_codes())
+def test_offenders_on_the_full_gram_match_check(drawn):
+    """The two readers of a code's validity agree: ``_offenders`` on the
+    ``pauli+exchange`` Gram gives ``Code.check``'s list, in the same order
+    and value for value, on valid and broken sparse and orbit codes."""
+    how, code = drawn
+    expected = code.check()
+    if how == "valid":
+        assert expected == []
+    G = _gram._gram(code.words, basic_error_set(code.n, ("single_pauli", "exchange")))
+    got = _gram._offenders(G, 0.0)
+    assert got == expected
+    assert [str(v) for *_, v in got] == [str(v) for *_, v in expected]
+
+
+def test_offenders_need_the_identity_first():
+    """``ErrorSet`` takes any operator labelled ``I`` first; the validity
+    reader also checks its form."""
+    code = builtin_code("rep3")
+    disguised = ErrorOperator(3, 0b100, 0, 0, (), "I")  # X1, labelled I
+    G = _gram._gram(code.words, ErrorSet(3, (disguised,)))
+    with pytest.raises(ValueError, match="the first error I is not the identity"):
+        _gram._offenders(G, 0.0)
 
 
 @pytest.mark.parametrize("float_mode", [False, True])

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 from fractions import Fraction
 
 import numpy as np
@@ -324,6 +325,38 @@ def test_basic_error_set_ordering_and_sizes():
     assert labels[46] == "Y1"
     assert labels[55] == "Z1"
     assert labels[-1] == "Z9"
+
+
+_EVERY_FAMILY_SET = [
+    fams
+    for r in (1, 2, 3)
+    for fams in itertools.combinations(("single_pauli", "exchange", "identity_only"), r)
+]
+
+
+@pytest.mark.parametrize("families", _EVERY_FAMILY_SET)
+def test_basic_error_set_equals_the_checked_per_operator_construction(families):
+    """The standard exchanges are built without ``ErrorOperator``'s checks:
+    every operator, label and family equals those of the per-operator
+    construction, each exchange also being the checked ``ErrorOperator``
+    of its transposition, field for field."""
+    for n in range(2, 25):
+        ops = [IdentityOp(n)]
+        if "exchange" in families:
+            for j, k in itertools.combinations(range(1, n + 1), 2):
+                image = [*range(1, j), k, *range(j + 1, k), j, *range(k + 1, n + 1)]
+                checked = ErrorOperator(n, 0, 0, 0, tuple(image), f"E({j},{k})")
+                assert vars(ExchangeOp(n, j, k)) == vars(checked)
+                ops.append(ExchangeOp(n, j, k))
+        if "single_pauli" in families:
+            ops += [ErrorOperator.single(n, kind, k) for kind in "XYZ" for k in range(1, n + 1)]
+        reference = ErrorSet(n, tuple(ops))
+        es = basic_error_set(n, families=families)
+        assert [vars(op) for op in es.ops] == [vars(op) for op in reference.ops]
+        assert (es.ops, es.labels, es.families) == (
+            reference.ops, reference.labels, reference.families
+        )
+        assert list(map(hash, es.ops)) == list(map(hash, reference.ops))
 
 
 def test_basic_error_set_identity_only():

@@ -59,13 +59,13 @@ def test_script_reports_bad_input_without_traceback(script, message):
     assert done.stdout == ""
 
 
-def _result(path, seed, ops_per_probe):
+def _result(path, seed, ops_per_probe, workload="verify-ruskai9", machine=None):
     """A perfbench result file with only the fields a BENCH record reads."""
     metrics = {"ops_per_probe": (ops_per_probe, "1/probe"), "verdict_p50_probes": (2.5, "probe"),
                "setup_s": (0.2, "s"), "peak_rss_mib": (40.0, "MiB")}
     path.write_text(json.dumps({
-        "workload": "verify-ruskai9", "seed": seed, "seconds": 1.0, "trace": 0,
-        "machine": {"nproc": 2, "commit": None}, "attempted": 4, "failed": 0,
+        "workload": workload, "seed": seed, "seconds": 1.0, "trace": 0,
+        "machine": machine or {"nproc": 2, "commit": None}, "attempted": 4, "failed": 0,
         "metrics": {k: {"value": v, "unit": u} for k, (v, u) in metrics.items()},
     }))
     return path
@@ -87,3 +87,32 @@ def test_bench_record_judges_two_result_files(tmp_path):
     assert entry["after"]["seeds"] == [7] and entry["after"]["seconds"] == [1.0]
     assert entry["after"]["runs"][0]["metrics"]["ops_per_probe"] == 0.2
     assert entry["after"]["machine"] == [{"nproc": 2, "commit": None}]
+
+
+@pytest.mark.parametrize(
+    "second, message",
+    [
+        (
+            {"machine": {"source_sha256": "bbb"}},
+            "mixes source trees: aaa: 1.json; bbb: 2.json",
+        ),
+        (
+            {"workload": "smoke", "machine": {"source_sha256": "aaa"}},
+            "holds workloads that BENCHMARK.json does not declare: 2.json (smoke)",
+        ),
+    ],
+)
+def test_bench_record_refuses_a_mixed_side(tmp_path, second, message):
+    """A side that pools runs of two source trees, or a workload the
+    benchmark does not declare, exits 2 naming the files, and no record is
+    written."""
+    side = tmp_path / "after"
+    side.mkdir()
+    _result(side / "1.json", 7, 0.2, machine={"source_sha256": "aaa"})
+    _result(side / "2.json", 8, 0.2, **second)
+    before = _result(tmp_path / "before.json", 7, 0.4)
+    out = tmp_path / "BENCH_test.json"
+    done = run_script(f"bench_record.py {before} {side} --out {out}")
+    assert (done.returncode, done.stdout) == (2, "")
+    assert done.stderr == f"error: {side} {message}\n"
+    assert not out.exists()
